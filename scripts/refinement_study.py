@@ -19,7 +19,7 @@ def main() -> int:
     cfg = parse_config(
         {
             "pipeline": "spectrum",
-            "box": {"bounds": [[0.0, 1.0], [0.5, 1.5]], "points_per_dim": [24, 24]},
+            "box": {"bounds": [[0.0, 1.0], [0.5, 1.5]], "points_per_dim": [32, 32]},
         }
     )
     report = run(cfg, out_dir=out, refine=levels)

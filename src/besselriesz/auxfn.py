@@ -316,8 +316,3 @@ class FTable:
         if np.any(h > self.h_max * (1 + 1e-12)):
             raise ValueError(f"F table built for h <= {self.h_max}, got {h.max()}")
         return self._spline(np.clip(h, 0.0, self.h_max))
-
-
-@lru_cache(maxsize=32)
-def f_table(k: int, l: int, n: int, lam: float, h_max: float) -> FTable:
-    return FTable(AuxIndex(k, l), ModelParams(n=n, lam=lam, k=1), h_max)

@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .auxfn import AuxIndex, F, F_decomposed, G, f_zero
 from .discretize import BoxGrid, assemble, make_grid, save_matrix
 from .kernels import (
     TabulatedF,
-    commutator_kernel,
+    commutator_kernel,  # noqa: F401 - kept in this module's namespace for callers that wrap it
     invsqrt_kernel_closed,
     invsqrt_kernel_subordination,
     riesz_kernel_bessel,
@@ -35,7 +36,7 @@ from .kernels import (
 )
 from .sobolev import directional_seminorm, sobolev_seminorm, sphere_rule
 from .special import ModelParams
-from .spectra import singular_values, weak_quasinorm, weyl_fit
+from .spectra import default_window, singular_values, weak_quasinorm, weyl_fit
 from .symbols import Symbol, build_symbol
 
 PIPELINES = ("spectrum", "ratio", "auxfn", "kernel", "sobolev", "verify")
@@ -245,6 +246,7 @@ class RunReport:
     timings: dict
     results: dict
     assertions: list
+    runtime: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -261,6 +263,7 @@ class RunReport:
                     "results": self.results,
                     "assertions": self.assertions,
                     "passed": self.passed,
+                    "runtime": self.runtime,
                 },
                 fh,
                 indent=2,
@@ -269,16 +272,16 @@ class RunReport:
             fh.write("\n")
 
 
-def _svd_deterministic(A) -> np.ndarray:
-    """Singular values with the BLAS pool pinned, so results do not depend on
-    the run-time thread count."""
+def _svd_deterministic(A) -> tuple[np.ndarray, bool]:
+    """Singular values with the BLAS pool pinned to one thread, so results do
+    not depend on the run-time thread count.  Returns (values, pinned);
+    without threadpoolctl the pool is left as it is and pinned is False."""
     try:
         from threadpoolctl import threadpool_limits
-
-        with threadpool_limits(limits=1):
-            return singular_values(A)
     except ImportError:
-        return singular_values(A)
+        return singular_values(A), False
+    with threadpool_limits(limits=1):
+        return singular_values(A), True
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +289,24 @@ def _svd_deterministic(A) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _spectrum_for(cfg: ExperimentConfig, sym: Symbol, grid: BoxGrid, threads: int):
+def _f_table(cfg: ExperimentConfig, grid: BoxGrid, timings: dict, tag: str) -> TabulatedF:
+    t0 = time.perf_counter()
+    ftab = TabulatedF(cfg.params, 1.05 * _grid_h_max(grid))
+    timings[f"table{tag}"] = time.perf_counter() - t0
+    return ftab
+
+
+def _spectrum_for(cfg: ExperimentConfig, sym: Symbol, grid: BoxGrid, ftab: TabulatedF,
+                  threads: int, timings: dict, runtime: dict, tag: str):
+    """Assemble [R_k, M_sym] from the tabulated Riesz kernel and take its SVD."""
     p = cfg.params
-    h_max = 1.05 * _grid_h_max(grid)
-    ftab = TabulatedF(p, h_max)
-
-    def kern(x, y):
-        return commutator_kernel(lambda a, b: riesz_kernel_bessel(p, a, b, ftab), sym, x, y)
-
-    A = assemble(kern, grid, "weighted", lam=p.lam, threads=threads)
-    s = _svd_deterministic(A)
+    t0 = time.perf_counter()
+    A = assemble(partial(riesz_kernel_bessel, p, f_eval=ftab), grid, "weighted",
+                 lam=p.lam, threads=threads, symbol=sym)
+    t1 = time.perf_counter()
+    s, runtime["blas_pinned"] = _svd_deterministic(A)
+    timings[f"assemble{tag}"] = t1 - t0
+    timings[f"svd{tag}"] = time.perf_counter() - t1
     return A, s
 
 
@@ -307,16 +318,15 @@ def _grid_h_max(grid: BoxGrid) -> float:
 
 def run_spectrum(cfg: ExperimentConfig, out: Path, threads: int, refine: int = 0) -> RunReport:
     p = cfg.params
-    timings, results, assertions = {}, {}, []
+    timings, results, assertions, runtime = {}, {}, [], {}
     levels = [
         tuple(m * 2**i for m in cfg.points_per_dim) for i in range(refine + 1)
     ]
     for i, ppd in enumerate(levels):
         tag = "" if i == 0 else f"_L{i}"
-        t0 = time.time()
         grid = cfg.grid(ppd)
-        A, s = _spectrum_for(cfg, cfg.symbol, grid, threads)
-        timings[f"assemble_svd{tag}"] = time.time() - t0
+        ftab = _f_table(cfg, grid, timings, tag)
+        A, s = _spectrum_for(cfg, cfg.symbol, grid, ftab, threads, timings, runtime, tag)
         pw = float(p.n + 1)
         write_spectrum_csv(out / f"spectrum{tag}.csv", s, pw)
         level = {
@@ -326,7 +336,7 @@ def run_spectrum(cfg: ExperimentConfig, out: Path, threads: int, refine: int = 0
             "top_singular_value": float(s[0]),
         }
         if s[0] > 0 and np.count_nonzero(s > 0) > 8:
-            fit = weyl_fit(s, pw, _window(cfg, len(s)))
+            fit = weyl_fit(s, pw, default_window(len(s), *cfg.window_exponents))
             level["fit"] = fit.as_dict()
             with open(out / f"fit{tag}.json", "w") as fh:
                 json.dump(fit.as_dict(), fh, indent=2, sort_keys=True)
@@ -347,18 +357,12 @@ def run_spectrum(cfg: ExperimentConfig, out: Path, threads: int, refine: int = 0
             "measured": "by construction of the SVD",
         }
     )
-    return _report(cfg, timings, results, assertions)
-
-
-def _window(cfg: ExperimentConfig, N: int):
-    lo = int(np.ceil(N ** cfg.window_exponents[0]))
-    hi = int(np.floor(N ** cfg.window_exponents[1]))
-    return lo, hi
+    return _report(cfg, timings, results, assertions, runtime)
 
 
 def run_ratio(cfg: ExperimentConfig, out: Path, threads: int, refine: int = 0) -> RunReport:
     p = cfg.params
-    timings, results, assertions = {}, {}, []
+    timings, results, assertions, runtime = {}, {}, [], {}
     sphere = sphere_rule(p.n, 128)
     pw = float(p.n + 1)
     for i in range(refine + 1):
@@ -369,12 +373,13 @@ def run_ratio(cfg: ExperimentConfig, out: Path, threads: int, refine: int = 0) -
         sem2 = directional_seminorm(cfg.symbol2, p.k, pw, grid, sphere)
         if min(sem1, sem2) < 1e-8:
             raise ConfigError("degenerate (near-zero) seminorm in ratio experiment")
-        t0 = time.time()
-        _, s1 = _spectrum_for(cfg, cfg.symbol, grid, threads)
-        _, s2 = _spectrum_for(cfg, cfg.symbol2, grid, threads)
-        timings[f"spectra{tag}"] = time.time() - t0
-        fit1 = weyl_fit(s1, pw, _window(cfg, len(s1)))
-        fit2 = weyl_fit(s2, pw, _window(cfg, len(s2)))
+        ftab = _f_table(cfg, grid, timings, tag)
+        # keep only the spectra, so the first matrix is freed before the second
+        s1 = _spectrum_for(cfg, cfg.symbol, grid, ftab, threads, timings, runtime, f"_f{tag}")[1]
+        s2 = _spectrum_for(cfg, cfg.symbol2, grid, ftab, threads, timings, runtime, f"_g{tag}")[1]
+        window = default_window(len(s1), *cfg.window_exponents)
+        fit1 = weyl_fit(s1, pw, window)
+        fit2 = weyl_fit(s2, pw, window)
         coeff_ratio = fit1.pinned_coefficient / fit2.pinned_coefficient
         sem_ratio = sem1 / sem2
         deviation = abs(coeff_ratio - sem_ratio) / sem_ratio
@@ -396,12 +401,12 @@ def run_ratio(cfg: ExperimentConfig, out: Path, threads: int, refine: int = 0) -
                 "measured": deviation,
             }
         )
-    return _report(cfg, timings, results, assertions)
+    return _report(cfg, timings, results, assertions, runtime)
 
 
 def run_auxfn(cfg: ExperimentConfig, out: Path) -> RunReport:
     p = cfg.params
-    t0 = time.time()
+    t0 = time.perf_counter()
     xs = np.concatenate([np.geomspace(1e-3, 0.1, 7), np.linspace(0.15, 1.0, 18)])
     rows = []
     worst = 0.0
@@ -421,7 +426,7 @@ def run_auxfn(cfg: ExperimentConfig, out: Path) -> RunReport:
         fh.write(",".join(cols) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
-    timings = {"tabulate": time.time() - t0}
+    timings = {"tabulate": time.perf_counter() - t0}
     results = {
         "rows": len(rows),
         "max_decomposition_residual": worst,
@@ -445,7 +450,7 @@ def run_kernel(cfg: ExperimentConfig, out: Path, seed: int) -> RunReport:
     if p.n != 1:
         raise ConfigError("kernel pipeline compares all three representations; n must be 1")
     rng = np.random.default_rng(seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = []
     worst = 0.0
     count = 0
@@ -468,7 +473,7 @@ def run_kernel(cfg: ExperimentConfig, out: Path, seed: int) -> RunReport:
         )
         for x, y, a, b, c, errs in rows:
             fh.write(",".join(_fmt(v) for v in (*x, *y, a, b, c, *errs)) + "\n")
-    timings = {"pairs": time.time() - t0}
+    timings = {"pairs": time.perf_counter() - t0}
     results = {"pairs": len(rows), "max_pairwise_rel": worst}
     assertions = [
         {
@@ -483,7 +488,7 @@ def run_kernel(cfg: ExperimentConfig, out: Path, seed: int) -> RunReport:
 
 def run_sobolev(cfg: ExperimentConfig, out: Path) -> RunReport:
     p = cfg.params
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = cfg.grid()
     sym = cfg.symbol
     pw = float(p.n + 1)
@@ -500,7 +505,7 @@ def run_sobolev(cfg: ExperimentConfig, out: Path) -> RunReport:
         fh.write("\n")
     return _report(
         cfg,
-        {"seminorms": time.time() - t0},
+        {"seminorms": time.perf_counter() - t0},
         payload,
         [
             {
@@ -533,7 +538,7 @@ def run_verify(cfg: ExperimentConfig, out: Path, threads: int) -> RunReport:
     return _report(cfg, timings, results, assertions)
 
 
-def _report(cfg: ExperimentConfig, timings, results, assertions) -> RunReport:
+def _report(cfg: ExperimentConfig, timings, results, assertions, runtime=None) -> RunReport:
     return RunReport(
         config=cfg.raw,
         config_sha256=_config_hash(cfg.raw),
@@ -541,6 +546,7 @@ def _report(cfg: ExperimentConfig, timings, results, assertions) -> RunReport:
         timings=timings,
         results=results,
         assertions=assertions,
+        runtime=runtime or {},
     )
 
 

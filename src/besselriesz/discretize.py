@@ -8,6 +8,7 @@ approximations of operator singular values on the corresponding L2 space.
 from __future__ import annotations
 
 import csv
+import itertools
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -104,6 +105,7 @@ def assemble(
     row_block: int = 256,
     estimate_diagonal_bias: bool = True,
     zero_diagonal: bool = True,
+    symbol=None,
 ) -> OperatorMatrix:
     """Symmetric Nystrom matrix A_ij = kernel(x_i, x_j) sqrt(w_i mu_i w_j mu_j).
 
@@ -111,8 +113,21 @@ def assemble(
     entries are zeroed by default (commutator-type kernels are odd to leading
     order, so zeroing is unbiased); pass ``zero_diagonal=False`` for kernels
     that are smooth across the diagonal.  ``diagonal_bias`` reports a crude
-    cell-local scale of the omitted entries.  Entries are independent, so the
-    result is identical for any ``threads``.
+    cell-local scale of the omitted entries.
+
+    With ``symbol=f`` the result is the commutator matrix
+    A_ij = kernel(x_i, x_j) (f(x_j) - f(x_i)) sqrt(w_i mu_i w_j mu_j), and
+    ``kernel`` must depend on the lateral coordinates (all but the last) only
+    through x' - y'.  On the midpoint grid the kernel matrix is then
+    block-Toeplitz in the lateral index, so the kernel is evaluated only on
+    its generator, one block of vertical pairs per lateral offset
+    (prod(2 m_l - 1) m_v^2 entries instead of N^2), and the matrix is filled
+    from it one lateral row block at a time; ``row_block`` is unused there.
+    The diagonal-bias probes evaluate the kernel and the symbol pointwise.
+
+    ``threads`` splits the row blocks (plain kernels) or the generator's
+    lateral offsets and row blocks (with ``symbol``) over a thread pool.
+    Entries are independent, so the result is identical for any ``threads``.
     """
     if space_tag == "weighted":
         if lam is None:
@@ -123,21 +138,14 @@ def assemble(
     nodes = grid.nodes
     N = len(nodes)
     norm = np.sqrt(grid.cell_weights * _measure_density(grid, space_tag, measure_exponent))
-    out = np.empty((N, N))
-
-    def fill(block):
-        lo, hi = block
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = kernel(nodes[lo:hi, None, :], nodes[None, :, :])
-        out[lo:hi, :] = vals
-
-    blocks = [(lo, min(lo + row_block, N)) for lo in range(0, N, row_block)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, blocks))
+    if symbol is None:
+        out = _assemble_dense(kernel, nodes, threads, row_block)
+        probe = kernel
     else:
-        for b in blocks:
-            fill(b)
+        out = _assemble_toeplitz(kernel, symbol, grid, threads)
+
+        def probe(x, y):
+            return kernel(x, y) * (symbol(y) - symbol(x))
 
     idx = np.arange(N)
     if zero_diagonal:
@@ -145,7 +153,7 @@ def assemble(
     if not np.all(np.isfinite(out)):
         bad = np.argwhere(~np.isfinite(out))[0]
         raise FloatingPointError(
-            f"kernel evaluation not finite at node pair {tuple(bad)}: "
+            f"kernel evaluation not finite at node pair {tuple(bad.tolist())}: "
             f"x={nodes[bad[0]]}, y={nodes[bad[1]]}"
         )
     out *= norm[:, None]
@@ -162,7 +170,7 @@ def assemble(
             probes.extend([e, -e])
         vals = np.zeros(len(sample))
         for e in probes:
-            vals += np.abs(kernel(nodes[sample], nodes[sample] + e))
+            vals += np.abs(probe(nodes[sample], nodes[sample] + e))
         vals /= len(probes)
         bias = float(np.max(vals * norm[sample] ** 2))
 
@@ -170,6 +178,93 @@ def assemble(
         entries=out, grid=grid, space_tag=space_tag,
         measure_exponent=measure_exponent, diagonal_bias=bias,
     )
+
+
+def _run(threads: int, fn, items) -> None:
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fn, items))
+    else:
+        for item in items:
+            fn(item)
+
+
+def _assemble_dense(kernel, nodes: np.ndarray, threads: int, row_block: int) -> np.ndarray:
+    """kernel(x_i, x_j) on all N^2 node pairs, row_block rows at a time."""
+    N = len(nodes)
+    out = np.empty((N, N))
+
+    def fill(block):
+        lo, hi = block
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[lo:hi, :] = kernel(nodes[lo:hi, None, :], nodes[None, :, :])
+
+    _run(threads, fill, [(lo, min(lo + row_block, N)) for lo in range(0, N, row_block)])
+    return out
+
+
+# generator entries evaluated per kernel call: bounds the kernel's temporaries
+_GENERATOR_CHUNK = 2**18
+
+
+def _toeplitz_generator(kernel, grid: BoxGrid, threads: int) -> np.ndarray:
+    """Kernel blocks of a laterally translation-invariant kernel, one per offset.
+
+    Returns G of shape (2 m_1 - 1, ..., 2 m_n - 1, m_v, m_v) with
+    G[d + m - 1][a, b] = kernel(x, y) for any node pair whose lateral indices
+    differ by d and whose vertical indices are a and b.  Each offset is
+    evaluated at the node pair with lateral indices (max(d, 0), max(-d, 0)).
+    """
+    *lateral, mv = grid.points_per_dim
+    dim = grid.dim
+    coords = [np.unique(grid.nodes[:, l]) for l in range(dim)]
+    offsets = list(itertools.product(*(range(1 - m, m) for m in lateral)))
+    D = len(offsets)
+    offsets = np.array(offsets, dtype=int).reshape(D, dim - 1)
+    x = np.empty((D, mv, 1, dim))
+    y = np.empty((D, 1, mv, dim))
+    for l in range(dim - 1):
+        x[..., l] = coords[l][np.maximum(offsets[:, l], 0)][:, None, None]
+        y[..., l] = coords[l][np.maximum(-offsets[:, l], 0)][:, None, None]
+    x[..., -1] = coords[-1][None, :, None]
+    y[..., -1] = coords[-1][None, None, :]
+
+    gen = np.empty((D, mv, mv))
+    step = max(1, _GENERATOR_CHUNK // (mv * mv))
+    if threads > 1:
+        step = max(1, min(step, -(-D // threads)))
+
+    def fill(lo):
+        hi = min(lo + step, D)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gen[lo:hi] = kernel(x[lo:hi], y[lo:hi])
+
+    _run(threads, fill, range(0, D, step))
+    return gen.reshape(*(2 * m - 1 for m in lateral), mv, mv)
+
+
+def _assemble_toeplitz(kernel, symbol, grid: BoxGrid, threads: int) -> np.ndarray:
+    """kernel(x_i, x_j) (f(x_j) - f(x_i)) from the lateral Toeplitz generator."""
+    *lateral, mv = grid.points_per_dim
+    N = len(grid.nodes)
+    gen = _toeplitz_generator(kernel, grid, threads)
+    fv = np.asarray(symbol(grid.nodes), dtype=float)
+    out = np.empty((N, N))
+    flip = (slice(None, None, -1),) * len(lateral)
+
+    def fill(row):
+        # lateral column J sits at generator offset I - J + m - 1, which runs
+        # down from I + m - 1 to I as J runs up: a reversed slice per axis
+        I = np.unravel_index(row, lateral)
+        blocks = gen[tuple(slice(i, i + m) for i, m in zip(I, lateral))][flip]
+        rows = slice(row * mv, (row + 1) * mv)
+        dest = out[rows]
+        dest.reshape(mv, *lateral, mv)[...] = np.moveaxis(blocks, -2, 0)
+        with np.errstate(invalid="ignore"):
+            dest *= fv[None, :] - fv[rows, None]
+
+    _run(threads, fill, range(N // mv))
+    return out
 
 
 def conjugate_weight(A: OperatorMatrix, direction: str = "to_unweighted") -> OperatorMatrix:

@@ -42,8 +42,14 @@ def _panel_nodes(breaks: np.ndarray, lam: float, order: int):
 
     The leftmost panel carries the t^(lam-1) factor in a Jacobi rule, the
     rightmost panel (ending at 2) carries (2-t)^(lam-1); interior panels use
-    Gauss-Legendre with the full weight evaluated explicitly.
+    Gauss-Legendre with the full weight evaluated explicitly.  Memoized; the
+    returned arrays are shared between callers and therefore read-only.
     """
+    return _panel_nodes_cached(tuple(breaks), lam, order)
+
+
+@lru_cache(maxsize=256)
+def _panel_nodes_cached(breaks: tuple, lam: float, order: int):
     ts = []
     ws = []
     for i in range(len(breaks) - 1):
@@ -65,7 +71,10 @@ def _panel_nodes(breaks: np.ndarray, lam: float, order: int):
             weight = w * half * t ** (lam - 1.0) * (2.0 - t) ** (lam - 1.0)
         ts.append(t)
         ws.append(weight)
-    return np.concatenate(ts), np.concatenate(ws)
+    t, w = np.concatenate(ts), np.concatenate(ws)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
 
 
 def _breakpoints(peak_scale: float) -> np.ndarray:

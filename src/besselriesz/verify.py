@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -251,18 +252,19 @@ def check_hilbert_schmidt_identity() -> CheckResult:
     )
 
 
+def _commutator(p: ModelParams, ftab, sym, grid):
+    """[R_k, M_sym] on ``grid`` from the tabulated weighted Riesz kernel."""
+    base = partial(riesz_kernel_bessel, p, f_eval=ftab)
+    return assemble(base, grid, "weighted", lam=p.lam, symbol=sym)
+
+
 def _default_commutator_spectrum(points: int):
     p = ModelParams(n=1, lam=1.0, k=2)
     grid = make_grid([(0.0, 1.0), (0.5, 1.5)], (points, points), halfspace=True)
     sym = build_symbol(
         {"kind": "cosine-bump", "center": [0.5, 1.0], "width": [0.43, 0.43], "amplitude": 1.0}
     )
-    ftab = TabulatedF(p, 3.2)
-
-    def kern(x, y):
-        return commutator_kernel(lambda a, b: riesz_kernel_bessel(p, a, b, ftab), sym, x, y)
-
-    A = assemble(kern, grid, "weighted", lam=p.lam)
+    A = _commutator(p, TabulatedF(p, 3.2), sym, grid)
     return grid, sym, singular_values(A)
 
 
@@ -277,13 +279,7 @@ def check_spectral_decay_stability() -> CheckResult:
 
     p = ModelParams(n=1, lam=1.0, k=2)
     grid = make_grid([(0.0, 1.0), (0.5, 1.5)], (16, 16), halfspace=True)
-    ftab = TabulatedF(p, 3.2)
-    const = constant_symbol(0.7)
-
-    def kern(x, y):
-        return commutator_kernel(lambda a, b: riesz_kernel_bessel(p, a, b, ftab), const, x, y)
-
-    s_const = singular_values(assemble(kern, grid, "weighted", lam=p.lam))
+    s_const = singular_values(_commutator(p, TabulatedF(p, 3.2), constant_symbol(0.7), grid))
     passed = drift <= 0.10 and float(s_const.max()) == 0.0
     return _result(
         "9 weak-quasinorm stability and constant cutoff", t0, passed,
@@ -310,15 +306,8 @@ def check_weyl_law() -> CheckResult:
     ok = True
     for label, m in (("base", 48), ("doubled", 96)):
         grid = make_grid([(0.0, 1.0), (0.5, 1.5)], (m, m), halfspace=True)
-
-        def k1(x, y):
-            return commutator_kernel(lambda a, b: riesz_kernel_bessel(p, a, b, ftab), sym1, x, y)
-
-        def k2(x, y):
-            return commutator_kernel(lambda a, b: riesz_kernel_bessel(p, a, b, ftab), sym2, x, y)
-
-        fit1 = weyl_fit(singular_values(assemble(k1, grid, "weighted", lam=p.lam)), 2.0)
-        fit2 = weyl_fit(singular_values(assemble(k2, grid, "weighted", lam=p.lam)), 2.0)
+        fit1 = weyl_fit(singular_values(_commutator(p, ftab, sym1, grid)), 2.0)
+        fit2 = weyl_fit(singular_values(_commutator(p, ftab, sym2, grid)), 2.0)
         sem1 = directional_seminorm(sym1, p.k, 2.0, grid, sphere)
         sem2 = directional_seminorm(sym2, p.k, 2.0, grid, sphere)
         coeff_ratio = fit1.pinned_coefficient / fit2.pinned_coefficient
@@ -345,13 +334,7 @@ def check_conjugation_invariance() -> CheckResult:
     t0 = time.time()
     p = ModelParams(n=1, lam=1.0, k=2)
     grid = make_grid([(0.0, 1.0), (0.5, 1.5)], (24, 24), halfspace=True)
-    sym = gaussian_bump([0.5, 1.0], 0.15)
-    ftab = TabulatedF(p, 3.2)
-
-    def kern(x, y):
-        return commutator_kernel(lambda a, b: riesz_kernel_bessel(p, a, b, ftab), sym, x, y)
-
-    A = assemble(kern, grid, "weighted", lam=p.lam)
+    A = _commutator(p, TabulatedF(p, 3.2), gaussian_bump([0.5, 1.0], 0.15), grid)
     B = conjugate_weight(A, "to_unweighted")
     s_before = singular_values(A)
     s_after = singular_values(B)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 
 import numpy as np
@@ -68,6 +69,9 @@ def test_spectrum_pipeline_artifacts(tmp_path):
     assert payload["version"] == __version__
     assert len(payload["config_sha256"]) == 64
     assert payload["passed"] is True
+    assert set(payload["timings"]) == {"table", "assemble", "svd"}
+    pinnable = importlib.util.find_spec("threadpoolctl") is not None
+    assert payload["runtime"] == {"blas_pinned": pinnable}
     header = (tmp_path / "spectrum.csv").read_text().splitlines()[0]
     assert header == "index,mu,weighted_mu"
 
@@ -122,6 +126,8 @@ def test_ratio_pipeline_double_symbol(tmp_path):
     assert level["coefficient_ratio"] == pytest.approx(0.5, rel=1e-12)
     assert level["seminorm_ratio"] == pytest.approx(0.5, rel=1e-12)
     assert report.passed
+    # one F table serves both symbols
+    assert set(report.timings) == {"table", "assemble_f", "svd_f", "assemble_g", "svd_g"}
 
 
 def test_ratio_pipeline_translated_symbol(tmp_path):

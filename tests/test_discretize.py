@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -30,12 +32,18 @@ def smooth_kernel(x, y):
     return np.exp(-d2) * (1.0 + x[..., -1] * y[..., -1])
 
 
-def commutator(grid_h_max=3.2, p=P2, sym=None):
+def riesz_base(p=P2, grid_h_max=3.2):
+    return partial(riesz_kernel_bessel, p, f_eval=TabulatedF(p, grid_h_max))
+
+
+def commutator(grid, p=P2, sym=None, **kwargs):
     sym = sym or gaussian_bump([0.5, 1.0], 0.15)
-    ftab = TabulatedF(p, grid_h_max)
-    return lambda x, y: commutator_kernel(
-        lambda a, b: riesz_kernel_bessel(p, a, b, ftab), sym, x, y
-    )
+    return assemble(riesz_base(p), grid, "weighted", lam=p.lam, symbol=sym, **kwargs)
+
+
+def brute_force_commutator(base, sym):
+    """The commutator kernel on every node pair: the reference for ``symbol=``."""
+    return lambda x, y: commutator_kernel(base, sym, x, y)
 
 
 def test_grid_1d_midpoints():
@@ -69,8 +77,7 @@ def test_assemble_zero_kernel():
 
 def test_assemble_constant_symbol_commutator_is_zero():
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (8, 8), halfspace=True)
-    kern = commutator(sym=constant_symbol(2.5))
-    A = assemble(kern, g, "weighted", lam=P2.lam)
+    A = commutator(g, sym=constant_symbol(2.5))
     assert np.all(A.entries == 0.0)
 
 
@@ -96,7 +103,7 @@ def test_hilbert_schmidt_consistency_smooth_kernel():
 
 def test_conjugation_preserves_singular_values():
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (10, 10), halfspace=True)
-    A = assemble(commutator(), g, "weighted", lam=P2.lam)
+    A = commutator(g)
     B = conjugate_weight(A, "to_unweighted")
     assert B.space_tag == "unweighted"
     s1, s2 = singular_values(A), singular_values(B)
@@ -105,7 +112,7 @@ def test_conjugation_preserves_singular_values():
 
 def test_conjugation_round_trip():
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (8, 8), halfspace=True)
-    A = assemble(commutator(), g, "weighted", lam=P2.lam)
+    A = commutator(g)
     back = conjugate_weight(conjugate_weight(A, "to_unweighted"), "to_weighted")
     assert np.allclose(back.entries, A.entries, rtol=1e-13, atol=1e-300)
     with pytest.raises(ValueError):
@@ -121,7 +128,7 @@ def test_conjugation_lambda_zero_noop():
 
 def test_schur_apply_identity_and_commutativity():
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (8, 8), halfspace=True)
-    A = assemble(commutator(), g, "weighted", lam=P2.lam)
+    A = commutator(g)
     same = schur_apply(lambda x, y: np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])), A)
     assert np.array_equal(same.entries, A.entries)
     ab = schur_apply(symbol_a, schur_apply(symbol_b, A))
@@ -135,7 +142,7 @@ def test_schur_direction_symbol_norm_ratio_bounded_under_refinement():
     ratios = []
     for m in (8, 12, 16):
         g = make_grid([(0.0, 1.0), (0.5, 1.5)], (m, m), halfspace=True)
-        A = assemble(commutator(), g, "weighted", lam=P2.lam)
+        A = commutator(g)
         S = schur_apply(lambda x, y: symbol_h(1, x, y), A)
         s0 = singular_values(A)[0]
         s1 = singular_values(S)[0]
@@ -156,10 +163,56 @@ def test_frobenius_domination():
 
 def test_assembly_thread_determinism():
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (12, 12), halfspace=True)
-    kern = commutator()
+    kern = brute_force_commutator(riesz_base(), gaussian_bump([0.5, 1.0], 0.15))
     A1 = assemble(kern, g, "weighted", lam=P2.lam, threads=1)
     A4 = assemble(kern, g, "weighted", lam=P2.lam, threads=4, row_block=17)
     assert np.array_equal(A1.entries, A4.entries)
+
+
+@pytest.mark.parametrize(
+    "n, k, points",
+    [
+        (1, 1, (12, 12)),
+        (1, 2, (12, 12)),
+        (1, 1, (10, 14)),
+        (1, 2, (10, 14)),
+        (2, 1, (6, 5, 7)),
+        (2, 3, (6, 5, 7)),
+    ],
+)
+def test_toeplitz_commutator_matches_brute_force(n, k, points):
+    p = ModelParams(n=n, lam=1.0, k=k)
+    g = make_grid([(0.0, 1.0)] * n + [(0.5, 1.5)], points, halfspace=True)
+    base = riesz_base(p, grid_h_max=3.7)
+    sym = gaussian_bump([0.5] * n + [1.0], 0.15)
+    A = assemble(base, g, "weighted", lam=p.lam, symbol=sym)
+    B = assemble(brute_force_commutator(base, sym), g, "weighted", lam=p.lam)
+    scale = np.max(np.abs(B.entries))
+    assert scale > 0.0
+    assert np.max(np.abs(A.entries - B.entries)) <= 1e-13 * scale
+    assert A.diagonal_bias == B.diagonal_bias
+
+
+def test_toeplitz_assembly_thread_determinism():
+    for points, n in (((12, 12), 1), ((6, 5, 7), 2)):
+        g = make_grid([(0.0, 1.0)] * n + [(0.5, 1.5)], points, halfspace=True)
+        p = ModelParams(n=n, lam=1.0, k=n + 1)
+        sym = gaussian_bump([0.5] * n + [1.0], 0.15)
+        A1 = commutator(g, p=p, sym=sym, threads=1)
+        A3 = commutator(g, p=p, sym=sym, threads=3)
+        assert A1.entries.tobytes() == A3.entries.tobytes()
+        assert A1.diagonal_bias == A3.diagonal_bias
+
+
+def test_toeplitz_assembly_reports_nonfinite_pair():
+    g = make_grid([(0.0, 1.0), (0.5, 1.5)], (4, 4), halfspace=True)
+
+    def base(x, y):
+        # infinite exactly where the vertical coordinates differ by 0.5
+        return 1.0 / (np.abs(x[..., -1] - y[..., -1]) - 0.5)
+
+    with pytest.raises(FloatingPointError, match=r"node pair \(0, 2\)"):
+        assemble(base, g, "weighted", lam=1.0, symbol=gaussian_bump([0.5, 1.0], 0.15))
 
 
 def test_weighted_assembly_requires_lambda():
@@ -182,5 +235,5 @@ def test_matrix_roundtrip(tmp_path):
 
 def test_diagonal_bias_reported():
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (8, 8), halfspace=True)
-    A = assemble(commutator(), g, "weighted", lam=P2.lam)
+    A = commutator(g)
     assert A.diagonal_bias > 0.0

@@ -5,6 +5,7 @@ from scipy.special import beta as beta_fn
 
 from besselriesz.quadrature import (
     QuadratureError,
+    _panel_nodes,
     gauss_legendre_box,
     gegenbauer_integral,
     geometric_breaks,
@@ -59,6 +60,15 @@ def test_gegenbauer_nonconvergence_reports_estimate():
             lambda t: rng.standard_normal(t.shape), 0.9, max_order=64
         )
     assert err.value.error_estimate > 0
+
+
+def test_panel_nodes_memoized_and_read_only():
+    breaks = np.array([0.0, 0.25, 1.0, 2.0])
+    t1, w1 = _panel_nodes(breaks, 0.8, 32)
+    t2, w2 = _panel_nodes(breaks.copy(), 0.8, 32)
+    assert t1 is t2 and w1 is w2
+    with pytest.raises(ValueError):
+        w1[0] = 0.0
 
 
 def test_left_weighted_integral():

@@ -1,10 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besselriesz.discretize import assemble, make_grid
-from besselriesz.kernels import TabulatedF, commutator_kernel, riesz_kernel_bessel
+from besselriesz.kernels import TabulatedF, riesz_kernel_bessel
 from besselriesz.special import ModelParams
 from besselriesz.spectra import (
     default_window,
@@ -121,14 +123,11 @@ def test_quasi_triangle_inequality_for_commutators():
     g = gaussian_bump([0.6, 1.1], 0.2, amplitude=-0.6)
     fg = Symbol(func=lambda x: f(x) + g(x))
 
-    def kern(sym):
-        return lambda x, y: commutator_kernel(
-            lambda a, b: riesz_kernel_bessel(p, a, b, ftab), sym, x, y
-        )
+    def spectrum(sym):
+        base = partial(riesz_kernel_bessel, p, f_eval=ftab)
+        return singular_values(assemble(base, grid, "weighted", lam=p.lam, symbol=sym))
 
-    sf = singular_values(assemble(kern(f), grid, "weighted", lam=p.lam))
-    sg = singular_values(assemble(kern(g), grid, "weighted", lam=p.lam))
-    sfg = singular_values(assemble(kern(fg), grid, "weighted", lam=p.lam))
+    sf, sg, sfg = spectrum(f), spectrum(g), spectrum(fg)
     pw = 2.0
     lhs = weak_quasinorm(sfg, pw)
     rhs = 2.0 ** (1 / pw) * (weak_quasinorm(sf, pw) + weak_quasinorm(sg, pw))
@@ -142,11 +141,9 @@ def test_spectrum_scales_linearly_in_symbol():
     f = gaussian_bump([0.5, 1.0], 0.15)
     f2 = gaussian_bump([0.5, 1.0], 0.15, amplitude=2.0)
 
-    def kern(sym):
-        return lambda x, y: commutator_kernel(
-            lambda a, b: riesz_kernel_bessel(p, a, b, ftab), sym, x, y
-        )
+    def spectrum(sym):
+        base = partial(riesz_kernel_bessel, p, f_eval=ftab)
+        return singular_values(assemble(base, grid, "weighted", lam=p.lam, symbol=sym))
 
-    s1 = singular_values(assemble(kern(f), grid, "weighted", lam=p.lam))
-    s2 = singular_values(assemble(kern(f2), grid, "weighted", lam=p.lam))
+    s1, s2 = spectrum(f), spectrum(f2)
     assert np.allclose(s2, 2.0 * s1, rtol=1e-12, atol=1e-15)
