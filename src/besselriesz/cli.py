@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .auxfn import AuxIndex, F, F_decomposed, G, f_zero
-from .discretize import BoxGrid, assemble, make_grid, save_matrix
+from .discretize import BoxGrid, OperatorMatrix, assemble, make_grid, save_matrix
 from .kernels import (
     TabulatedF,
     commutator_kernel,  # noqa: F401 - kept in this module's namespace for callers that wrap it
@@ -32,7 +32,6 @@ from .kernels import (
     invsqrt_kernel_subordination,
     riesz_kernel_bessel,
     spectral_kernel_inverse_radial,
-    symbol_H,
 )
 from .sobolev import directional_seminorm, sobolev_seminorm, sphere_rule
 from .special import ModelParams
@@ -58,7 +57,6 @@ DEFAULT_CONFIG = {
     },
     "pipeline": "spectrum",
     "fit": {"window_exponents": [0.3, 0.7]},
-    "quadrature": {"rel_tol": 1e-10},
     "ratio_tolerance": 0.15,
     "output_dir": "out",
     "save_matrix": False,
@@ -72,7 +70,6 @@ _ALLOWED_KEYS = {
     "symbol": {"kind", "center", "width", "amplitude", "axis"},
     "symbol2": {"kind", "center", "width", "amplitude", "axis"},
     "fit": {"window_exponents"},
-    "quadrature": {"rel_tol"},
 }
 
 
@@ -98,7 +95,6 @@ class ExperimentConfig:
     symbol2_spec: dict | None
     pipeline: str
     window_exponents: tuple
-    quad_rel_tol: float
     ratio_tolerance: float
     output_dir: str
     save_matrix: bool
@@ -137,7 +133,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         else:
             merged[key] = value
 
-    for section in ("params", "box", "symbol", "fit", "quadrature"):
+    for section in ("params", "box", "symbol", "fit"):
         if not isinstance(merged.get(section), dict):
             raise ConfigError(f"{section} must be a JSON object")
 
@@ -175,7 +171,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         symbol2_spec=merged.get("symbol2"),
         pipeline=pipeline,
         window_exponents=(float(lo), float(hi)),
-        quad_rel_tol=float(merged["quadrature"]["rel_tol"]),
         ratio_tolerance=float(merged["ratio_tolerance"]),
         output_dir=str(merged["output_dir"]),
         save_matrix=bool(merged["save_matrix"]),
@@ -289,20 +284,31 @@ def _svd_deterministic(A) -> tuple[np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _f_table(cfg: ExperimentConfig, grid: BoxGrid, timings: dict, tag: str) -> TabulatedF:
-    t0 = time.perf_counter()
-    ftab = TabulatedF(cfg.params, 1.05 * _grid_h_max(grid))
-    timings[f"table{tag}"] = time.perf_counter() - t0
-    return ftab
+def f_table(params: ModelParams, bounds) -> TabulatedF:
+    """The F table for every node pair of a box: H is at most the box
+    diameter over its least height, and the table covers 1.05 times that."""
+    diam = np.sqrt(sum((b - a) ** 2 for a, b in bounds))
+    return TabulatedF(params, 1.05 * float(diam / bounds[-1][0]))
+
+
+def riesz_base(params: ModelParams, f_eval):
+    """The weighted Riesz kernel K_k(x, y) with the F profiles from ``f_eval``."""
+    return partial(riesz_kernel_bessel, params, f_eval=f_eval)
+
+
+def commutator(params: ModelParams, symbol: Symbol, grid: BoxGrid,
+               ftab: TabulatedF) -> OperatorMatrix:
+    """[R_k, M_symbol] on ``grid`` in the weighted convention, from the
+    lateral block-Toeplitz generator of the tabulated Riesz kernel."""
+    return assemble(riesz_base(params, ftab), grid, "weighted", lam=params.lam,
+                    symbol=symbol)
 
 
 def _spectrum_for(cfg: ExperimentConfig, sym: Symbol, grid: BoxGrid, ftab: TabulatedF,
-                  threads: int, timings: dict, runtime: dict, tag: str):
-    """Assemble [R_k, M_sym] from the tabulated Riesz kernel and take its SVD."""
-    p = cfg.params
+                  timings: dict, runtime: dict, tag: str):
+    """Assemble [R_k, M_sym] and take its SVD."""
     t0 = time.perf_counter()
-    A = assemble(partial(riesz_kernel_bessel, p, f_eval=ftab), grid, "weighted",
-                 lam=p.lam, threads=threads, symbol=sym)
+    A = commutator(cfg.params, sym, grid, ftab)
     t1 = time.perf_counter()
     s, runtime["blas_pinned"] = _svd_deterministic(A)
     timings[f"assemble{tag}"] = t1 - t0
@@ -310,27 +316,26 @@ def _spectrum_for(cfg: ExperimentConfig, sym: Symbol, grid: BoxGrid, ftab: Tabul
     return A, s
 
 
-def _grid_h_max(grid: BoxGrid) -> float:
-    """Upper bound for H over node pairs: box diameter over the least height."""
-    diam = np.sqrt(sum((b - a) ** 2 for a, b in grid.bounds))
-    return float(diam / grid.bounds[-1][0])
+def _levels(cfg: ExperimentConfig, refine: int, timings: dict):
+    """(index, tag, grid, F table) per level, the points doubled per level.
+    Refinement keeps the box, so one F table serves every level."""
+    t0 = time.perf_counter()
+    ftab = f_table(cfg.params, cfg.bounds)
+    timings["table"] = time.perf_counter() - t0
+    for i in range(refine + 1):
+        ppd = tuple(m * 2**i for m in cfg.points_per_dim)
+        yield i, "" if i == 0 else f"_L{i}", cfg.grid(ppd), ftab
 
 
-def run_spectrum(cfg: ExperimentConfig, out: Path, threads: int, refine: int = 0) -> RunReport:
+def run_spectrum(cfg: ExperimentConfig, out: Path, refine: int = 0) -> RunReport:
     p = cfg.params
     timings, results, assertions, runtime = {}, {}, [], {}
-    levels = [
-        tuple(m * 2**i for m in cfg.points_per_dim) for i in range(refine + 1)
-    ]
-    for i, ppd in enumerate(levels):
-        tag = "" if i == 0 else f"_L{i}"
-        grid = cfg.grid(ppd)
-        ftab = _f_table(cfg, grid, timings, tag)
-        A, s = _spectrum_for(cfg, cfg.symbol, grid, ftab, threads, timings, runtime, tag)
+    for i, tag, grid, ftab in _levels(cfg, refine, timings):
+        A, s = _spectrum_for(cfg, cfg.symbol, grid, ftab, timings, runtime, tag)
         pw = float(p.n + 1)
         write_spectrum_csv(out / f"spectrum{tag}.csv", s, pw)
         level = {
-            "points_per_dim": list(ppd),
+            "points_per_dim": list(grid.points_per_dim),
             "weak_quasinorm": weak_quasinorm(s, pw),
             "diagonal_bias": A.diagonal_bias,
             "top_singular_value": float(s[0]),
@@ -345,7 +350,7 @@ def run_spectrum(cfg: ExperimentConfig, out: Path, threads: int, refine: int = 0
         if cfg.save_matrix and i == 0:
             save_matrix(A, out / "matrix.bin")
     if refine > 0:
-        qs = [results[f"level{i}"]["weak_quasinorm"] for i in range(len(levels))]
+        qs = [results[f"level{i}"]["weak_quasinorm"] for i in range(refine + 1)]
         results["quasinorm_drift"] = [
             abs(b - a) / max(abs(a), 1e-300) for a, b in zip(qs[:-1], qs[1:])
         ]
@@ -360,23 +365,19 @@ def run_spectrum(cfg: ExperimentConfig, out: Path, threads: int, refine: int = 0
     return _report(cfg, timings, results, assertions, runtime)
 
 
-def run_ratio(cfg: ExperimentConfig, out: Path, threads: int, refine: int = 0) -> RunReport:
+def run_ratio(cfg: ExperimentConfig, out: Path, refine: int = 0) -> RunReport:
     p = cfg.params
     timings, results, assertions, runtime = {}, {}, [], {}
     sphere = sphere_rule(p.n, 128)
     pw = float(p.n + 1)
-    for i in range(refine + 1):
-        tag = "" if i == 0 else f"_L{i}"
-        ppd = tuple(m * 2**i for m in cfg.points_per_dim)
-        grid = cfg.grid(ppd)
+    for i, tag, grid, ftab in _levels(cfg, refine, timings):
         sem1 = directional_seminorm(cfg.symbol, p.k, pw, grid, sphere)
         sem2 = directional_seminorm(cfg.symbol2, p.k, pw, grid, sphere)
         if min(sem1, sem2) < 1e-8:
             raise ConfigError("degenerate (near-zero) seminorm in ratio experiment")
-        ftab = _f_table(cfg, grid, timings, tag)
         # keep only the spectra, so the first matrix is freed before the second
-        s1 = _spectrum_for(cfg, cfg.symbol, grid, ftab, threads, timings, runtime, f"_f{tag}")[1]
-        s2 = _spectrum_for(cfg, cfg.symbol2, grid, ftab, threads, timings, runtime, f"_g{tag}")[1]
+        s1 = _spectrum_for(cfg, cfg.symbol, grid, ftab, timings, runtime, f"_f{tag}")[1]
+        s2 = _spectrum_for(cfg, cfg.symbol2, grid, ftab, timings, runtime, f"_g{tag}")[1]
         window = default_window(len(s1), *cfg.window_exponents)
         fit1 = weyl_fit(s1, pw, window)
         fit2 = weyl_fit(s2, pw, window)
@@ -384,7 +385,7 @@ def run_ratio(cfg: ExperimentConfig, out: Path, threads: int, refine: int = 0) -
         sem_ratio = sem1 / sem2
         deviation = abs(coeff_ratio - sem_ratio) / sem_ratio
         results[f"level{i}"] = {
-            "points_per_dim": list(ppd),
+            "points_per_dim": list(grid.points_per_dim),
             "fit_f": fit1.as_dict(),
             "fit_g": fit2.as_dict(),
             "seminorm_f": sem1,
@@ -518,7 +519,7 @@ def run_sobolev(cfg: ExperimentConfig, out: Path) -> RunReport:
     )
 
 
-def run_verify(cfg: ExperimentConfig, out: Path, threads: int) -> RunReport:
+def run_verify(cfg: ExperimentConfig, out: Path) -> RunReport:
     from . import verify
 
     timings, assertions, results = {}, [], {}
@@ -553,7 +554,6 @@ def _report(cfg: ExperimentConfig, timings, results, assertions, runtime=None) -
 def run(
     cfg: ExperimentConfig,
     out_dir=None,
-    threads: int = 1,
     seed: int | None = None,
     refine: int = 0,
 ) -> RunReport:
@@ -562,9 +562,9 @@ def run(
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed if seed is None else seed
     if cfg.pipeline == "spectrum":
-        report = run_spectrum(cfg, out, threads, refine)
+        report = run_spectrum(cfg, out, refine)
     elif cfg.pipeline == "ratio":
-        report = run_ratio(cfg, out, threads, refine)
+        report = run_ratio(cfg, out, refine)
     elif cfg.pipeline == "auxfn":
         report = run_auxfn(cfg, out)
     elif cfg.pipeline == "kernel":
@@ -572,7 +572,7 @@ def run(
     elif cfg.pipeline == "sobolev":
         report = run_sobolev(cfg, out)
     elif cfg.pipeline == "verify":
-        report = run_verify(cfg, out, threads)
+        report = run_verify(cfg, out)
     else:  # pragma: no cover - parse_config rejects unknown pipelines
         raise ConfigError(f"unhandled pipeline {cfg.pipeline}")
     report.write(out / "report.json")
@@ -589,7 +589,6 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name, help=f"run the {name} pipeline")
         sp.add_argument("--config", type=str, default=None, help="JSON config path")
         sp.add_argument("--out", type=str, default=None, help="output directory")
-        sp.add_argument("--threads", type=int, default=1, help="assembly threads")
         sp.add_argument("--seed", type=int, default=None, help="sampling seed")
         sp.add_argument("--refine", type=int, default=0, help="grid-doubling levels")
     args = parser.parse_args(argv)
@@ -600,8 +599,7 @@ def main(argv=None) -> int:
             cfg = parse_config({**cfg.raw, "pipeline": args.command})
     else:
         cfg = parse_config({"pipeline": args.command})
-    report = run(cfg, out_dir=args.out, threads=args.threads, seed=args.seed,
-                 refine=args.refine)
+    report = run(cfg, out_dir=args.out, seed=args.seed, refine=args.refine)
     print(f"report written to {Path(args.out or cfg.output_dir) / 'report.json'}"
           f" ({'pass' if report.passed else 'FAIL'})")
     return 0 if report.passed else 1

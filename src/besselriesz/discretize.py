@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import itertools
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -101,8 +100,6 @@ def assemble(
     grid: BoxGrid,
     space_tag: str = "weighted",
     lam: float | None = None,
-    threads: int = 1,
-    row_block: int = 256,
     estimate_diagonal_bias: bool = True,
     zero_diagonal: bool = True,
     symbol=None,
@@ -122,12 +119,8 @@ def assemble(
     block-Toeplitz in the lateral index, so the kernel is evaluated only on
     its generator, one block of vertical pairs per lateral offset
     (prod(2 m_l - 1) m_v^2 entries instead of N^2), and the matrix is filled
-    from it one lateral row block at a time; ``row_block`` is unused there.
-    The diagonal-bias probes evaluate the kernel and the symbol pointwise.
-
-    ``threads`` splits the row blocks (plain kernels) or the generator's
-    lateral offsets and row blocks (with ``symbol``) over a thread pool.
-    Entries are independent, so the result is identical for any ``threads``.
+    from it one lateral row block at a time.  The diagonal-bias probes
+    evaluate the kernel and the symbol pointwise.
     """
     if space_tag == "weighted":
         if lam is None:
@@ -139,10 +132,10 @@ def assemble(
     N = len(nodes)
     norm = np.sqrt(grid.cell_weights * _measure_density(grid, space_tag, measure_exponent))
     if symbol is None:
-        out = _assemble_dense(kernel, nodes, threads, row_block)
+        out = _assemble_dense(kernel, nodes)
         probe = kernel
     else:
-        out = _assemble_toeplitz(kernel, symbol, grid, threads)
+        out = _assemble_toeplitz(kernel, symbol, grid)
 
         def probe(x, y):
             return kernel(x, y) * (symbol(y) - symbol(x))
@@ -180,26 +173,18 @@ def assemble(
     )
 
 
-def _run(threads: int, fn, items) -> None:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fn, items))
-    else:
-        for item in items:
-            fn(item)
+# rows per kernel call in the plain path: bounds the kernel's temporaries
+_ROW_BLOCK = 256
 
 
-def _assemble_dense(kernel, nodes: np.ndarray, threads: int, row_block: int) -> np.ndarray:
-    """kernel(x_i, x_j) on all N^2 node pairs, row_block rows at a time."""
+def _assemble_dense(kernel, nodes: np.ndarray) -> np.ndarray:
+    """kernel(x_i, x_j) on all N^2 node pairs, _ROW_BLOCK rows at a time."""
     N = len(nodes)
     out = np.empty((N, N))
-
-    def fill(block):
-        lo, hi = block
+    for lo in range(0, N, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out[lo:hi, :] = kernel(nodes[lo:hi, None, :], nodes[None, :, :])
-
-    _run(threads, fill, [(lo, min(lo + row_block, N)) for lo in range(0, N, row_block)])
+            out[rows, :] = kernel(nodes[rows, None, :], nodes[None, :, :])
     return out
 
 
@@ -207,7 +192,7 @@ def _assemble_dense(kernel, nodes: np.ndarray, threads: int, row_block: int) -> 
 _GENERATOR_CHUNK = 2**18
 
 
-def _toeplitz_generator(kernel, grid: BoxGrid, threads: int) -> np.ndarray:
+def _toeplitz_generator(kernel, grid: BoxGrid) -> np.ndarray:
     """Kernel blocks of a laterally translation-invariant kernel, one per offset.
 
     Returns G of shape (2 m_1 - 1, ..., 2 m_n - 1, m_v, m_v) with
@@ -231,28 +216,21 @@ def _toeplitz_generator(kernel, grid: BoxGrid, threads: int) -> np.ndarray:
 
     gen = np.empty((D, mv, mv))
     step = max(1, _GENERATOR_CHUNK // (mv * mv))
-    if threads > 1:
-        step = max(1, min(step, -(-D // threads)))
-
-    def fill(lo):
-        hi = min(lo + step, D)
+    for lo in range(0, D, step):
         with np.errstate(divide="ignore", invalid="ignore"):
-            gen[lo:hi] = kernel(x[lo:hi], y[lo:hi])
-
-    _run(threads, fill, range(0, D, step))
+            gen[lo:lo + step] = kernel(x[lo:lo + step], y[lo:lo + step])
     return gen.reshape(*(2 * m - 1 for m in lateral), mv, mv)
 
 
-def _assemble_toeplitz(kernel, symbol, grid: BoxGrid, threads: int) -> np.ndarray:
+def _assemble_toeplitz(kernel, symbol, grid: BoxGrid) -> np.ndarray:
     """kernel(x_i, x_j) (f(x_j) - f(x_i)) from the lateral Toeplitz generator."""
     *lateral, mv = grid.points_per_dim
     N = len(grid.nodes)
-    gen = _toeplitz_generator(kernel, grid, threads)
+    gen = _toeplitz_generator(kernel, grid)
     fv = np.asarray(symbol(grid.nodes), dtype=float)
     out = np.empty((N, N))
     flip = (slice(None, None, -1),) * len(lateral)
-
-    def fill(row):
+    for row in range(N // mv):
         # lateral column J sits at generator offset I - J + m - 1, which runs
         # down from I + m - 1 to I as J runs up: a reversed slice per axis
         I = np.unravel_index(row, lateral)
@@ -262,8 +240,6 @@ def _assemble_toeplitz(kernel, symbol, grid: BoxGrid, threads: int) -> np.ndarra
         dest.reshape(mv, *lateral, mv)[...] = np.moveaxis(blocks, -2, 0)
         with np.errstate(invalid="ignore"):
             dest *= fv[None, :] - fv[rows, None]
-
-    _run(threads, fill, range(N // mv))
     return out
 
 

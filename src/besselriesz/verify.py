@@ -7,12 +7,14 @@ consume this list so the criteria are runnable in either harness.
 
 from __future__ import annotations
 
+import tempfile
 import time
 from dataclasses import dataclass
-from functools import partial
+from pathlib import Path
 
 import numpy as np
 
+from . import cli
 from .auxfn import AuxIndex, F, F_decomposed, derivative_bound_probe, f_zero
 from .discretize import assemble, conjugate_weight, make_grid
 from .kernels import (
@@ -20,21 +22,18 @@ from .kernels import (
     IDX11,
     IDX20,
     IDX21,
-    TabulatedF,
     commutator_kernel,
     gaussian_profile_kernel,
     invsqrt_kernel_closed,
     invsqrt_kernel_subordination,
     prop35_rhs_kernel,
     ratio_bound_check,
-    riesz_kernel_bessel,
     spectral_kernel_inverse_radial,
 )
 from .quadrature import gauss_legendre_box
-from .sobolev import directional_seminorm, sphere_rule
 from .special import ModelParams, bessel_j, gamma, psi_lambda
-from .spectra import singular_values, weak_quasinorm, weyl_fit
-from .symbols import build_symbol, constant_symbol, gaussian_bump
+from .spectra import singular_values
+from .symbols import gaussian_bump
 
 
 @dataclass
@@ -199,7 +198,7 @@ def check_schur_identity() -> CheckResult:
     for k in (1, 2):
         p = ModelParams(n=1, lam=1.0, k=k)
         f_eval = DirectF(p)
-        base = lambda a, b: riesz_kernel_bessel(p, a, b, f_eval)
+        base = cli.riesz_base(p, f_eval)
         pairs = 0
         while pairs < 1000:
             x = np.array([rng.uniform(-1, 1), rng.uniform(0.3, 3.0)])
@@ -252,40 +251,34 @@ def check_hilbert_schmidt_identity() -> CheckResult:
     )
 
 
-def _commutator(p: ModelParams, ftab, sym, grid):
-    """[R_k, M_sym] on ``grid`` from the tabulated weighted Riesz kernel."""
-    base = partial(riesz_kernel_bessel, p, f_eval=ftab)
-    return assemble(base, grid, "weighted", lam=p.lam, symbol=sym)
-
-
-def _default_commutator_spectrum(points: int):
-    p = ModelParams(n=1, lam=1.0, k=2)
-    grid = make_grid([(0.0, 1.0), (0.5, 1.5)], (points, points), halfspace=True)
-    sym = build_symbol(
-        {"kind": "cosine-bump", "center": [0.5, 1.0], "width": [0.43, 0.43], "amplitude": 1.0}
-    )
-    A = _commutator(p, TabulatedF(p, 3.2), sym, grid)
-    return grid, sym, singular_values(A)
+def _run_cli(config: dict, refine: int = 0):
+    """``cli.run`` of ``config`` (merged over the CLI defaults) in a scratch directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return cli.run(cli.parse_config(config), out_dir=tmp, refine=refine)
 
 
 def check_spectral_decay_stability() -> CheckResult:
     """9: weak quasinorm stable under grid doubling; constant symbol gives 0."""
     t0 = time.time()
-    _, _, s32 = _default_commutator_spectrum(32)
-    _, _, s64 = _default_commutator_spectrum(64)
-    q32 = weak_quasinorm(s32, 2.0)
-    q64 = weak_quasinorm(s64, 2.0)
-    drift = abs(q64 - q32) / q32
-
-    p = ModelParams(n=1, lam=1.0, k=2)
-    grid = make_grid([(0.0, 1.0), (0.5, 1.5)], (16, 16), halfspace=True)
-    s_const = singular_values(_commutator(p, TabulatedF(p, 3.2), constant_symbol(0.7), grid))
-    passed = drift <= 0.10 and float(s_const.max()) == 0.0
+    refined = _run_cli(
+        {"pipeline": "spectrum", "box": {"points_per_dim": [32, 32]}}, refine=1
+    ).results
+    q32 = refined["level0"]["weak_quasinorm"]
+    q64 = refined["level1"]["weak_quasinorm"]
+    drift = refined["quasinorm_drift"][0]
+    constant = _run_cli(
+        {
+            "pipeline": "spectrum",
+            "box": {"points_per_dim": [16, 16]},
+            "symbol": {"kind": "constant", "amplitude": 0.7},
+        }
+    ).results["level0"]["top_singular_value"]
+    passed = drift <= 0.10 and constant == 0.0
     return _result(
         "9 weak-quasinorm stability and constant cutoff", t0, passed,
         "quasinorm change <= 10% from 32^2 to 64^2; constant symbol spectrum == 0",
         quasinorm_32=q32, quasinorm_64=q64, drift=drift,
-        constant_top_singular_value=float(s_const.max()),
+        constant_top_singular_value=constant,
     )
 
 
@@ -293,33 +286,17 @@ def check_weyl_law() -> CheckResult:
     """10: free-fit exponent near -1/2 and the two-symbol ratio test,
     both holding at the default grid and after one doubling."""
     t0 = time.time()
-    p = ModelParams(n=1, lam=1.0, k=2)
-    sym1 = build_symbol(
-        {"kind": "cosine-bump", "center": [0.5, 1.0], "width": [0.43, 0.43], "amplitude": 1.0}
-    )
-    sym2 = build_symbol(
-        {"kind": "cosine-bump", "center": [0.48, 0.97], "width": [0.36, 0.42], "amplitude": 0.75}
-    )
-    ftab = TabulatedF(p, 3.2)
-    sphere = sphere_rule(1, 128)
+    results = _run_cli({"pipeline": "ratio"}, refine=1).results
     record = {}
     ok = True
-    for label, m in (("base", 48), ("doubled", 96)):
-        grid = make_grid([(0.0, 1.0), (0.5, 1.5)], (m, m), halfspace=True)
-        fit1 = weyl_fit(singular_values(_commutator(p, ftab, sym1, grid)), 2.0)
-        fit2 = weyl_fit(singular_values(_commutator(p, ftab, sym2, grid)), 2.0)
-        sem1 = directional_seminorm(sym1, p.k, 2.0, grid, sphere)
-        sem2 = directional_seminorm(sym2, p.k, 2.0, grid, sphere)
-        coeff_ratio = fit1.pinned_coefficient / fit2.pinned_coefficient
-        sem_ratio = sem1 / sem2
-        deviation = abs(coeff_ratio - sem_ratio) / sem_ratio
-        exp_ok = abs(fit1.exponent + 0.5) <= 0.1
-        ratio_ok = deviation <= 0.15
-        ok = ok and exp_ok and ratio_ok
+    for label, level in (("base", results["level0"]), ("doubled", results["level1"])):
+        exponent = level["fit_f"]["exponent"]
+        deviation = level["relative_deviation"]
+        ok = ok and abs(exponent + 0.5) <= 0.1 and deviation <= 0.15
         record[label] = {
-            "exponent": fit1.exponent,
-            "coefficient_ratio": coeff_ratio,
-            "seminorm_ratio": sem_ratio,
+            "exponent": exponent,
+            "coefficient_ratio": level["coefficient_ratio"],
+            "seminorm_ratio": level["seminorm_ratio"],
             "ratio_deviation": deviation,
         }
     return _result(
@@ -332,9 +309,12 @@ def check_weyl_law() -> CheckResult:
 def check_conjugation_invariance() -> CheckResult:
     """11: weight conjugation preserves the full singular value list."""
     t0 = time.time()
-    p = ModelParams(n=1, lam=1.0, k=2)
-    grid = make_grid([(0.0, 1.0), (0.5, 1.5)], (24, 24), halfspace=True)
-    A = _commutator(p, TabulatedF(p, 3.2), gaussian_bump([0.5, 1.0], 0.15), grid)
+    # a bump too wide for the support check at 24^2, so the commutator is
+    # assembled directly rather than through a config
+    cfg = cli.parse_config({})
+    grid = cfg.grid((24, 24))
+    ftab = cli.f_table(cfg.params, cfg.bounds)
+    A = cli.commutator(cfg.params, gaussian_bump([0.5, 1.0], 0.15), grid, ftab)
     B = conjugate_weight(A, "to_unweighted")
     s_before = singular_values(A)
     s_after = singular_values(B)
@@ -348,12 +328,7 @@ def check_conjugation_invariance() -> CheckResult:
 
 
 def check_determinism() -> CheckResult:
-    """12: pipeline reruns produce byte-identical CSV output at any thread count."""
-    import tempfile
-    from pathlib import Path
-
-    from . import cli
-
+    """12: two reruns of the spectrum pipeline write byte-identical CSV output."""
     t0 = time.time()
     cfg = cli.parse_config(
         {
@@ -363,15 +338,16 @@ def check_determinism() -> CheckResult:
         }
     )
     blobs = []
-    for threads in (1, 4):
+    for _ in range(2):
         with tempfile.TemporaryDirectory() as tmp:
-            cli.run(cfg, out_dir=tmp, threads=threads)
+            report = cli.run(cfg, out_dir=tmp)
             blobs.append((Path(tmp) / "spectrum.csv").read_bytes())
     identical = blobs[0] == blobs[1]
     return _result(
-        "12 byte-identical reruns across thread counts", t0, identical,
-        "spectrum.csv bytes equal for threads in {1, 4}",
+        "12 byte-identical reruns", t0, identical,
+        "spectrum.csv bytes equal across two reruns",
         bytes=len(blobs[0]), identical=identical,
+        blas_pinned=report.runtime["blas_pinned"],
     )
 
 

@@ -1,10 +1,11 @@
 import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from besselriesz import __version__
+from besselriesz import __version__, auxfn, cli, kernels
 from besselriesz.cli import ConfigError, load_config, parse_config, run
 
 
@@ -98,8 +99,8 @@ def test_spectrum_linear_in_symbol(tmp_path):
 
 def test_rerun_byte_identical(tmp_path):
     cfg = small_spectrum_config()
-    run(cfg, out_dir=tmp_path / "r1", threads=1)
-    run(cfg, out_dir=tmp_path / "r2", threads=3)
+    run(cfg, out_dir=tmp_path / "r1")
+    run(cfg, out_dir=tmp_path / "r2")
     a = (tmp_path / "r1" / "spectrum.csv").read_bytes()
     b = (tmp_path / "r2" / "spectrum.csv").read_bytes()
     assert a == b
@@ -171,12 +172,33 @@ def test_kernel_pipeline(tmp_path):
     assert len(lines) == 13
 
 
-def test_refine_levels(tmp_path):
+def test_refine_levels(tmp_path, monkeypatch):
+    built = []
+
+    def counting_table(*args, **kwargs):
+        built.append(args)
+        return kernels.TabulatedF(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "TabulatedF", counting_table)
     cfg = small_spectrum_config()
     report = run(cfg, out_dir=tmp_path, refine=1)
     assert (tmp_path / "spectrum.csv").exists()
     assert (tmp_path / "spectrum_L1.csv").exists()
     assert "quasinorm_drift" in report.results
+    # refinement keeps the box, so one F table serves both levels
+    assert len(built) == 1
+    assert set(report.timings) == {"table", "assemble", "svd", "assemble_L1", "svd_L1"}
+
+
+def test_benchmark_tracer_targets_exist():
+    # the benchmark's tracer wraps these module attributes by name
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    modules = {"cli": cli, "auxfn": auxfn, "kernels": kernels}
+    for mod, attr, *_ in child.TRACED:
+        assert callable(getattr(modules[mod], attr, None)), f"{mod}.{attr}"
 
 
 def test_verify_pipeline_report_shape(tmp_path, monkeypatch, capsys):

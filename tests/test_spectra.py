@@ -1,12 +1,10 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselriesz.discretize import assemble, make_grid
-from besselriesz.kernels import TabulatedF, riesz_kernel_bessel
+from besselriesz import cli
+from besselriesz.discretize import make_grid
 from besselriesz.special import ModelParams
 from besselriesz.spectra import (
     default_window,
@@ -118,14 +116,13 @@ def test_default_window():
 def test_quasi_triangle_inequality_for_commutators():
     p = ModelParams(n=1, lam=1.0, k=2)
     grid = make_grid([(0.0, 1.0), (0.5, 1.5)], (12, 12), halfspace=True)
-    ftab = TabulatedF(p, 3.2)
+    ftab = cli.f_table(p, grid.bounds)
     f = gaussian_bump([0.45, 0.95], 0.14)
     g = gaussian_bump([0.6, 1.1], 0.2, amplitude=-0.6)
     fg = Symbol(func=lambda x: f(x) + g(x))
 
     def spectrum(sym):
-        base = partial(riesz_kernel_bessel, p, f_eval=ftab)
-        return singular_values(assemble(base, grid, "weighted", lam=p.lam, symbol=sym))
+        return singular_values(cli.commutator(p, sym, grid, ftab))
 
     sf, sg, sfg = spectrum(f), spectrum(g), spectrum(fg)
     pw = 2.0
@@ -137,13 +134,12 @@ def test_quasi_triangle_inequality_for_commutators():
 def test_spectrum_scales_linearly_in_symbol():
     p = ModelParams(n=1, lam=1.0, k=2)
     grid = make_grid([(0.0, 1.0), (0.5, 1.5)], (10, 10), halfspace=True)
-    ftab = TabulatedF(p, 3.2)
+    ftab = cli.f_table(p, grid.bounds)
     f = gaussian_bump([0.5, 1.0], 0.15)
     f2 = gaussian_bump([0.5, 1.0], 0.15, amplitude=2.0)
 
     def spectrum(sym):
-        base = partial(riesz_kernel_bessel, p, f_eval=ftab)
-        return singular_values(assemble(base, grid, "weighted", lam=p.lam, symbol=sym))
+        return singular_values(cli.commutator(p, sym, grid, ftab))
 
     s1, s2 = spectrum(f), spectrum(f2)
     assert np.allclose(s2, 2.0 * s1, rtol=1e-12, atol=1e-15)
