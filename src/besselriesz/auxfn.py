@@ -16,13 +16,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.interpolate import CubicSpline
 
-from .quadrature import (
-    gegenbauer_integral,
-    geometric_breaks,
-    jacobi_interval_integral,
-    left_weighted_integral,
-    legendre_panels_integral,
-)
+from .quadrature import gegenbauer_integral, geometric_breaks, panel_integral
 from .special import ModelParams, gen_binomial
 
 VALID_INDEX = {(2, 0), (1, 1), (2, 1)}
@@ -38,7 +32,7 @@ class AuxIndex:
             raise ValueError(f"(k, l) must be one of {sorted(VALID_INDEX)}, got {(self.k, self.l)}")
 
 
-def F(idx: AuxIndex, p: ModelParams, x: float, rel_tol: float = 1e-12, fixed_order: int | None = None) -> float:
+def F(idx: AuxIndex, p: ModelParams, x: float, fixed_order: int | None = None) -> float:
     """x^(n+k) * integral over (0,2) of (x^2+2t)^(-lam-n/2-1) (2t-t^2)^(lam-1) t^l dt.
 
     At x = 0 the right limit is returned (see ``f_zero``).
@@ -56,9 +50,7 @@ def F(idx: AuxIndex, p: ModelParams, x: float, rel_tol: float = 1e-12, fixed_ord
             val = val * t**idx.l
         return val
 
-    integral = gegenbauer_integral(
-        g, lam, peak_scale=min(x * x, 1.0), rel_tol=rel_tol, fixed_order=fixed_order
-    )
+    integral = gegenbauer_integral(g, lam, peak_scale=min(x * x, 1.0), fixed_order=fixed_order)
     return x ** (p.n + idx.k) * integral
 
 
@@ -121,7 +113,7 @@ def A_part(idx: AuxIndex, p: ModelParams, x: float) -> float:
     def g(t):
         return (x * x + 2.0 * t) ** power * t ** (lam + idx.l - 1.0)
 
-    return jacobi_interval_integral(g, 0.5, 2.0, left_exp=0.0, right_exp=lam - 1.0)
+    return panel_integral(g, (0.5, 2.0), beta=lam - 1.0)
 
 
 def B_part(idx: AuxIndex, p: ModelParams, x: float) -> float:
@@ -134,7 +126,7 @@ def B_part(idx: AuxIndex, p: ModelParams, x: float) -> float:
         return (x * x + 2.0 * t) ** power * 2.0 ** (lam - 1.0) * rem * t**idx.l
 
     breaks = geometric_breaks(min(max(x * x, 1e-12), 0.5), 0.5)
-    return x**n * left_weighted_integral(g, lam - 1.0, breaks)
+    return x**n * panel_integral(g, breaks, alpha=lam - 1.0)
 
 
 def C_tail(p: ModelParams, l: int, j: int, x: float) -> float:
@@ -150,12 +142,12 @@ def C_tail(p: ModelParams, l: int, j: int, x: float) -> float:
 
     near = 0.0
     if x * x < 1.0:
-        near = legendre_panels_integral(g_near, geometric_breaks(x * x, 1.0)[1:])
+        near = panel_integral(g_near, geometric_breaks(x * x, 1.0)[1:])
 
     def g_far(u):
         return (1.0 + u) ** power
 
-    far = left_weighted_integral(g_far, lam + j + l - 1.0, np.array([0.0, 1.0]))
+    far = panel_integral(g_far, (0.0, 1.0), alpha=lam + j + l - 1.0)
     return x ** (2 * j) * (near + far)
 
 
@@ -300,13 +292,13 @@ class FTable:
     far below every spectral tolerance that consumes it.
     """
 
-    def __init__(self, idx: AuxIndex, p: ModelParams, h_max: float, points: int = 1600):
+    def __init__(self, idx: AuxIndex, p: ModelParams, h_max: float):
         h_max = max(h_max, 0.4)
         self.idx = idx
         self.params = p
         self.h_max = h_max
         small = np.geomspace(1e-4, 0.2, 120)
-        bulk = np.linspace(0.2, h_max, points)[1:]
+        bulk = np.linspace(0.2, h_max, 1600)[1:]
         grid = np.concatenate([[0.0], small, bulk])
         vals = np.array([F(idx, p, x) for x in grid])
         self._spline = CubicSpline(grid, vals)

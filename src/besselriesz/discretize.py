@@ -100,7 +100,6 @@ def assemble(
     grid: BoxGrid,
     space_tag: str = "weighted",
     lam: float | None = None,
-    estimate_diagonal_bias: bool = True,
     zero_diagonal: bool = True,
     symbol=None,
 ) -> OperatorMatrix:
@@ -153,7 +152,7 @@ def assemble(
     out *= norm[None, :]
 
     bias = 0.0
-    if estimate_diagonal_bias and zero_diagonal:
+    if zero_diagonal:
         sample = idx if N <= 1024 else idx[:: max(1, N // 1024)]
         h = grid.cell_widths.min()
         probes = []

@@ -134,7 +134,7 @@ class TabulatedF:
 # ---------------------------------------------------------------------------
 
 
-def heat_kernel(p: ModelParams, s: float, x, y, rel_tol: float = 1e-12) -> float:
+def heat_kernel(p: ModelParams, s: float, x, y) -> float:
     """Kernel of the heat semigroup at time s^2 (weighted measure convention)."""
     if not s > 0:
         raise ValueError("heat_kernel requires s > 0")
@@ -149,12 +149,11 @@ def heat_kernel(p: ModelParams, s: float, x, y, rel_tol: float = 1e-12) -> float
         lambda t: np.exp(-beta * t),
         p.lam,
         peak_scale=min(1.0, 1.0 / max(beta, 1e-300)),
-        rel_tol=rel_tol,
     )
     return c.kappa_lambda * s ** (-2.0 * p.lam - 1.0 - p.n) * np.exp(-expo) * integral
 
 
-def invsqrt_kernel_closed(p: ModelParams, x, y, rel_tol: float = 1e-12) -> float:
+def invsqrt_kernel_closed(p: ModelParams, x, y) -> float:
     """Reference representation: one weighted t-integral of Q_t^(-lam-n/2)."""
     x, y = _pts(x), _pts(y)
     _, r = _sep(x, y)
@@ -164,10 +163,7 @@ def invsqrt_kernel_closed(p: ModelParams, x, y, rel_tol: float = 1e-12) -> float
     power = -p.lam - p.n / 2.0
 
     integral = gegenbauer_integral(
-        lambda t: (h2 + 2.0 * t) ** power,
-        p.lam,
-        peak_scale=min(1.0, h2),
-        rel_tol=rel_tol,
+        lambda t: (h2 + 2.0 * t) ** power, p.lam, peak_scale=min(1.0, h2)
     )
     return c.kappa1 * float(x[-1] * y[-1]) ** power * integral
 

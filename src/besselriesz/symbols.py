@@ -30,7 +30,7 @@ class Symbol:
         return self.gradient(np.asarray(pts, dtype=float))
 
 
-def constant_symbol(value: float, dim: int = 2) -> Symbol:
+def constant_symbol(value: float) -> Symbol:
     return Symbol(
         func=lambda x: np.full(x.shape[:-1], float(value)),
         gradient=lambda x: np.zeros(x.shape),

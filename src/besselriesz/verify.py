@@ -51,7 +51,7 @@ def _result(name, t0, passed, tolerance, **measured) -> CheckResult:
         passed=bool(passed),
         tolerance=tolerance,
         measured={k: _jsonable(v) for k, v in measured.items()},
-        seconds=time.time() - t0,
+        seconds=time.perf_counter() - t0,
     )
 
 
@@ -69,7 +69,7 @@ def _jsonable(v):
 
 def check_bessel_closed_form() -> CheckResult:
     """1: half-integer Bessel against its elementary closed form."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     x = np.logspace(-2, 2, 100)
     closed = np.sqrt(2.0 / (np.pi * x)) * np.sin(x)
     rel = np.abs(bessel_j(0.5, x) - closed) / np.abs(closed)
@@ -83,7 +83,7 @@ def check_bessel_closed_form() -> CheckResult:
 
 def check_f_zero_limits() -> CheckResult:
     """2: zero limits of the F profiles and the Beta closed form for F20(0)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_zero = 0.0
     worst_beta = 0.0
     confirmations = []
@@ -109,7 +109,7 @@ def check_f_zero_limits() -> CheckResult:
 
 def check_decomposition() -> CheckResult:
     """3: three-part decomposition against direct quadrature."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for n in (1, 2):
         for lam in (0.5, 1.0, 1.5):
@@ -127,7 +127,7 @@ def check_decomposition() -> CheckResult:
 
 def check_derivative_envelope() -> CheckResult:
     """4: derivative envelope finite, decade sups non-increasing from the top."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     xs = np.logspace(1, 3, 25)
     all_ok = True
     records = {}
@@ -153,7 +153,7 @@ def check_derivative_envelope() -> CheckResult:
 
 def check_three_way_kernels() -> CheckResult:
     """5: closed form / subordination / spectral representations agree."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(5)
     worst = 0.0
     for lam in (0.5, 1.0, 1.5):
@@ -179,7 +179,7 @@ def check_three_way_kernels() -> CheckResult:
 
 def check_ratio_bound() -> CheckResult:
     """6: height-ratio bound for pairs with H <= 1."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = ratio_bound_check(10**5, n=1, seed=6)
     return _result(
         "6 height-ratio bound under H <= 1", t0, rep.violations == 0,
@@ -191,7 +191,7 @@ def check_ratio_bound() -> CheckResult:
 
 def check_schur_identity() -> CheckResult:
     """7: commutator kernel equals the Schur-symbol assembly pointwise."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     f = gaussian_bump([0.3, 1.2], 0.4)
     worst = 0.0
@@ -219,7 +219,7 @@ def check_schur_identity() -> CheckResult:
 
 def check_hilbert_schmidt_identity() -> CheckResult:
     """8: Frobenius norm of the assembled multiplier matrix vs the trace quadrature."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     p = ModelParams(n=1, lam=1.0, k=1)
     f = gaussian_bump([0.0, 4.5], 0.5)
 
@@ -259,7 +259,7 @@ def _run_cli(config: dict, refine: int = 0):
 
 def check_spectral_decay_stability() -> CheckResult:
     """9: weak quasinorm stable under grid doubling; constant symbol gives 0."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     refined = _run_cli(
         {"pipeline": "spectrum", "box": {"points_per_dim": [32, 32]}}, refine=1
     ).results
@@ -285,7 +285,7 @@ def check_spectral_decay_stability() -> CheckResult:
 def check_weyl_law() -> CheckResult:
     """10: free-fit exponent near -1/2 and the two-symbol ratio test,
     both holding at the default grid and after one doubling."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = _run_cli({"pipeline": "ratio"}, refine=1).results
     record = {}
     ok = True
@@ -308,7 +308,7 @@ def check_weyl_law() -> CheckResult:
 
 def check_conjugation_invariance() -> CheckResult:
     """11: weight conjugation preserves the full singular value list."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     # a bump too wide for the support check at 24^2, so the commutator is
     # assembled directly rather than through a config
     cfg = cli.parse_config({})
@@ -329,7 +329,7 @@ def check_conjugation_invariance() -> CheckResult:
 
 def check_determinism() -> CheckResult:
     """12: two reruns of the spectrum pipeline write byte-identical CSV output."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = cli.parse_config(
         {
             "pipeline": "spectrum",

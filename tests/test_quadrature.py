@@ -5,13 +5,11 @@ from scipy.special import beta as beta_fn
 
 from besselriesz.quadrature import (
     QuadratureError,
-    _panel_nodes,
+    _panel_rule,
     gauss_legendre_box,
     gegenbauer_integral,
     geometric_breaks,
-    jacobi_interval_integral,
-    left_weighted_integral,
-    legendre_panels_integral,
+    panel_integral,
 )
 
 
@@ -56,41 +54,51 @@ def test_gegenbauer_fixed_order_smooth_in_parameter():
 def test_gegenbauer_nonconvergence_reports_estimate():
     rng = np.random.default_rng(0)
     with pytest.raises(QuadratureError) as err:
-        gegenbauer_integral(
-            lambda t: rng.standard_normal(t.shape), 0.9, max_order=64
-        )
+        gegenbauer_integral(lambda t: rng.standard_normal(t.shape), 0.9)
     assert err.value.error_estimate > 0
 
 
 def test_panel_nodes_memoized_and_read_only():
-    breaks = np.array([0.0, 0.25, 1.0, 2.0])
-    t1, w1 = _panel_nodes(breaks, 0.8, 32)
-    t2, w2 = _panel_nodes(breaks.copy(), 0.8, 32)
+    breaks = (0.0, 0.25, 1.0, 2.0)
+    t1, w1 = _panel_rule(breaks, -0.2, -0.2, 32)
+    t2, w2 = _panel_rule(tuple(np.array(breaks)), -0.2, -0.2, 32)
     assert t1 is t2 and w1 is w2
     with pytest.raises(ValueError):
         w1[0] = 0.0
 
 
-def test_left_weighted_integral():
+def test_panel_integral_left_weight():
     exact, _ = quad(lambda t: np.cos(t) * t**-0.3, 0.0, 1.0, points=[0.0])
-    val = left_weighted_integral(np.cos, -0.3, np.array([0.0, 0.25, 1.0]))
+    val = panel_integral(np.cos, np.array([0.0, 0.25, 1.0]), alpha=-0.3)
     assert val == pytest.approx(exact, rel=1e-12)
 
 
-def test_jacobi_interval_integral():
+def test_panel_integral_right_weight():
     # substituting u = 2 - t gives e^2 * lower incomplete gamma(1/2, 1.5)
     from scipy.special import gammainc
 
     exact = np.exp(2.0) * np.sqrt(np.pi) * gammainc(0.5, 1.5)
-    val = jacobi_interval_integral(np.exp, 0.5, 2.0, right_exp=-0.5)
+    val = panel_integral(np.exp, (0.5, 2.0), beta=-0.5)
     assert val == pytest.approx(exact, rel=1e-12)
 
 
-def test_legendre_panels_integral():
+def test_panel_integral_unweighted_panels():
     breaks = geometric_breaks(1e-4, 1.0)[1:]
     exact, _ = quad(lambda s: 1.0 / (s + s * s), breaks[0], 1.0, epsrel=1e-13)
-    val = legendre_panels_integral(lambda s: 1.0 / (s + s * s), breaks)
+    val = panel_integral(lambda s: 1.0 / (s + s * s), breaks)
     assert val == pytest.approx(exact, rel=1e-11)
+
+
+@pytest.mark.parametrize("breaks", [(0.5, 1.0, 2.0, 3.0), (0.5, 3.0)])
+@pytest.mark.parametrize("fixed_order", [None, 64])
+def test_panel_integral_both_endpoint_weights(breaks, fixed_order):
+    # first, interior and last panels (or one panel carrying both factors) on
+    # an interval that does not start at 0; u = (t - 0.5) / 2.5 gives a Beta
+    exact = 2.5**1.1 * beta_fn(0.7, 1.4)
+    val = panel_integral(
+        np.ones_like, breaks, alpha=-0.3, beta=0.4, fixed_order=fixed_order
+    )
+    assert val == pytest.approx(exact, rel=1e-12)
 
 
 def test_geometric_breaks_structure():
