@@ -14,6 +14,7 @@ import argparse
 import copy
 import hashlib
 import json
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -267,16 +268,18 @@ class RunReport:
             fh.write("\n")
 
 
-def _svd_deterministic(A) -> tuple[np.ndarray, bool]:
-    """Singular values with the BLAS pool pinned to one thread, so results do
-    not depend on the run-time thread count.  Returns (values, pinned);
-    without threadpoolctl the pool is left as it is and pinned is False."""
+def _svd_deterministic(A, count=None) -> tuple[np.ndarray, dict, bool]:
+    """``singular_values(A, count)`` with the BLAS pool pinned to one thread,
+    so results do not depend on the run-time thread count.  Returns (values,
+    solver record, pinned); without threadpoolctl the pool is left as it is
+    and pinned is False."""
+    solve = {}
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        return singular_values(A), False
+        return singular_values(A, count=count, record=solve), solve, False
     with threadpool_limits(limits=1):
-        return singular_values(A), True
+        return singular_values(A, count=count, record=solve), solve, True
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +308,13 @@ def commutator(params: ModelParams, symbol: Symbol, grid: BoxGrid,
 
 
 def _spectrum_for(cfg: ExperimentConfig, sym: Symbol, grid: BoxGrid, ftab: TabulatedF,
-                  timings: dict, runtime: dict, tag: str):
-    """Assemble [R_k, M_sym] and take its SVD."""
+                  timings: dict, runtime: dict, tag: str, count=None):
+    """Assemble [R_k, M_sym] and take its singular values (the top ``count``,
+    or all); the solver record lands in ``runtime["svd<tag>"]``."""
     t0 = time.perf_counter()
     A = commutator(cfg.params, sym, grid, ftab)
     t1 = time.perf_counter()
-    s, runtime["blas_pinned"] = _svd_deterministic(A)
+    s, runtime[f"svd{tag}"], runtime["blas_pinned"] = _svd_deterministic(A, count)
     timings[f"assemble{tag}"] = t1 - t0
     timings[f"svd{tag}"] = time.perf_counter() - t1
     return A, s
@@ -375,10 +379,13 @@ def run_ratio(cfg: ExperimentConfig, out: Path, refine: int = 0) -> RunReport:
         sem2 = directional_seminorm(cfg.symbol2, p.k, pw, grid, sphere)
         if min(sem1, sem2) < 1e-8:
             raise ConfigError("degenerate (near-zero) seminorm in ratio experiment")
+        # the fit reads indices up to hi only, so only the top hi + 1 values
+        # are solved; the window comes from the node count, not len(s)
+        window = default_window(len(grid.nodes), *cfg.window_exponents)
+        count = window[1] + 1
         # keep only the spectra, so the first matrix is freed before the second
-        s1 = _spectrum_for(cfg, cfg.symbol, grid, ftab, timings, runtime, f"_f{tag}")[1]
-        s2 = _spectrum_for(cfg, cfg.symbol2, grid, ftab, timings, runtime, f"_g{tag}")[1]
-        window = default_window(len(s1), *cfg.window_exponents)
+        s1 = _spectrum_for(cfg, cfg.symbol, grid, ftab, timings, runtime, f"_f{tag}", count)[1]
+        s2 = _spectrum_for(cfg, cfg.symbol2, grid, ftab, timings, runtime, f"_g{tag}", count)[1]
         fit1 = weyl_fit(s1, pw, window)
         fit2 = weyl_fit(s2, pw, window)
         coeff_ratio = fit1.pinned_coefficient / fit2.pinned_coefficient
@@ -547,7 +554,9 @@ def _report(cfg: ExperimentConfig, timings, results, assertions, runtime=None) -
         timings=timings,
         results=results,
         assertions=assertions,
-        runtime=runtime or {},
+        # the process's peak resident set so far; Linux reports it in KiB
+        runtime={**(runtime or {}),
+                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0},
     )
 
 

@@ -5,13 +5,48 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .discretize import OperatorMatrix
 
+GRAM_BOUND_MAX = 1e-12  # largest relative error accepted from the Gram route
 
-def singular_values(A) -> np.ndarray:
-    """Full singular value spectrum, descending."""
+
+def singular_values(A, count: int | None = None, record: dict | None = None) -> np.ndarray:
+    """Singular values, descending: all of them, or the top ``count``.
+
+    The top ``count`` come from the Gram matrix G = A^T A and a subset
+    ``eigh`` of its largest eigenvalues.  Squaring costs relative accuracy
+    of about eps * (mu_0 / mu_{count-1})^2; when that bound exceeds
+    ``GRAM_BOUND_MAX`` (or mu_{count-1} is 0) the dense SVD runs instead and
+    its head is returned.  With ``record`` the solver that ran (``"gram"``
+    or ``"dense"``), ``count`` and the Gram bound (None when the Gram route
+    was not tried) are written into it.
+    """
     entries = A.entries if isinstance(A, OperatorMatrix) else np.asarray(A, dtype=float)
+    N = min(entries.shape)
+    solver, bound = "dense", None
+    if count is None:
+        count = N
+    else:
+        count = int(count)
+        if not 0 < count <= N:
+            raise ValueError(f"count {count} outside [1, {N}]")
+        cols = entries.shape[1]
+        # G is symmetric, so G.T is G in the Fortran order that eigh can
+        # overwrite in place; a C-ordered G would be copied first
+        gram = (entries.T @ entries).T
+        lam = scipy.linalg.eigh(
+            gram, subset_by_index=[cols - count, cols - 1],
+            eigvals_only=True, overwrite_a=True, check_finite=False,
+        )[::-1]
+        bound = float(np.finfo(float).eps * lam[0] / lam[-1]) if lam[-1] > 0 else np.inf
+        if bound <= GRAM_BOUND_MAX:
+            solver = "gram"
+    if record is not None:
+        record.update(solver=solver, count=count, error_bound=bound)
+    if solver == "gram":
+        return np.sqrt(np.clip(lam, 0.0, None))
     try:
         s = np.linalg.svd(entries, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -19,7 +54,7 @@ def singular_values(A) -> np.ndarray:
             f"SVD failed for a {entries.shape[0]}x{entries.shape[1]} matrix "
             f"(fro={np.linalg.norm(entries):.3e}): {exc}"
         ) from exc
-    return np.sort(s)[::-1]
+    return np.sort(s)[::-1][:count]
 
 
 def weak_quasinorm(s, p: float) -> float:

@@ -307,7 +307,10 @@ def check_weyl_law() -> CheckResult:
 
 
 def check_conjugation_invariance() -> CheckResult:
-    """11: weight conjugation preserves the full singular value list."""
+    """11: weight conjugation preserves the full singular value list.
+
+    A structural identity: ``conjugate_weight`` multiplies entry (i, j) by
+    (x_i/x_j)^lam (x_j/x_i)^lam = 1, so the gap measures rounding only."""
     t0 = time.perf_counter()
     # a bump too wide for the support check at 24^2, so the commutator is
     # assembled directly rather than through a config
@@ -321,8 +324,10 @@ def check_conjugation_invariance() -> CheckResult:
     gap = float(np.max(np.abs(s_before - s_after)))
     scale = max(1.0, float(s_before[0]))
     return _result(
-        "11 conjugation invariance of singular values", t0, gap <= 1e-12 * scale,
-        "elementwise <= 1e-12 (relative to the top singular value)",
+        "11 conjugation invariance of singular values (structural identity)", t0,
+        gap <= 1e-12 * scale,
+        "elementwise <= 1e-12 (relative to the top singular value); a structural "
+        "identity, the conjugation factors cancel, so this measures rounding only",
         max_abs_gap=gap, top_singular_value=float(s_before[0]),
     )
 

@@ -7,6 +7,7 @@ import pytest
 
 from besselriesz import __version__, auxfn, cli, kernels
 from besselriesz.cli import ConfigError, load_config, parse_config, run
+from besselriesz.spectra import GRAM_BOUND_MAX, default_window
 
 
 def small_spectrum_config(**overrides):
@@ -72,7 +73,12 @@ def test_spectrum_pipeline_artifacts(tmp_path):
     assert payload["passed"] is True
     assert set(payload["timings"]) == {"table", "assemble", "svd"}
     pinnable = importlib.util.find_spec("threadpoolctl") is not None
-    assert payload["runtime"] == {"blas_pinned": pinnable}
+    runtime = payload["runtime"]
+    assert set(runtime) == {"blas_pinned", "peak_rss_mb", "svd"}
+    assert runtime["blas_pinned"] == pinnable
+    assert runtime["peak_rss_mb"] > 0
+    # the spectrum pipeline solves every value densely
+    assert runtime["svd"] == {"solver": "dense", "count": 144, "error_bound": None}
     header = (tmp_path / "spectrum.csv").read_text().splitlines()[0]
     assert header == "index,mu,weighted_mu"
 
@@ -143,6 +149,14 @@ def test_ratio_pipeline_translated_symbol(tmp_path):
     level = report.results["level0"]
     assert level["seminorm_ratio"] == pytest.approx(1.0, rel=1e-10)
     assert level["coefficient_ratio"] == pytest.approx(1.0, rel=0.05)
+    # the window comes from the node count, not the length of the top-count spectrum
+    window = list(default_window(24 * 24))
+    assert level["fit_f"]["window"] == level["fit_g"]["window"] == window
+    for tag in ("svd_f", "svd_g"):
+        solve = report.runtime[tag]
+        assert solve["solver"] == "gram"
+        assert solve["count"] == window[1] + 1
+        assert solve["error_bound"] <= GRAM_BOUND_MAX
 
 
 def test_ratio_rejects_degenerate_seminorm(tmp_path):

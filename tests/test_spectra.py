@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +8,7 @@ from besselriesz import cli
 from besselriesz.discretize import make_grid
 from besselriesz.special import ModelParams
 from besselriesz.spectra import (
+    GRAM_BOUND_MAX,
     default_window,
     singular_values,
     submajorize_check,
@@ -27,6 +29,57 @@ def test_singular_values_rank_one():
     s = singular_values(np.outer(u, v))
     assert s[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-13)
     assert np.all(s[1:] <= 1e-14 * s[0])
+
+
+@pytest.mark.parametrize("m", [24, 48])
+def test_top_count_matches_dense_head(m):
+    # both default symbols' commutators, the top count the ratio fit reads
+    cfg = cli.parse_config({})
+    grid = cfg.grid((m, m))
+    ftab = cli.f_table(cfg.params, cfg.bounds)
+    count = default_window(len(grid.nodes))[1] + 1
+    for sym in (cfg.symbol, cfg.symbol2):
+        A = cli.commutator(cfg.params, sym, grid, ftab)
+        record = {}
+        top = singular_values(A, count, record)
+        assert record["solver"] == "gram"
+        assert record["count"] == count
+        assert record["error_bound"] <= GRAM_BOUND_MAX
+        np.testing.assert_allclose(top, singular_values(A)[:count], rtol=1e-12, atol=0)
+
+
+def test_top_count_falls_back_to_dense():
+    # a range of 1e-8 squares to 1e-16: the Gram bound trips
+    D = np.diag(np.logspace(0, -8, 40))
+    record = {}
+    top = singular_values(D, 40, record)
+    assert record["solver"] == "dense"
+    assert record["error_bound"] > GRAM_BOUND_MAX
+    assert np.array_equal(top, singular_values(D)[:40])
+
+
+def test_top_count_gram_overwritten_in_place(monkeypatch):
+    # eigh copies a C-ordered G before overwriting it: one more N x N array
+    orders = []
+    eigh = scipy.linalg.eigh
+
+    def spy(a, **kwargs):
+        orders.append(a.flags.f_contiguous)
+        return eigh(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    A = np.random.default_rng(3).normal(size=(30, 30))
+    record = {}
+    singular_values(A, 5, record)
+    assert record["solver"] == "gram"
+    assert orders == [True]
+
+
+def test_top_count_validation():
+    A = np.eye(5)
+    for count in (0, -1, 6):
+        with pytest.raises(ValueError, match="count"):
+            singular_values(A, count)
 
 
 def test_weak_quasinorm_examples():
