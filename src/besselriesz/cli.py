@@ -67,7 +67,7 @@ DEFAULT_CONFIG = {
 _ALLOWED_KEYS = {
     "": set(DEFAULT_CONFIG),
     "params": {"n", "lam", "k"},
-    "box": {"bounds", "points_per_dim", "node_cap"},
+    "box": {"bounds", "points_per_dim"},
     "symbol": {"kind", "center", "width", "amplitude", "axis"},
     "symbol2": {"kind", "center", "width", "amplitude", "axis"},
     "fit": {"window_exponents"},
@@ -91,7 +91,6 @@ class ExperimentConfig:
     params: ModelParams
     bounds: tuple
     points_per_dim: tuple
-    node_cap: int
     symbol_spec: dict
     symbol2_spec: dict | None
     pipeline: str
@@ -116,7 +115,6 @@ class ExperimentConfig:
         return make_grid(
             self.bounds,
             points if points is not None else self.points_per_dim,
-            node_cap=self.node_cap,
             halfspace=True,
         )
 
@@ -137,6 +135,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     for section in ("params", "box", "symbol", "fit"):
         if not isinstance(merged.get(section), dict):
             raise ConfigError(f"{section} must be a JSON object")
+    if not isinstance(merged.get("symbol2"), (dict, type(None))):
+        raise ConfigError("symbol2 must be a JSON object")
 
     pd = merged["params"]
     _check_keys(pd, "params")
@@ -146,20 +146,27 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"params: {exc}") from exc
 
     box = merged["box"]
-    bounds = tuple(tuple(map(float, ab)) for ab in box["bounds"])
+    try:
+        bounds = tuple((float(a), float(b)) for a, b in box["bounds"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"box.bounds must be a list of [lo, hi] pairs: {exc}") from exc
     if len(bounds) != params.n + 1:
         raise ConfigError(f"box.bounds must have {params.n + 1} intervals")
     if bounds[-1][0] <= 0:
         raise ConfigError("box.bounds: last interval must start above 0")
     ppd = box["points_per_dim"]
     ppd = tuple(int(m) for m in (ppd if not np.isscalar(ppd) else [ppd] * len(bounds)))
-    node_cap = int(box.get("node_cap", 2**14))
+    if len(ppd) != len(bounds) or min(ppd) < 1:
+        raise ConfigError(f"box.points_per_dim must be {len(bounds)} positive integers")
 
     pipeline = merged["pipeline"]
     if pipeline not in PIPELINES:
         raise ConfigError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
 
-    lo, hi = merged["fit"]["window_exponents"]
+    try:
+        lo, hi = (float(e) for e in merged["fit"]["window_exponents"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"fit.window_exponents must be a pair of numbers: {exc}") from exc
     if not (0.0 < lo < hi < 1.0):
         raise ConfigError("fit.window_exponents must satisfy 0 < lo < hi < 1")
 
@@ -167,11 +174,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         params=params,
         bounds=bounds,
         points_per_dim=ppd,
-        node_cap=node_cap,
         symbol_spec=merged["symbol"],
         symbol2_spec=merged.get("symbol2"),
         pipeline=pipeline,
-        window_exponents=(float(lo), float(hi)),
+        window_exponents=(lo, hi),
         ratio_tolerance=float(merged["ratio_tolerance"]),
         output_dir=str(merged["output_dir"]),
         save_matrix=bool(merged["save_matrix"]),
@@ -190,7 +196,13 @@ def _validate_symbol_support(cfg: ExperimentConfig, spec: dict | None, name: str
         raise ConfigError(f"{name} missing")
     if spec.get("kind") == "constant":
         return
-    sym = build_symbol(spec)
+    try:
+        sym = build_symbol(spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc!r}") from exc
+    dim = len(cfg.bounds)
+    if np.shape(spec["center"]) != (dim,) or np.shape(spec["width"]) not in ((), (dim,)):
+        raise ConfigError(f"{name}: center needs {dim} coordinates, width a number or {dim}")
     if sym.support is None:
         return
     kind = spec["kind"]
@@ -301,10 +313,9 @@ def riesz_base(params: ModelParams, f_eval):
 
 def commutator(params: ModelParams, symbol: Symbol, grid: BoxGrid,
                ftab: TabulatedF) -> OperatorMatrix:
-    """[R_k, M_symbol] on ``grid`` in the weighted convention, from the
-    lateral block-Toeplitz generator of the tabulated Riesz kernel."""
-    return assemble(riesz_base(params, ftab), grid, "weighted", lam=params.lam,
-                    symbol=symbol)
+    """[R_k, M_symbol] on ``grid`` in L2(x_last^(2 lam) dx), from the lateral
+    block-Toeplitz generator of the tabulated Riesz kernel."""
+    return assemble(riesz_base(params, ftab), grid, params.lam, symbol=symbol)
 
 
 def _spectrum_for(cfg: ExperimentConfig, sym: Symbol, grid: BoxGrid, ftab: TabulatedF,

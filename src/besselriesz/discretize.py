@@ -1,8 +1,9 @@
 """Midpoint tensor grids and symmetric Nystrom assembly of two-point kernels.
 
-Matrices carry their grid and measure convention with them; the symmetric
-sqrt(cell * measure) normalization makes matrix singular values direct
-approximations of operator singular values on the corresponding L2 space.
+Matrices carry their grid and measure exponent with them: a matrix assembled
+with ``lam`` lives on L2(x_last^(2 lam) dx), and ``lam=0`` is Lebesgue
+measure.  The symmetric sqrt(cell * density) normalization makes matrix
+singular values direct approximations of operator singular values there.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class BoxGrid:
         return float(np.prod([b - a for a, b in self.bounds]))
 
 
-def make_grid(bounds, points_per_dim, node_cap: int = NODE_CAP, halfspace: bool = False) -> BoxGrid:
+def make_grid(bounds, points_per_dim, halfspace: bool = False) -> BoxGrid:
     """Midpoint-rule tensor grid with deterministic lexicographic node order.
 
     With ``halfspace`` the lower bound of the last coordinate must be positive
@@ -60,8 +61,8 @@ def make_grid(bounds, points_per_dim, node_cap: int = NODE_CAP, halfspace: bool 
     if halfspace and bounds[-1][0] <= 0:
         raise ValueError("half-space box requires a positive lower bound in the last coordinate")
     total = int(np.prod(points_per_dim))
-    if total > node_cap:
-        raise ValueError(f"grid of {total} nodes exceeds the cap {node_cap}")
+    if total > NODE_CAP:
+        raise ValueError(f"grid of {total} nodes exceeds the cap {NODE_CAP}")
 
     axes = [
         a + (b - a) * (np.arange(m) + 0.5) / m
@@ -78,32 +79,19 @@ def make_grid(bounds, points_per_dim, node_cap: int = NODE_CAP, halfspace: bool 
 class OperatorMatrix:
     entries: np.ndarray
     grid: BoxGrid
-    space_tag: str  # "weighted" | "unweighted"
-    measure_exponent: float  # 2*lam for the weighted space, 0 otherwise
+    measure_exponent: float  # 2*lam: the measure is x_last^(2 lam) dx
     diagonal_bias: float = 0.0
 
     def __post_init__(self):
-        if self.space_tag not in ("weighted", "unweighted"):
-            raise ValueError(f"unknown space_tag {self.space_tag!r}")
         if self.entries.shape != (len(self.grid.nodes),) * 2:
             raise ValueError("entries shape does not match the grid")
 
 
-def _measure_density(grid: BoxGrid, space_tag: str, measure_exponent: float) -> np.ndarray:
-    if space_tag == "weighted":
-        return grid.nodes[:, -1] ** measure_exponent
-    return np.ones(len(grid.nodes))
-
-
-def assemble(
-    kernel,
-    grid: BoxGrid,
-    space_tag: str = "weighted",
-    lam: float | None = None,
-    zero_diagonal: bool = True,
-    symbol=None,
-) -> OperatorMatrix:
-    """Symmetric Nystrom matrix A_ij = kernel(x_i, x_j) sqrt(w_i mu_i w_j mu_j).
+def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
+             symbol=None) -> OperatorMatrix:
+    """Symmetric Nystrom matrix A_ij = kernel(x_i, x_j) sqrt(w_i mu_i w_j mu_j)
+    on L2(x_last^(2 lam) dx), with mu_i = x_last^(2 lam) at node i; ``lam=0``
+    is Lebesgue measure.
 
     The kernel must broadcast over point arrays of shape (..., dim).  Diagonal
     entries are zeroed by default (commutator-type kernels are odd to leading
@@ -121,15 +109,9 @@ def assemble(
     from it one lateral row block at a time.  The diagonal-bias probes
     evaluate the kernel and the symbol pointwise.
     """
-    if space_tag == "weighted":
-        if lam is None:
-            raise ValueError("weighted assembly requires lam")
-        measure_exponent = 2.0 * lam
-    else:
-        measure_exponent = 0.0
     nodes = grid.nodes
     N = len(nodes)
-    norm = np.sqrt(grid.cell_weights * _measure_density(grid, space_tag, measure_exponent))
+    norm = np.sqrt(grid.cell_weights * grid.nodes[:, -1] ** (2.0 * lam))
     if symbol is None:
         out = _assemble_dense(kernel, nodes)
         probe = kernel
@@ -167,8 +149,7 @@ def assemble(
         bias = float(np.max(vals * norm[sample] ** 2))
 
     return OperatorMatrix(
-        entries=out, grid=grid, space_tag=space_tag,
-        measure_exponent=measure_exponent, diagonal_bias=bias,
+        entries=out, grid=grid, measure_exponent=2.0 * lam, diagonal_bias=bias,
     )
 
 
@@ -242,29 +223,6 @@ def _assemble_toeplitz(kernel, symbol, grid: BoxGrid) -> np.ndarray:
     return out
 
 
-def conjugate_weight(A: OperatorMatrix, direction: str = "to_unweighted") -> OperatorMatrix:
-    """Discrete unitary switch between the weighted and unweighted conventions.
-
-    The kernel conjugation factor (x_i/x_j)^(+-lam) and the compensating
-    measure re-normalization (x_i x_j)^(-+lam) are applied literally; their
-    product is 1 up to rounding, which is exactly the discrete statement that
-    the conjugation is unitary and leaves all singular values unchanged.
-    """
-    lam = A.measure_exponent / 2.0
-    if direction not in ("to_unweighted", "to_weighted"):
-        raise ValueError(f"unknown direction {direction!r}")
-    if direction == "to_unweighted" and A.space_tag != "weighted":
-        raise ValueError("matrix is not in the weighted convention")
-    if direction == "to_weighted" and A.space_tag != "unweighted":
-        raise ValueError("matrix is not in the unweighted convention")
-    xlam = A.grid.nodes[:, -1] ** lam
-    conj = np.outer(xlam, 1.0 / xlam)
-    compensation = np.outer(1.0 / xlam, xlam)
-    entries = A.entries * conj * compensation
-    tag = "unweighted" if direction == "to_unweighted" else "weighted"
-    return replace(A, entries=entries, space_tag=tag)
-
-
 def schur_apply(symbol, A: OperatorMatrix) -> OperatorMatrix:
     """Entrywise product B_ij = symbol(x_i, x_j) * A_ij; Nystrom weights untouched."""
     nodes = A.grid.nodes
@@ -277,20 +235,22 @@ def schur_apply(symbol, A: OperatorMatrix) -> OperatorMatrix:
 
 
 def save_matrix(A: OperatorMatrix, path) -> None:
-    """Binary export: magic 'BRSL', version, dimension, space tag, then the
-    entries as column-major float64.  A CSV sidecar carries grid metadata."""
+    """Binary export: magic 'BRSL', version, dimension, space tag (1 for a
+    weighted measure, 0 for Lebesgue measure), then the entries as
+    column-major float64.  A CSV sidecar carries grid metadata."""
     path = Path(path)
     N = len(A.grid.nodes)
+    weighted = A.measure_exponent > 0
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, N))
-        fh.write(struct.pack("<B", 1 if A.space_tag == "weighted" else 0))
+        fh.write(struct.pack("<B", 1 if weighted else 0))
         fh.write(np.asfortranarray(A.entries).tobytes(order="F"))
     with open(path.with_suffix(path.suffix + ".meta.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["key", "value"])
         w.writerow(["dimension", N])
-        w.writerow(["space_tag", A.space_tag])
+        w.writerow(["space_tag", "weighted" if weighted else "unweighted"])
         w.writerow(["measure_exponent", repr(A.measure_exponent)])
         w.writerow(["diagonal_bias", repr(A.diagonal_bias)])
         w.writerow(["bounds", ";".join(f"{a},{b}" for a, b in A.grid.bounds)])

@@ -22,23 +22,7 @@ IDX11 = AuxIndex(1, 1)
 IDX21 = AuxIndex(2, 1)
 
 
-@dataclass(frozen=True)
-class HalfSpacePoint:
-    """A point of the open upper half-space (last coordinate > 0)."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        if self.coords[-1] <= 0:
-            raise ValueError(f"last coordinate must be > 0, got {self.coords[-1]}")
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
-
 def _pts(x) -> np.ndarray:
-    if isinstance(x, HalfSpacePoint):
-        return x.array()
     return np.asarray(x, dtype=float)
 
 

@@ -68,17 +68,6 @@ def weak_quasinorm(s, p: float) -> float:
     return float(np.max((k + 1.0) ** (1.0 / p) * s))
 
 
-def submajorize_check(g, f) -> bool:
-    """True iff every prefix sum of the decreasing rearrangement of g is
-    dominated by that of f (shorter sequence padded with zeros)."""
-    g = np.sort(np.asarray(g, dtype=float))[::-1]
-    f = np.sort(np.asarray(f, dtype=float))[::-1]
-    m = max(g.size, f.size)
-    g = np.pad(g, (0, m - g.size))
-    f = np.pad(f, (0, m - f.size))
-    return bool(np.all(np.cumsum(g) <= np.cumsum(f)))
-
-
 @dataclass
 class WeylFit:
     exponent: float  # free-fit slope of log mu vs log(k+1); ~ -1/p on a power law

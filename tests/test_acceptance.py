@@ -56,7 +56,7 @@ def test_criterion_10_weyl_law():
 
 
 def test_criterion_11_conjugation_invariance():
-    _run(verify.check_conjugation_invariance)
+    _run(verify.check_measure_change)
 
 
 def test_criterion_12_determinism():

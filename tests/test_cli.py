@@ -27,6 +27,8 @@ def test_unknown_keys_rejected():
         parse_config({"params": {"lambda_": 2}})
     with pytest.raises(ConfigError, match="quadrature"):
         parse_config({"quadrature": {"reltol": 1e-9}})
+    with pytest.raises(ConfigError, match="box.node_cap"):
+        parse_config({"box": {"node_cap": 1}})
 
 
 def test_box_validation():
@@ -34,6 +36,12 @@ def test_box_validation():
         parse_config({"box": {"bounds": [[0, 1], [0, 1]], "points_per_dim": [8, 8]}})
     with pytest.raises(ConfigError, match="intervals"):
         parse_config({"box": {"bounds": [[0, 1]], "points_per_dim": [8]}})
+    with pytest.raises(ConfigError, match="pairs"):
+        parse_config({"box": {"bounds": [[0, 1], [0.5]]}})
+    with pytest.raises(ConfigError, match="points_per_dim"):
+        parse_config({"box": {"points_per_dim": [48]}})
+    with pytest.raises(ConfigError, match="points_per_dim"):
+        parse_config({"box": {"points_per_dim": [0, 48]}})
 
 
 def test_symbol_support_validation():
@@ -44,6 +52,13 @@ def test_symbol_support_validation():
                 "symbol": {"kind": "gaussian-bump", "center": [0.5, 1.0], "width": 0.3},
             }
         )
+    # fewer coordinates than the box must not broadcast silently
+    with pytest.raises(ConfigError, match="coordinates"):
+        parse_config({"symbol": {"kind": "cosine-bump", "center": [0.5], "width": 0.3}})
+    with pytest.raises(ConfigError, match="coordinates"):
+        parse_config({"symbol": {"kind": "cosine-bump", "center": [0.5, 1.0], "width": [0.3]}})
+    with pytest.raises(ConfigError, match="symbol2"):
+        parse_config({"pipeline": "ratio", "symbol2": "cosine-bump"})
 
 
 def test_pipeline_validation():
@@ -51,6 +66,10 @@ def test_pipeline_validation():
         parse_config({"pipeline": "unknown"})
     with pytest.raises(ConfigError, match="window_exponents"):
         parse_config({"fit": {"window_exponents": [0.9, 0.3]}})
+    with pytest.raises(ConfigError, match="window_exponents"):
+        parse_config({"fit": {"window_exponents": [0.3]}})
+    with pytest.raises(ConfigError, match="window_exponents"):
+        parse_config({"fit": {"window_exponents": 0.3}})
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -204,15 +223,35 @@ def test_refine_levels(tmp_path, monkeypatch):
     assert set(report.timings) == {"table", "assemble", "svd", "assemble_L1", "svd_L1"}
 
 
-def test_benchmark_tracer_targets_exist():
-    # the benchmark's tracer wraps these module attributes by name
+def _benchmark_child():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
     spec = importlib.util.spec_from_file_location("perfbench_child", path)
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
-    modules = {"cli": cli, "auxfn": auxfn, "kernels": kernels}
+    return child
+
+
+TRACED_MODULES = {"cli": cli, "auxfn": auxfn, "kernels": kernels}
+
+
+def test_benchmark_tracer_targets_exist():
+    # the benchmark's tracer wraps these module attributes by name
+    for mod, attr, *_ in _benchmark_child().TRACED:
+        assert callable(getattr(TRACED_MODULES[mod], attr, None)), f"{mod}.{attr}"
+
+
+def test_benchmark_tracer_counters(tmp_path, monkeypatch):
+    # the tracer reads the grid from assemble's second positional argument and
+    # the matrix from singular_values' first: its counters break on a change
+    # of either call shape
+    child = _benchmark_child()
     for mod, attr, *_ in child.TRACED:
-        assert callable(getattr(modules[mod], attr, None)), f"{mod}.{attr}"
+        # snapshot, so that monkeypatch undoes the tracer's wrapping
+        monkeypatch.setattr(TRACED_MODULES[mod], attr, getattr(TRACED_MODULES[mod], attr))
+    tracer = child.install_tracer(TRACED_MODULES)
+    run(small_spectrum_config(), out_dir=tmp_path)
+    assert tracer.counts["discretize.matrix_bytes_computed"] == 8 * 144**2
+    assert tracer.counts["spectra.svd_rows"] == 144
 
 
 def test_verify_pipeline_report_shape(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from besselriesz.discretize import (
     assemble,
-    conjugate_weight,
     load_matrix,
     make_grid,
     save_matrix,
@@ -38,7 +37,7 @@ def riesz_base(p=P2, grid_h_max=3.2):
 
 def commutator(grid, sym=None):
     sym = sym or gaussian_bump([0.5, 1.0], 0.15)
-    return assemble(riesz_base(), grid, "weighted", lam=P2.lam, symbol=sym)
+    return assemble(riesz_base(), grid, P2.lam, symbol=sym)
 
 
 def brute_force_commutator(base, sym):
@@ -71,7 +70,7 @@ def test_grid_validation():
 def test_assemble_zero_kernel():
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (6, 6), halfspace=True)
     A = assemble(lambda x, y: np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])),
-                 g, "weighted", lam=1.0)
+                 g, 1.0)
     assert np.all(A.entries == 0.0)
 
 
@@ -94,7 +93,7 @@ def test_hilbert_schmidt_consistency_smooth_kernel():
     errs = []
     for m in (16, 32):
         g = make_grid(bounds, (m, m), halfspace=True)
-        A = assemble(smooth_kernel, g, "weighted", lam=lam, zero_diagonal=False)
+        A = assemble(smooth_kernel, g, lam, zero_diagonal=False)
         fro2 = float(np.sum(A.entries**2))
         errs.append(abs(fro2 - ref) / ref)
     assert errs[1] <= 0.02
@@ -102,28 +101,18 @@ def test_hilbert_schmidt_consistency_smooth_kernel():
 
 
 def test_conjugation_preserves_singular_values():
+    # x_last^lam maps the weighted space unitarily onto Lebesgue measure: the
+    # conjugated kernel assembled with lam=0 is the same matrix
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (10, 10), halfspace=True)
-    A = commutator(g)
-    B = conjugate_weight(A, "to_unweighted")
-    assert B.space_tag == "unweighted"
+    sym = gaussian_bump([0.5, 1.0], 0.15)
+    base = riesz_base()
+    A = assemble(base, g, P2.lam, symbol=sym)
+    B = assemble(lambda x, y: (x[..., -1] * y[..., -1]) ** P2.lam * base(x, y), g, 0.0,
+                 symbol=sym)
+    assert B.measure_exponent == 0.0
+    assert np.max(np.abs(A.entries - B.entries)) <= 1e-14 * np.max(np.abs(A.entries))
     s1, s2 = singular_values(A), singular_values(B)
-    assert np.max(np.abs(s1 - s2)) <= 1e-12 * max(1.0, s1[0])
-
-
-def test_conjugation_round_trip():
-    g = make_grid([(0.0, 1.0), (0.5, 1.5)], (8, 8), halfspace=True)
-    A = commutator(g)
-    back = conjugate_weight(conjugate_weight(A, "to_unweighted"), "to_weighted")
-    assert np.allclose(back.entries, A.entries, rtol=1e-13, atol=1e-300)
-    with pytest.raises(ValueError):
-        conjugate_weight(A, "to_weighted")
-
-
-def test_conjugation_lambda_zero_noop():
-    g = make_grid([(0.0, 1.0), (0.5, 1.5)], (6, 6), halfspace=True)
-    A = assemble(smooth_kernel, g, "weighted", lam=0.0)
-    B = conjugate_weight(A, "to_unweighted")
-    assert np.array_equal(A.entries, B.entries)
+    assert np.max(np.abs(s1 - s2)) <= 1e-12 * s1[0]
 
 
 def test_schur_apply_identity_and_commutativity():
@@ -156,8 +145,8 @@ def test_frobenius_domination():
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (10, 10), halfspace=True)
     K1 = lambda x, y: smooth_kernel(x, y) + 0.1
     K2 = lambda x, y: (smooth_kernel(x, y) + 0.1) * np.sin(3 * x[..., 0] * y[..., -1])
-    A1 = assemble(K1, g, "weighted", lam=0.7)
-    A2 = assemble(K2, g, "weighted", lam=0.7)
+    A1 = assemble(K1, g, 0.7)
+    A2 = assemble(K2, g, 0.7)
     assert np.linalg.norm(A2.entries) <= np.linalg.norm(A1.entries)
 
 
@@ -177,8 +166,8 @@ def test_toeplitz_commutator_matches_brute_force(n, k, points):
     g = make_grid([(0.0, 1.0)] * n + [(0.5, 1.5)], points, halfspace=True)
     base = riesz_base(p, grid_h_max=3.7)
     sym = gaussian_bump([0.5] * n + [1.0], 0.15)
-    A = assemble(base, g, "weighted", lam=p.lam, symbol=sym)
-    B = assemble(brute_force_commutator(base, sym), g, "weighted", lam=p.lam)
+    A = assemble(base, g, p.lam, symbol=sym)
+    B = assemble(brute_force_commutator(base, sym), g, p.lam)
     scale = np.max(np.abs(B.entries))
     assert scale > 0.0
     assert np.max(np.abs(A.entries - B.entries)) <= 1e-13 * scale
@@ -193,25 +182,29 @@ def test_toeplitz_assembly_reports_nonfinite_pair():
         return 1.0 / (np.abs(x[..., -1] - y[..., -1]) - 0.5)
 
     with pytest.raises(FloatingPointError, match=r"node pair \(0, 2\)"):
-        assemble(base, g, "weighted", lam=1.0, symbol=gaussian_bump([0.5, 1.0], 0.15))
+        assemble(base, g, 1.0, symbol=gaussian_bump([0.5, 1.0], 0.15))
 
 
 def test_weighted_assembly_requires_lambda():
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (4, 4), halfspace=True)
-    with pytest.raises(ValueError):
-        assemble(smooth_kernel, g, "weighted")
+    with pytest.raises(TypeError):
+        assemble(smooth_kernel, g)
 
 
 def test_matrix_roundtrip(tmp_path):
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (6, 6), halfspace=True)
-    A = assemble(smooth_kernel, g, "weighted", lam=0.5, zero_diagonal=False)
+    A = assemble(smooth_kernel, g, 0.5, zero_diagonal=False)
     path = tmp_path / "matrix.bin"
     save_matrix(A, path)
     entries, tag = load_matrix(path)
     assert tag == "weighted"
     assert np.array_equal(entries, A.entries)
     meta = (tmp_path / "matrix.bin.meta.csv").read_text()
-    assert "space_tag" in meta and "weighted" in meta
+    assert "space_tag,weighted" in meta
+    # lam = 0 is Lebesgue measure: tag byte 0 and the "unweighted" meta row
+    save_matrix(assemble(smooth_kernel, g, 0.0, zero_diagonal=False), path)
+    assert load_matrix(path)[1] == "unweighted"
+    assert "space_tag,unweighted" in (tmp_path / "matrix.bin.meta.csv").read_text()
 
 
 def test_diagonal_bias_reported():

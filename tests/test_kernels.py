@@ -5,7 +5,6 @@ from scipy.special import ive
 
 from besselriesz.kernels import (
     DirectF,
-    HalfSpacePoint,
     TabulatedF,
     commutator_kernel,
     gaussian_profile_kernel,
@@ -35,12 +34,6 @@ P1 = ModelParams(n=1, lam=1.0, k=1)
 P2 = ModelParams(n=1, lam=1.0, k=2)
 X = np.array([0.0, 1.0])
 Y = np.array([0.0, 2.0])
-
-
-def test_halfspace_point_validation():
-    HalfSpacePoint((0.0, 1.0))
-    with pytest.raises(ValueError):
-        HalfSpacePoint((0.0, -1.0))
 
 
 def test_symbol_examples():

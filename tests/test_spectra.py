@@ -11,7 +11,6 @@ from besselriesz.spectra import (
     GRAM_BOUND_MAX,
     default_window,
     singular_values,
-    submajorize_check,
     weak_quasinorm,
     weyl_fit,
 )
@@ -104,30 +103,6 @@ def test_weak_quasinorm_dominates_top_value():
     # equality iff the sup is attained at k = 0
     s = np.array([1.0, 1e-6, 1e-9])
     assert weak_quasinorm(s, 2.0) == s[0]
-
-
-def test_submajorize_examples():
-    assert submajorize_check([3.0, 1.0], [3.0, 2.0])
-    assert not submajorize_check([4.0, 0.0], [3.0, 2.0])
-    assert submajorize_check([2.0, 1.0], [2.0, 1.0])
-
-
-def test_submajorize_pads_shorter():
-    assert submajorize_check([1.0], [1.0, 0.5])
-    assert not submajorize_check([1.0, 0.7], [1.0])
-
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_submajorize_partial_order(data):
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-    a = np.sort(rng.uniform(0, 1, 12))[::-1]
-    b = a + np.abs(rng.normal(0, 0.1, 12))
-    c = b + np.abs(rng.normal(0, 0.1, 12))
-    b, c = np.sort(b)[::-1], np.sort(c)[::-1]
-    assert submajorize_check(a, a)  # reflexive
-    if submajorize_check(a, b) and submajorize_check(b, c):
-        assert submajorize_check(a, c)  # transitive
 
 
 def test_weyl_fit_exact_power_law():
