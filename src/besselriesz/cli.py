@@ -14,6 +14,7 @@ import argparse
 import copy
 import hashlib
 import json
+import numbers
 import resource
 import sys
 import time
@@ -64,14 +65,8 @@ DEFAULT_CONFIG = {
     "seed": 0,
 }
 
-_ALLOWED_KEYS = {
-    "": set(DEFAULT_CONFIG),
-    "params": {"n", "lam", "k"},
-    "box": {"bounds", "points_per_dim"},
-    "symbol": {"kind", "center", "width", "amplitude", "axis"},
-    "symbol2": {"kind", "center", "width", "amplitude", "axis"},
-    "fit": {"window_exponents"},
-}
+_SYMBOL_KEYS = {"kind", "center", "width", "amplitude", "axis"}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
 class ConfigError(ValueError):
@@ -79,11 +74,42 @@ class ConfigError(ValueError):
 
 
 def _check_keys(mapping: dict, path: str) -> None:
-    allowed = _ALLOWED_KEYS.get(path.split(".")[-1] if path else "", set())
+    if path in ("symbol", "symbol2"):
+        allowed = _SYMBOL_KEYS
+    else:
+        allowed = DEFAULT_CONFIG[path] if path else DEFAULT_CONFIG
     for key in mapping:
         if key not in allowed:
             where = f"{path}.{key}" if path else key
             raise ConfigError(f"unknown config key {where!r}")
+
+
+def _typed(value, kind, path: str):
+    """``value`` as ``kind`` (int, float, bool or str), or as a tuple of
+    ``kind[0]`` when ``kind`` is a one-element list; JSON arrays arrive as
+    lists, Python callers may pass tuples.  An int may be given as an integral
+    float (48.0), a float as an int; a boolean is not a number.  Anything else
+    raises ConfigError naming ``path``."""
+    if isinstance(kind, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be an array, got {value!r}")
+        return tuple(_typed(v, kind[0], f"{path}[{i}]") for i, v in enumerate(value))
+    if kind in (int, float):
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        ok = ok and (kind is float or float(value).is_integer())
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{path} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _grid(bounds, points) -> BoxGrid:
+    """``make_grid`` on a half-space box, its ValueError as a ConfigError."""
+    try:
+        return make_grid(bounds, points, halfspace=True)
+    except ValueError as exc:
+        raise ConfigError(f"box: {exc}") from exc
 
 
 @dataclass
@@ -112,11 +138,7 @@ class ExperimentConfig:
         return build_symbol(self.symbol2_spec)
 
     def grid(self, points=None) -> BoxGrid:
-        return make_grid(
-            self.bounds,
-            points if points is not None else self.points_per_dim,
-            halfspace=True,
-        )
+        return _grid(self.bounds, points if points is not None else self.points_per_dim)
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -139,84 +161,78 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("symbol2 must be a JSON object")
 
     pd = merged["params"]
-    _check_keys(pd, "params")
+    n, lam, k = (_typed(pd[key], kind, f"params.{key}")
+                 for key, kind in (("n", int), ("lam", float), ("k", int)))
     try:
-        params = ModelParams(n=int(pd["n"]), lam=float(pd["lam"]), k=int(pd["k"]))
-    except (KeyError, ValueError) as exc:
+        params = ModelParams(n=n, lam=lam, k=k)
+    except ValueError as exc:
         raise ConfigError(f"params: {exc}") from exc
 
     box = merged["box"]
-    try:
-        bounds = tuple((float(a), float(b)) for a, b in box["bounds"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"box.bounds must be a list of [lo, hi] pairs: {exc}") from exc
+    bounds = _typed(box["bounds"], [[float]], "box.bounds")
+    if any(len(pair) != 2 for pair in bounds):
+        raise ConfigError("box.bounds must be a list of [lo, hi] pairs")
     if len(bounds) != params.n + 1:
         raise ConfigError(f"box.bounds must have {params.n + 1} intervals")
-    if bounds[-1][0] <= 0:
-        raise ConfigError("box.bounds: last interval must start above 0")
     ppd = box["points_per_dim"]
-    ppd = tuple(int(m) for m in (ppd if not np.isscalar(ppd) else [ppd] * len(bounds)))
-    if len(ppd) != len(bounds) or min(ppd) < 1:
-        raise ConfigError(f"box.points_per_dim must be {len(bounds)} positive integers")
+    if not isinstance(ppd, (list, tuple)):
+        ppd = [ppd] * len(bounds)
+    grid = _grid(bounds, _typed(ppd, [int], "box.points_per_dim"))
 
     pipeline = merged["pipeline"]
     if pipeline not in PIPELINES:
         raise ConfigError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
 
-    try:
-        lo, hi = (float(e) for e in merged["fit"]["window_exponents"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"fit.window_exponents must be a pair of numbers: {exc}") from exc
-    if not (0.0 < lo < hi < 1.0):
-        raise ConfigError("fit.window_exponents must satisfy 0 < lo < hi < 1")
+    window = _typed(merged["fit"]["window_exponents"], [float], "fit.window_exponents")
+    if len(window) != 2 or not 0.0 < window[0] < window[1] < 1.0:
+        raise ConfigError("fit.window_exponents must be a pair with 0 < lo < hi < 1")
 
     cfg = ExperimentConfig(
         params=params,
-        bounds=bounds,
-        points_per_dim=ppd,
+        bounds=grid.bounds,
+        points_per_dim=grid.points_per_dim,
         symbol_spec=merged["symbol"],
         symbol2_spec=merged.get("symbol2"),
         pipeline=pipeline,
-        window_exponents=(lo, hi),
-        ratio_tolerance=float(merged["ratio_tolerance"]),
-        output_dir=str(merged["output_dir"]),
-        save_matrix=bool(merged["save_matrix"]),
-        seed=int(merged["seed"]),
+        window_exponents=window,
+        ratio_tolerance=_typed(merged["ratio_tolerance"], float, "ratio_tolerance"),
+        output_dir=_typed(merged["output_dir"], str, "output_dir"),
+        save_matrix=_typed(merged["save_matrix"], bool, "save_matrix"),
+        seed=_typed(merged["seed"], int, "seed"),
         raw=merged,
     )
-    _validate_symbol_support(cfg, cfg.symbol_spec, "symbol")
+    _validate_symbol_support(grid, cfg.symbol_spec, "symbol")
     if pipeline == "ratio":
-        _validate_symbol_support(cfg, cfg.symbol2_spec, "symbol2")
+        _validate_symbol_support(grid, cfg.symbol2_spec, "symbol2")
     return cfg
 
 
-def _validate_symbol_support(cfg: ExperimentConfig, spec: dict | None, name: str) -> None:
-    """Numeric support (<= 1e-4 of the peak outside) must clear the box by 2 cells."""
+def _validate_symbol_support(grid: BoxGrid, spec: dict | None, name: str) -> None:
+    """The symbol's ``support`` box (below 1e-4 of its peak outside) must
+    clear the grid box by two cells."""
     if spec is None:
         raise ConfigError(f"{name} missing")
-    if spec.get("kind") == "constant":
-        return
+    for key in ("center", "width", "amplitude"):
+        if key in spec:
+            kind = [float] if isinstance(spec[key], (list, tuple)) else float
+            _typed(spec[key], kind, f"{name}.{key}")
     try:
         sym = build_symbol(spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc!r}") from exc
-    dim = len(cfg.bounds)
+    if sym.support is None:  # a constant: no center, nothing to clear
+        return
+    dim = grid.dim
     if np.shape(spec["center"]) != (dim,) or np.shape(spec["width"]) not in ((), (dim,)):
         raise ConfigError(f"{name}: center needs {dim} coordinates, width a number or {dim}")
-    if sym.support is None:
-        return
-    kind = spec["kind"]
-    center = np.asarray(spec["center"], dtype=float)
-    width = np.broadcast_to(np.asarray(spec["width"], dtype=float), center.shape)
-    if kind in ("gaussian-bump", "coordinate-window"):
-        radius = width * np.sqrt(-2.0 * np.log(1e-4))  # |f| < 1e-4 peak outside
-    else:
-        radius = width
-    cells = np.array([(b - a) / m for (a, b), m in zip(cfg.bounds, cfg.points_per_dim)])
-    for i, ((a, b), c, r, h) in enumerate(zip(cfg.bounds, center, radius, cells)):
-        if c - r < a + 2 * h or c + r > b - 2 * h:
+    if spec["kind"] == "coordinate-window":
+        axis = _typed(spec.get("axis", 0), int, f"{name}.axis")
+        if not 0 <= axis < dim:
+            raise ConfigError(f"{name}.axis must be in [0, {dim}), got {axis}")
+    for i, ((a, b), (lo, hi), h) in enumerate(zip(grid.bounds, sym.support, grid.cell_widths)):
+        if lo < a + 2 * h or hi > b - 2 * h:
             raise ConfigError(
-                f"{name}: numeric support [{c - r:.3f}, {c + r:.3f}] in dim {i} "
+                f"{name}: numeric support [{lo:.3f}, {hi:.3f}] in dim {i} "
                 f"is not two cells inside the box [{a}, {b}]"
             )
 
@@ -333,13 +349,15 @@ def _spectrum_for(cfg: ExperimentConfig, sym: Symbol, grid: BoxGrid, ftab: Tabul
 
 def _levels(cfg: ExperimentConfig, refine: int, timings: dict):
     """(index, tag, grid, F table) per level, the points doubled per level.
-    Refinement keeps the box, so one F table serves every level."""
+    Every level's grid is built before the F table, so a level past the node
+    cap fails before any work; refinement keeps the box, so one F table
+    serves every level."""
+    grids = [cfg.grid(tuple(m * 2**i for m in cfg.points_per_dim)) for i in range(refine + 1)]
     t0 = time.perf_counter()
     ftab = f_table(cfg.params, cfg.bounds)
     timings["table"] = time.perf_counter() - t0
-    for i in range(refine + 1):
-        ppd = tuple(m * 2**i for m in cfg.points_per_dim)
-        yield i, "" if i == 0 else f"_L{i}", cfg.grid(ppd), ftab
+    for i, grid in enumerate(grids):
+        yield i, "" if i == 0 else f"_L{i}", grid, ftab
 
 
 def run_spectrum(cfg: ExperimentConfig, out: Path, refine: int = 0) -> RunReport:

@@ -59,7 +59,7 @@ def make_grid(bounds, points_per_dim, halfspace: bool = False) -> BoxGrid:
         if m < 1:
             raise ValueError("points_per_dim entries must be >= 1")
     if halfspace and bounds[-1][0] <= 0:
-        raise ValueError("half-space box requires a positive lower bound in the last coordinate")
+        raise ValueError("half-space box requires the last interval to start above 0")
     total = int(np.prod(points_per_dim))
     if total > NODE_CAP:
         raise ValueError(f"grid of {total} nodes exceeds the cap {NODE_CAP}")

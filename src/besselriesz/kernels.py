@@ -72,13 +72,6 @@ def symbol_K(m: int, x, y, lam: float):
     return d[..., m - 1] / (r ** (n + 2) * (x[..., -1] * y[..., -1]) ** lam)
 
 
-def q_t(t, x, y):
-    """|x - y|^2 + 2 t x_last y_last."""
-    x, y = _pts(x), _pts(y)
-    _, r = _sep(x, y)
-    return r * r + 2.0 * t * x[..., -1] * y[..., -1]
-
-
 def _reject_coincident(r):
     if np.ndim(r) == 0 and r == 0.0:
         raise ValueError("coincident points")

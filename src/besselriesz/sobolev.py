@@ -52,30 +52,11 @@ def sphere_rule(n: int, order: int = 64) -> SphereRule:
     raise NotImplementedError("sphere rules implemented for n in {1, 2}")
 
 
-def _gradient_on_grid(f: Symbol, box: BoxGrid) -> np.ndarray:
-    """Analytic gradient if available, else central differences.
-
-    The step is an eighth of the cell width: tied to the grid (so boundary
-    clearance assumptions still hold) but small enough that the truncation
-    error sits well below the 1e-4 agreement the seminorms must satisfy,
-    while the roundoff floor stays near 1e-13.
-    """
-    if f.gradient is not None:
-        return f.grad(box.nodes)
-    h = box.cell_widths / 8.0
-    out = np.zeros(box.nodes.shape)
-    for i in range(box.dim):
-        e = np.zeros(box.dim)
-        e[i] = h[i]
-        out[:, i] = (f(box.nodes + e) - f(box.nodes - e)) / (2.0 * h[i])
-    return out
-
-
 def sobolev_seminorm(f: Symbol, p: float, box: BoxGrid) -> float:
     """(integral over the box of |grad f|^p dx)^(1/p) by the grid's cell rule."""
     if not p > 1:
         raise ValueError("p must exceed 1")
-    grad = _gradient_on_grid(f, box)
+    grad = f.grad(box.nodes)
     mag = np.sqrt(np.sum(grad**2, axis=-1))
     return float(np.dot(box.cell_weights, mag**p) ** (1.0 / p))
 
@@ -92,7 +73,7 @@ def directional_seminorm(f: Symbol, k: int, p: float, box: BoxGrid, sphere: Sphe
         raise ValueError(f"k must be in [1, {box.dim}]")
     if sphere.nodes.shape[1] != box.dim:
         raise ValueError("sphere dimension does not match the box")
-    grad = _gradient_on_grid(f, box)  # (N, dim)
+    grad = f.grad(box.nodes)  # (N, dim)
     s = sphere.nodes  # (M, dim)
     radial = grad @ s.T  # (N, M): <s, grad f(x)>
     integrand = np.abs(grad[:, k - 1][:, None] - s[None, :, k - 1] * radial) ** p

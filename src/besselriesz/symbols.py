@@ -1,5 +1,5 @@
-"""Multiplication symbols: bounded functions on the half-space with optional
-analytic gradients and support boxes."""
+"""Multiplication symbols: bounded functions on the half-space with analytic
+gradients and support boxes."""
 
 from __future__ import annotations
 
@@ -10,23 +10,22 @@ import numpy as np
 
 @dataclass
 class Symbol:
-    """A bounded scalar function with an optional analytic gradient.
+    """A bounded scalar function with its analytic gradient.
 
     ``func`` maps point arrays of shape (..., dim) to values of shape (...);
-    ``gradient`` maps them to (..., dim).  ``support`` is an optional box
-    outside which the symbol is numerically negligible.
+    ``gradient`` maps them to (..., dim).  ``support`` is an optional box,
+    ((lo_1, hi_1), ..., (lo_dim, hi_dim)), outside which the symbol is
+    numerically negligible (a bump is below 1e-4 of its peak there).
     """
 
     func: callable
-    gradient: callable | None = None
+    gradient: callable
     support: tuple | None = None
 
     def __call__(self, pts):
         return self.func(np.asarray(pts, dtype=float))
 
     def grad(self, pts):
-        if self.gradient is None:
-            raise ValueError("symbol has no analytic gradient")
         return self.gradient(np.asarray(pts, dtype=float))
 
 
@@ -38,22 +37,18 @@ def constant_symbol(value: float) -> Symbol:
 
 
 def scale_symbol(f: Symbol, c: float) -> Symbol:
-    grad = None
-    if f.gradient is not None:
-        grad = lambda x: c * f.gradient(x)
-    return Symbol(func=lambda x: c * f.func(x), gradient=grad, support=f.support)
+    return Symbol(func=lambda x: c * f.func(x), gradient=lambda x: c * f.gradient(x),
+                  support=f.support)
 
 
 def translate_symbol(f: Symbol, shift) -> Symbol:
     """Translate by ``shift`` (f_new(x) = f(x - shift))."""
     shift = np.asarray(shift, dtype=float)
-    grad = None
-    if f.gradient is not None:
-        grad = lambda x: f.gradient(x - shift)
     support = None
     if f.support is not None:
         support = tuple((a + s, b + s) for (a, b), s in zip(f.support, shift))
-    return Symbol(func=lambda x: f.func(x - shift), gradient=grad, support=support)
+    return Symbol(func=lambda x: f.func(x - shift), gradient=lambda x: f.gradient(x - shift),
+                  support=support)
 
 
 def gaussian_bump(center, width: float, amplitude: float = 1.0) -> Symbol:
@@ -67,8 +62,9 @@ def gaussian_bump(center, width: float, amplitude: float = 1.0) -> Symbol:
     def gradient(x):
         return func(x)[..., None] * (-(x - center) / w2)
 
-    # exp(-0.5 (6)^2) ~ 1.5e-8: numerically supported within 6 widths
-    support = tuple((c - 6 * width, c + 6 * width) for c in center)
+    # exp(-r^2 / (2 width^2)) = 1e-4 at the radius r, about 4.29 widths
+    r = width * np.sqrt(-2.0 * np.log(1e-4))
+    support = tuple((c - r, c + r) for c in center)
     return Symbol(func=func, gradient=gradient, support=support)
 
 

@@ -42,6 +42,34 @@ def test_box_validation():
         parse_config({"box": {"points_per_dim": [48]}})
     with pytest.raises(ConfigError, match="points_per_dim"):
         parse_config({"box": {"points_per_dim": [0, 48]}})
+    with pytest.raises(ConfigError, match=r"points_per_dim\[0\]"):
+        parse_config({"box": {"points_per_dim": [48.7, 48]}})
+    with pytest.raises(ConfigError, match="cap"):
+        parse_config({"box": {"points_per_dim": [200, 200]}})
+    with pytest.raises(ConfigError, match="degenerate"):
+        parse_config({"box": {"bounds": [[1, 0], [0.5, 1.5]]}})
+    # integral floats count as ints, ints as floats, and tuples as arrays
+    cfg = parse_config({"box": {"bounds": ((0, 1), (0.5, 1.5)), "points_per_dim": [48.0, 48]}})
+    assert cfg.bounds == ((0.0, 1.0), (0.5, 1.5))
+    assert cfg.points_per_dim == (48, 48)
+    assert cfg.grid().points_per_dim == (48, 48)
+
+
+@pytest.mark.parametrize(
+    "data, path",
+    [
+        ({"save_matrix": "no"}, "save_matrix"),
+        ({"params": {"k": 2.9}}, "params.k"),
+        ({"params": {"n": True}}, "params.n"),
+        ({"params": {"lam": [1]}}, "params.lam"),
+        ({"ratio_tolerance": "x"}, "ratio_tolerance"),
+        ({"seed": "x"}, "seed"),
+        ({"output_dir": 5}, "output_dir"),
+    ],
+)
+def test_field_types_validated(data, path):
+    with pytest.raises(ConfigError, match=path):
+        parse_config(data)
 
 
 def test_symbol_support_validation():
@@ -59,6 +87,21 @@ def test_symbol_support_validation():
         parse_config({"symbol": {"kind": "cosine-bump", "center": [0.5, 1.0], "width": [0.3]}})
     with pytest.raises(ConfigError, match="symbol2"):
         parse_config({"pipeline": "ratio", "symbol2": "cosine-bump"})
+    with pytest.raises(ConfigError, match=r"symbol.center\[0\]"):
+        parse_config({"symbol": {"kind": "cosine-bump", "center": ["0.5", 1.0], "width": 0.3}})
+    with pytest.raises(ConfigError, match="symbol.amplitude"):
+        parse_config({"symbol": {"kind": "constant", "amplitude": "2"}})
+    window = {"kind": "coordinate-window", "center": [0.5, 1.0], "width": 0.08}
+    with pytest.raises(ConfigError, match="symbol.axis"):
+        parse_config({"box": {"points_per_dim": [16, 16]}, "symbol": {**window, "axis": 5}})
+    assert parse_config({"symbol": {**window, "axis": 1}}).symbol_spec["axis"] == 1
+    # n = 2: the support box is checked in every dimension
+    box3 = {"bounds": [[0, 1], [0, 1], [0.5, 1.5]], "points_per_dim": [16, 16, 16]}
+    bump3 = {"kind": "cosine-bump", "center": [0.5, 0.5, 1.0], "width": 0.35}
+    parse_config({"params": {"n": 2, "k": 3}, "box": box3, "symbol": bump3})
+    with pytest.raises(ConfigError, match="in dim 2"):
+        parse_config({"params": {"n": 2, "k": 3}, "box": box3,
+                      "symbol": {**bump3, "width": [0.35, 0.35, 0.4]}})
 
 
 def test_pipeline_validation():
@@ -221,6 +264,16 @@ def test_refine_levels(tmp_path, monkeypatch):
     # refinement keeps the box, so one F table serves both levels
     assert len(built) == 1
     assert set(report.timings) == {"table", "assemble", "svd", "assemble_L1", "svd_L1"}
+
+
+def test_refine_past_node_cap_fails_before_any_work(tmp_path, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("F table built before every level's grid was checked")
+
+    monkeypatch.setattr(cli, "TabulatedF", no_table)
+    cfg = small_spectrum_config(box={"points_per_dim": [100, 100]})
+    with pytest.raises(ConfigError, match="cap"):
+        run(cfg, out_dir=tmp_path, refine=1)
 
 
 def _benchmark_child():

@@ -1,8 +1,7 @@
-from functools import partial
-
 import numpy as np
 import pytest
 
+from besselriesz import cli
 from besselriesz.discretize import (
     assemble,
     load_matrix,
@@ -11,9 +10,7 @@ from besselriesz.discretize import (
     schur_apply,
 )
 from besselriesz.kernels import (
-    TabulatedF,
     commutator_kernel,
-    riesz_kernel_bessel,
     symbol_a,
     symbol_b,
     symbol_h,
@@ -31,13 +28,14 @@ def smooth_kernel(x, y):
     return np.exp(-d2) * (1.0 + x[..., -1] * y[..., -1])
 
 
-def riesz_base(p=P2, grid_h_max=3.2):
-    return partial(riesz_kernel_bessel, p, f_eval=TabulatedF(p, grid_h_max))
+def riesz_base(grid, p=P2):
+    """The CLI's Riesz kernel with the F table for ``grid``'s box."""
+    return cli.riesz_base(p, cli.f_table(p, grid.bounds))
 
 
 def commutator(grid, sym=None):
     sym = sym or gaussian_bump([0.5, 1.0], 0.15)
-    return assemble(riesz_base(), grid, P2.lam, symbol=sym)
+    return cli.commutator(P2, sym, grid, cli.f_table(P2, grid.bounds))
 
 
 def brute_force_commutator(base, sym):
@@ -105,7 +103,7 @@ def test_conjugation_preserves_singular_values():
     # conjugated kernel assembled with lam=0 is the same matrix
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (10, 10), halfspace=True)
     sym = gaussian_bump([0.5, 1.0], 0.15)
-    base = riesz_base()
+    base = riesz_base(g)
     A = assemble(base, g, P2.lam, symbol=sym)
     B = assemble(lambda x, y: (x[..., -1] * y[..., -1]) ** P2.lam * base(x, y), g, 0.0,
                  symbol=sym)
@@ -164,7 +162,7 @@ def test_frobenius_domination():
 def test_toeplitz_commutator_matches_brute_force(n, k, points):
     p = ModelParams(n=n, lam=1.0, k=k)
     g = make_grid([(0.0, 1.0)] * n + [(0.5, 1.5)], points, halfspace=True)
-    base = riesz_base(p, grid_h_max=3.7)
+    base = riesz_base(g, p)
     sym = gaussian_bump([0.5] * n + [1.0], 0.15)
     A = assemble(base, g, p.lam, symbol=sym)
     B = assemble(brute_force_commutator(base, sym), g, p.lam)

@@ -12,7 +12,6 @@ from besselriesz.kernels import (
     invsqrt_kernel_closed,
     invsqrt_kernel_subordination,
     prop35_rhs_kernel,
-    q_t,
     ratio_bound_check,
     riesz_gaussian_check,
     riesz_kernel_bessel,
@@ -62,17 +61,6 @@ def test_symbols_reject_coincident_points():
         symbol_K(1, X, X, 1.0)
     with pytest.raises(ValueError):
         invsqrt_kernel_closed(P1, X, X)
-
-
-def test_q_t_dominates_separation():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        x = np.array([rng.normal(), rng.uniform(0.1, 3)])
-        y = np.array([rng.normal(), rng.uniform(0.1, 3)])
-        r2 = np.sum((x - y) ** 2)
-        assert q_t(0.0, x, y) == pytest.approx(r2, rel=1e-15)
-        for t in (0.3, 1.0, 2.0):
-            assert q_t(t, x, y) > r2
 
 
 def test_ratio_bound_boundary_pair():

@@ -147,7 +147,7 @@ def test_quasi_triangle_inequality_for_commutators():
     ftab = cli.f_table(p, grid.bounds)
     f = gaussian_bump([0.45, 0.95], 0.14)
     g = gaussian_bump([0.6, 1.1], 0.2, amplitude=-0.6)
-    fg = Symbol(func=lambda x: f(x) + g(x))
+    fg = Symbol(func=lambda x: f(x) + g(x), gradient=lambda x: f.grad(x) + g.grad(x))
 
     def spectrum(sym):
         return singular_values(cli.commutator(p, sym, grid, ftab))
