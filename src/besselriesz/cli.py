@@ -37,7 +37,7 @@ from .kernels import (
 )
 from .sobolev import directional_seminorm, sobolev_seminorm, sphere_rule
 from .special import ModelParams
-from .spectra import default_window, singular_values, weak_quasinorm, weyl_fit
+from .spectra import default_window, singular_values, tail_certificate, weak_quasinorm, weyl_fit
 from .symbols import Symbol, build_symbol
 
 PIPELINES = ("spectrum", "ratio", "auxfn", "kernel", "sobolev", "verify")
@@ -335,13 +335,28 @@ def commutator(params: ModelParams, symbol: Symbol, grid: BoxGrid,
 
 
 def _spectrum_for(cfg: ExperimentConfig, sym: Symbol, grid: BoxGrid, ftab: TabulatedF,
-                  timings: dict, runtime: dict, tag: str, count=None):
+                  timings: dict, runtime: dict, tag: str, count=None, certify=False):
     """Assemble [R_k, M_sym] and take its singular values (the top ``count``,
-    or all); the solver record lands in ``runtime["svd<tag>"]``."""
+    or all); the solver record lands in ``runtime["svd<tag>"]``.
+
+    With ``certify`` the head must carry the weak-(n+1) quasinorm of the
+    whole sequence (``spectra.tail_certificate``, whose ``head_sup`` and
+    ``tail_bound`` join the record); if it does not, every value is solved
+    with the dense SVD and that solve is recorded."""
     t0 = time.perf_counter()
     A = commutator(cfg.params, sym, grid, ftab)
     t1 = time.perf_counter()
-    s, runtime[f"svd{tag}"], runtime["blas_pinned"] = _svd_deterministic(A, count)
+    if certify:
+        frobenius_sq = float(np.linalg.norm(A.entries)) ** 2
+    s, solve, runtime["blas_pinned"] = _svd_deterministic(A, count)
+    if certify:
+        error_bound = solve["error_bound"] if solve["solver"] == "gram" else 0.0
+        head_sup, tail_bound = tail_certificate(s, frobenius_sq, len(grid.nodes),
+                                                float(cfg.params.n + 1), error_bound)
+        if not tail_bound <= head_sup:
+            s, solve, _ = _svd_deterministic(A)
+        solve.update(head_sup=head_sup, tail_bound=tail_bound)
+    runtime[f"svd{tag}"] = solve
     timings[f"assemble{tag}"] = t1 - t0
     timings[f"svd{tag}"] = time.perf_counter() - t1
     return A, s
@@ -364,7 +379,12 @@ def run_spectrum(cfg: ExperimentConfig, out: Path, refine: int = 0) -> RunReport
     p = cfg.params
     timings, results, assertions, runtime = {}, {}, [], {}
     for i, tag, grid, ftab in _levels(cfg, refine, timings):
-        A, s = _spectrum_for(cfg, cfg.symbol, grid, ftab, timings, runtime, tag)
+        # the fit reads indices up to hi and the weak quasinorm is certified
+        # from the same head, so only the top hi + 1 values are solved
+        N = len(grid.nodes)
+        lo, hi = default_window(N, *cfg.window_exponents)
+        A, s = _spectrum_for(cfg, cfg.symbol, grid, ftab, timings, runtime, tag,
+                             min(hi + 1, N), certify=True)
         pw = float(p.n + 1)
         write_spectrum_csv(out / f"spectrum{tag}.csv", s, pw)
         level = {
@@ -373,8 +393,9 @@ def run_spectrum(cfg: ExperimentConfig, out: Path, refine: int = 0) -> RunReport
             "diagonal_bias": A.diagonal_bias,
             "top_singular_value": float(s[0]),
         }
-        if s[0] > 0 and np.count_nonzero(s > 0) > 8:
-            fit = weyl_fit(s, pw, default_window(len(s), *cfg.window_exponents))
+        # values are descending, so s[hi] > 0 leaves no zero in the window
+        if lo < hi < len(s) and s[hi] > 0:
+            fit = weyl_fit(s, pw, (lo, hi))
             level["fit"] = fit.as_dict()
             with open(out / f"fit{tag}.json", "w") as fh:
                 json.dump(fit.as_dict(), fh, indent=2, sort_keys=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import numbers
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -49,7 +50,11 @@ def make_grid(bounds, points_per_dim, halfspace: bool = False) -> BoxGrid:
     """
     bounds = tuple((float(a), float(b)) for a, b in bounds)
     if np.isscalar(points_per_dim):
-        points_per_dim = (int(points_per_dim),) * len(bounds)
+        points_per_dim = (points_per_dim,) * len(bounds)
+    for m in points_per_dim:
+        # int() would truncate 48.7 to 48; an integral float (48.0) is a count
+        if isinstance(m, bool) or not isinstance(m, numbers.Real) or not float(m).is_integer():
+            raise ValueError(f"points_per_dim entries must be integers, got {m!r}")
     points_per_dim = tuple(int(m) for m in points_per_dim)
     if len(points_per_dim) != len(bounds):
         raise ValueError("points_per_dim must match the number of bounds")

@@ -1,4 +1,5 @@
-"""Singular values, weak-Schatten diagnostics, submajorization, power-law fits."""
+"""Singular values, weak-Schatten diagnostics, the tail certificate of a
+solved head, power-law fits."""
 
 from __future__ import annotations
 
@@ -66,6 +67,32 @@ def weak_quasinorm(s, p: float) -> float:
         raise ValueError("p must be positive")
     k = np.arange(s.size, dtype=float)
     return float(np.max((k + 1.0) ** (1.0 / p) * s))
+
+
+def tail_certificate(head, frobenius_sq: float, N: int, p: float,
+                     error_bound: float = 0.0) -> tuple[float, float]:
+    """(head_sup, tail_bound) for the top r singular values ``head`` of a
+    matrix with N singular values and squared Frobenius norm ``frobenius_sq``.
+
+    The unsolved values hold the tail mass T_r = |A|_F^2 - sum_{j<r} mu_j^2,
+    and every mu_k with k >= r is at most mu_{r-1} and at most
+    sqrt(T_r / (k - r + 1)) (Rochberg and Semmes, JFA 1989), so
+    ``tail_bound`` = max over k >= r of (k+1)^(1/p) min(mu_{r-1},
+    sqrt(T_r / (k - r + 1))) bounds the weighted tail.  When it is at most
+    ``head_sup`` = ``weak_quasinorm(head, p)``, the head carries the weak-p
+    quasinorm of the whole sequence.  T_r is a difference of nearly equal
+    sums, so it is raised by (error_bound + N eps) |A|_F^2, ``error_bound``
+    being the relative error of the head's squares (the Gram route's bound;
+    0 for a dense SVD): rounding cannot pass the certificate.
+    """
+    head = np.asarray(head, dtype=float)
+    r = head.size
+    slack = (error_bound + N * np.finfo(float).eps) * frobenius_sq
+    tail = max(frobenius_sq - float(np.dot(head, head)) + slack, 0.0)
+    k = np.arange(r, N, dtype=float)
+    bound = (k + 1.0) ** (1.0 / p) * np.minimum(head[-1], np.sqrt(tail / (k - r + 1.0)))
+    # a head of all N values leaves no tail
+    return weak_quasinorm(head, p), float(np.max(bound, initial=0.0))
 
 
 @dataclass

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 
 @dataclass
@@ -101,9 +102,16 @@ def cosine_bump(center, width, amplitude: float = 1.0) -> Symbol:
 
 
 def coordinate_window(axis: int, center, width, amplitude: float = 1.0) -> Symbol:
-    """(x_axis - c_axis) times a Gaussian window; a localized coordinate symbol."""
+    """(x_axis - c_axis) times a Gaussian window; a localized coordinate symbol.
+
+    In units of the width the window is u_axis exp(-|u|^2 / 2), which peaks
+    at u_axis = 1.  Along ``axis`` the factor u exp(-u^2 / 2) falls to 1e-4
+    of its peak exp(-1/2) at u = sqrt(-W_{-1}(-1e-8 / e)), about 4.75
+    widths; across it the Gaussian's 4.29 widths hold.
+    """
     center = np.asarray(center, dtype=float)
     g = gaussian_bump(center, width, 1.0)
+    r_axis = width * np.sqrt(-lambertw(-1e-8 / np.e, -1).real)
 
     def func(x):
         return amplitude * (x[..., axis] - center[axis]) * g.func(x)
@@ -115,7 +123,9 @@ def coordinate_window(axis: int, center, width, amplitude: float = 1.0) -> Symbo
         out[..., axis] += amplitude * gv
         return out
 
-    return Symbol(func=func, gradient=gradient, support=g.support)
+    support = tuple((c - r_axis, c + r_axis) if i == axis else box
+                    for i, (c, box) in enumerate(zip(center, g.support)))
+    return Symbol(func=func, gradient=gradient, support=support)
 
 
 def coordinate_symbol(axis: int, dim: int) -> Symbol:

@@ -7,7 +7,13 @@ import pytest
 
 from besselriesz import __version__, auxfn, cli, kernels
 from besselriesz.cli import ConfigError, load_config, parse_config, run
-from besselriesz.spectra import GRAM_BOUND_MAX, default_window
+from besselriesz.spectra import (
+    GRAM_BOUND_MAX,
+    default_window,
+    singular_values,
+    weak_quasinorm,
+    weyl_fit,
+)
 
 
 def small_spectrum_config(**overrides):
@@ -95,6 +101,10 @@ def test_symbol_support_validation():
     with pytest.raises(ConfigError, match="symbol.axis"):
         parse_config({"box": {"points_per_dim": [16, 16]}, "symbol": {**window, "axis": 5}})
     assert parse_config({"symbol": {**window, "axis": 1}}).symbol_spec["axis"] == 1
+    # the window's box reaches 4.75 widths along its axis: [0.025, 0.975] at
+    # width 0.1 is not two cells (0.042) inside [0, 1]
+    with pytest.raises(ConfigError, match=r"support \[0\.025, 0\.975\] in dim 0"):
+        parse_config({"symbol": {**window, "width": 0.1}})
     # n = 2: the support box is checked in every dimension
     box3 = {"bounds": [[0, 1], [0, 1], [0.5, 1.5]], "points_per_dim": [16, 16, 16]}
     bump3 = {"kind": "cosine-bump", "center": [0.5, 0.5, 1.0], "width": 0.35}
@@ -139,10 +149,57 @@ def test_spectrum_pipeline_artifacts(tmp_path):
     assert set(runtime) == {"blas_pinned", "peak_rss_mb", "svd"}
     assert runtime["blas_pinned"] == pinnable
     assert runtime["peak_rss_mb"] > 0
-    # the spectrum pipeline solves every value densely
-    assert runtime["svd"] == {"solver": "dense", "count": 144, "error_bound": None}
-    header = (tmp_path / "spectrum.csv").read_text().splitlines()[0]
-    assert header == "index,mu,weighted_mu"
+    # the spectrum pipeline solves the fit window's head through the Gram
+    # route and certifies that it carries the weak quasinorm
+    solve = runtime["svd"]
+    count = default_window(144)[1] + 1
+    assert set(solve) == {"solver", "count", "error_bound", "head_sup", "tail_bound"}
+    assert solve["solver"] == "gram" and solve["count"] == count == 33
+    assert solve["error_bound"] <= GRAM_BOUND_MAX
+    assert solve["tail_bound"] <= solve["head_sup"]
+    assert solve["head_sup"] == payload["results"]["level0"]["weak_quasinorm"]
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert lines[0] == "index,mu,weighted_mu"
+    assert len(lines) == 1 + count
+
+
+def _dense_spectrum(cfg):
+    grid = cfg.grid()
+    A = cli.commutator(cfg.params, cfg.symbol, grid, cli.f_table(cfg.params, cfg.bounds))
+    return singular_values(A)
+
+
+@pytest.mark.parametrize("m", [24, 32])
+def test_spectrum_head_matches_dense_reference(tmp_path, m):
+    cfg = small_spectrum_config(box={"points_per_dim": [m, m]})
+    report = run(cfg, out_dir=tmp_path)
+    assert report.runtime["svd"]["solver"] == "gram"
+    s = _dense_spectrum(cfg)
+    level = report.results["level0"]
+    assert level["weak_quasinorm"] == pytest.approx(weak_quasinorm(s, 2.0), rel=1e-12)
+    assert level["top_singular_value"] == pytest.approx(s[0], rel=1e-12)
+    fit = weyl_fit(s, 2.0, default_window(m * m)).as_dict()
+    assert level["fit"]["window"] == fit["window"]
+    for key in ("exponent", "coefficient", "pinned_coefficient", "residual"):
+        assert level["fit"][key] == pytest.approx(fit[key], rel=1e-12)
+
+
+def test_spectrum_certificate_failure_falls_back_to_dense(tmp_path, monkeypatch):
+    certificate = cli.tail_certificate
+
+    def failing(*args):
+        head_sup, _ = certificate(*args)
+        return head_sup, 2.0 * head_sup
+
+    monkeypatch.setattr(cli, "tail_certificate", failing)
+    cfg = small_spectrum_config()
+    report = run(cfg, out_dir=tmp_path)
+    solve = report.runtime["svd"]
+    assert solve["solver"] == "dense" and solve["count"] == 144
+    assert solve["tail_bound"] == 2.0 * solve["head_sup"]
+    mu = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.array_equal(mu, _dense_spectrum(cfg))
+    assert report.results["level0"]["weak_quasinorm"] == weak_quasinorm(mu, 2.0)
 
 
 def test_spectrum_constant_symbol_all_zero(tmp_path):

@@ -63,6 +63,15 @@ def test_grid_validation():
         make_grid([(1.0, 1.0)], 4)
     with pytest.raises(ValueError):
         make_grid([(0.0, 1.0)], 2**15)
+    # counts are not truncated: a non-integral or boolean entry is rejected
+    bounds = [(0.0, 1.0), (0.5, 1.5)]
+    for points in ((48.7, 48), 48.7, (True, 48), True, ("48", 48)):
+        with pytest.raises(ValueError, match="integers"):
+            make_grid(bounds, points)
+    assert make_grid(bounds, (48.0, 48)).points_per_dim == (48, 48)
+    assert make_grid(bounds, 48.0).points_per_dim == (48, 48)
+    with pytest.raises(cli.ConfigError, match="integers"):
+        cli.parse_config({}).grid((48.7, 48))
 
 
 def test_assemble_zero_kernel():

@@ -133,3 +133,23 @@ def test_symbol_gradients_match_finite_differences():
             e[i] = h
             fd = (f(pts + e) - f(pts - e)) / (2 * h)
             assert np.allclose(grad[:, i], fd, atol=1e-6)
+
+
+def test_symbol_support_boxes_bound_the_leak():
+    # outside its support box every symbol stays below 1e-4 of its peak; the
+    # coordinate window peaks one width off center, so its box is wider along
+    # its own axis than the Gaussian's
+    t = np.linspace(-1.0, 1.0, 801)
+    pts = np.stack(np.meshgrid(0.5 + t, 1.0 + t, indexing="ij"), axis=-1)
+    for f in (
+        gaussian_bump([0.5, 1.0], 0.1),
+        cosine_bump([0.5, 1.0], [0.3, 0.2]),
+        coordinate_window(0, [0.5, 1.0], 0.1),
+        coordinate_window(1, [0.5, 1.0], 0.1),
+    ):
+        vals = np.abs(f(pts))
+        outside = np.zeros(vals.shape, dtype=bool)
+        for i, (lo, hi) in enumerate(f.support):
+            outside |= (pts[..., i] < lo) | (pts[..., i] > hi)
+        assert outside.any()
+        assert vals[outside].max() <= 1e-4 * vals.max()

@@ -11,6 +11,7 @@ from besselriesz.spectra import (
     GRAM_BOUND_MAX,
     default_window,
     singular_values,
+    tail_certificate,
     weak_quasinorm,
     weyl_fit,
 )
@@ -103,6 +104,48 @@ def test_weak_quasinorm_dominates_top_value():
     # equality iff the sup is attained at k = 0
     s = np.array([1.0, 1e-6, 1e-9])
     assert weak_quasinorm(s, 2.0) == s[0]
+
+
+def _tail_bound_by_loop(head, frobenius_sq, N, p, error_bound):
+    # the certificate's bound, one k at a time
+    tail = frobenius_sq - sum(mu * mu for mu in head)
+    tail += (error_bound + N * np.finfo(float).eps) * frobenius_sq
+    r = len(head)
+    return max((k + 1) ** (1 / p) * min(head[-1], np.sqrt(tail / (k - r + 1)))
+               for k in range(r, N))
+
+
+def test_tail_certificate_power_law_head():
+    # a power law steeper than the weak-L2 rate: the sup sits at index 0 and
+    # the Frobenius tail of the unsolved values cannot reach it
+    s = (np.arange(2000) + 1.0) ** -0.75
+    frobenius_sq = float(np.sum(s**2))
+    head_sup, tail_bound = tail_certificate(s[:200], frobenius_sq, 2000, 2.0)
+    assert tail_bound <= head_sup
+    assert head_sup == weak_quasinorm(s, 2.0) == 1.0
+    assert tail_bound == pytest.approx(
+        _tail_bound_by_loop(s[:200], frobenius_sq, 2000, 2.0, 0.0), rel=1e-12)
+    # the error bound of the head's squares raises the tail mass
+    loose = tail_certificate(s[:200], frobenius_sq, 2000, 2.0, error_bound=1e-3)[1]
+    assert loose == pytest.approx(
+        _tail_bound_by_loop(s[:200], frobenius_sq, 2000, 2.0, 1e-3), rel=1e-12)
+    assert loose > tail_bound
+
+
+def test_tail_certificate_rejects_flat_spectrum():
+    # the identity's weighted sequence (k+1)^(1/2) peaks at the last index
+    head = singular_values(np.eye(40), 10)
+    head_sup, tail_bound = tail_certificate(head, 40.0, 40, 2.0)
+    assert head_sup == pytest.approx(np.sqrt(10.0), rel=1e-14)
+    assert not tail_bound <= head_sup
+    assert tail_bound >= weak_quasinorm(np.ones(40), 2.0)
+
+
+def test_tail_certificate_zero_matrix():
+    head = singular_values(np.zeros((40, 40)), 10)
+    assert tail_certificate(head, 0.0, 40, 2.0) == (0.0, 0.0)
+    # a head that is the whole sequence leaves no tail
+    assert tail_certificate(np.ones(4), 4.0, 4, 2.0) == (2.0, 0.0)
 
 
 def test_weyl_fit_exact_power_law():
