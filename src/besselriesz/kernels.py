@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gamma as _gamma
 from scipy.special import ive, k0
 
 from .auxfn import AuxIndex, F, FTable, f_zero
@@ -122,12 +123,27 @@ def heat_kernel(p: ModelParams, s: float, x, y) -> float:
     if expo > 700.0:
         return 0.0
     beta = float(x[-1] * y[-1]) / (2.0 * s * s)
-    integral = gegenbauer_integral(
-        lambda t: np.exp(-beta * t),
-        p.lam,
-        peak_scale=min(1.0, 1.0 / max(beta, 1e-300)),
-    )
-    return c.kappa_lambda * s ** (-2.0 * p.lam - 1.0 - p.n) * np.exp(-expo) * integral
+    angular = _angular(p.lam, beta)
+    return c.kappa_lambda * s ** (-2.0 * p.lam - 1.0 - p.n) * np.exp(-expo) * angular
+
+
+def _angular(lam: float, beta: float) -> float:
+    """Integral of exp(-beta t) (2t - t^2)^(lam - 1) over t in (0, 2).
+
+    The modified-Bessel form sqrt(pi) Gamma(lam) (beta/2)^(-nu) e^(-beta)
+    I_nu(beta) with nu = lam - 1/2; below beta = 1e-4 the ascending series of
+    (beta/2)^(-nu) I_nu(beta) replaces the two factors, whose product would
+    reach inf * 0 as beta -> 0.
+    """
+    nu = lam - 0.5
+    if beta < 1e-4:
+        q = 0.25 * beta * beta
+        scaled = np.exp(-beta) * (
+            1.0 / _gamma(nu + 1.0) + q / _gamma(nu + 2.0) + 0.5 * q * q / _gamma(nu + 3.0)
+        )
+    else:
+        scaled = (0.5 * beta) ** (-nu) * ive(nu, beta)
+    return np.sqrt(np.pi) * _gamma(lam) * scaled
 
 
 def invsqrt_kernel_closed(p: ModelParams, x, y) -> float:

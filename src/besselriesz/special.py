@@ -8,6 +8,7 @@ constant, its gradient multiple, and the classical Riesz normalization).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,9 +92,16 @@ def phi_lambda(lam, xi):
 
 
 def psi_lambda(lam, t):
-    """t^(1/2) * J_(lam-1/2)(t) = t^lam * phi_lambda(t); bounded on (0, inf)."""
+    """t^(1/2) * J_(lam-1/2)(t) = t^lam * phi_lambda(t); bounded on (0, inf).
+
+    A float ``t`` (what ``quad`` passes) takes a scalar path with the same
+    value as the array path; below 1e-4 it goes through the array code, whose
+    ``**`` may differ from libm ``pow`` in the last bit.
+    """
     if not lam > 0:
         raise ValueError("psi_lambda requires lam > 0")
+    if isinstance(t, float) and t >= 1e-4:
+        return float(math.sqrt(t) * _jv(lam - 0.5, t))
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
@@ -135,8 +143,9 @@ def riesz_constant(n: int) -> float:
     return float(_gamma((n + 2) / 2) / np.pi ** ((n + 2) / 2))
 
 
+@lru_cache(maxsize=64)
 def model_constants(p: ModelParams) -> ModelConstants:
-    """All model constants for the given (n, lam).
+    """All model constants for the given (n, lam), memoised per parameter set.
 
     kappa_lambda normalizes the heat kernel so the semigroup preserves
     constants; kappa1 is the resulting constant of the inverse-square-root

@@ -22,7 +22,8 @@ def singular_values(A, count: int | None = None, record: dict | None = None) -> 
     ``GRAM_BOUND_MAX`` (or mu_{count-1} is 0) the dense SVD runs instead and
     its head is returned.  With ``record`` the solver that ran (``"gram"``
     or ``"dense"``), ``count`` and the Gram bound (None when the Gram route
-    was not tried) are written into it.
+    was not tried, or mu_{count-1} is 0 and it has no bound) are written
+    into it.
     """
     entries = A.entries if isinstance(A, OperatorMatrix) else np.asarray(A, dtype=float)
     N = min(entries.shape)
@@ -41,8 +42,8 @@ def singular_values(A, count: int | None = None, record: dict | None = None) -> 
             gram, subset_by_index=[cols - count, cols - 1],
             eigvals_only=True, overwrite_a=True, check_finite=False,
         )[::-1]
-        bound = float(np.finfo(float).eps * lam[0] / lam[-1]) if lam[-1] > 0 else np.inf
-        if bound <= GRAM_BOUND_MAX:
+        bound = float(np.finfo(float).eps * lam[0] / lam[-1]) if lam[-1] > 0 else None
+        if bound is not None and bound <= GRAM_BOUND_MAX:
             solver = "gram"
     if record is not None:
         record.update(solver=solver, count=count, error_bound=bound)

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 from pathlib import Path
@@ -211,6 +212,25 @@ def test_spectrum_constant_symbol_all_zero(tmp_path):
     assert np.all(mus == 0.0)
 
 
+def test_spectrum_constant_symbol_report_is_strict_json(tmp_path):
+    # criterion 9's constant config: the Gram head ends in 0, so the route
+    # has no error bound; report.json must say null, not Infinity
+    cfg = parse_config({
+        "pipeline": "spectrum",
+        "box": {"points_per_dim": [16, 16]},
+        "symbol": {"kind": "constant", "amplitude": 0.7},
+    })
+    run(cfg, out_dir=tmp_path)
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    payload = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+    solve = payload["runtime"]["svd"]
+    assert solve["solver"] == "dense" and solve["error_bound"] is None
+    assert payload["results"]["level0"]["top_singular_value"] == 0.0
+
+
 def test_spectrum_linear_in_symbol(tmp_path):
     cfg1 = small_spectrum_config()
     sym2 = dict(cfg1.symbol_spec, amplitude=2.0)
@@ -362,6 +382,25 @@ def test_benchmark_tracer_counters(tmp_path, monkeypatch):
     run(small_spectrum_config(), out_dir=tmp_path)
     assert tracer.counts["discretize.matrix_bytes_computed"] == 8 * 144**2
     assert tracer.counts["spectra.svd_rows"] == 144
+
+
+@pytest.mark.parametrize("label, pipeline, seed",
+                         [("kernel.s0", "kernel", 0), ("kernel.s5", "kernel", 5),
+                          ("auxfn", "auxfn", 0)])
+def test_pointwise_outputs_match_benchmark_references(tmp_path, label, pipeline, seed):
+    # the benchmark rejects a run whose CSV values leave its recorded
+    # references by more than 1e-10 relative; the rel_* and dec_resid*
+    # columns are route discrepancies near rounding, held on scale 1
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+    want = json.loads(path.read_text())["workloads"]["pointwise"][label]
+    run(parse_config({"pipeline": pipeline}), out_dir=tmp_path, seed=seed)
+    with open(tmp_path / f"{pipeline}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    got = {f"r{i}.{col}": float(v) for i, row in enumerate(rows) for col, v in row.items()}
+    assert set(got) == set(want)
+    for key, ref in want.items():
+        floor = 1.0 if key.split(".")[1].startswith(("rel_", "dec_resid")) else 0.0
+        assert abs(got[key] - ref) <= 1e-10 * max(abs(ref), floor), key
 
 
 def test_verify_pipeline_report_shape(tmp_path, monkeypatch, capsys):

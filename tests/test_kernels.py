@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from scipy.special import gamma as Gamma
-from scipy.special import ive
 
 from besselriesz.kernels import (
     DirectF,
@@ -25,7 +23,7 @@ from besselriesz.kernels import (
     symbol_K,
     taylor_local_check,
 )
-from besselriesz.quadrature import gauss_legendre_box
+from besselriesz.quadrature import gauss_legendre_box, gegenbauer_integral
 from besselriesz.special import ModelParams, model_constants
 from besselriesz.symbols import constant_symbol, gaussian_bump
 
@@ -82,24 +80,42 @@ def test_heat_kernel_symmetry_and_positivity():
         y = np.array([rng.normal(), rng.uniform(0.3, 2)])
         v = heat_kernel(P1, s, x, y)
         assert v > 0
-        assert heat_kernel(P1, s, y, x) == pytest.approx(v, rel=1e-13)
+        assert heat_kernel(P1, s, y, x) == pytest.approx(v, rel=1e-13, abs=0.0)
 
 
-def test_heat_kernel_against_bessel_closed_form():
-    # independent oracle: the angular integral has a modified-Bessel closed form
-    for lam in (0.5, 1.0, 1.7):
+def _heat_kernel_by_quadrature(p, s, x, y):
+    # the angular integral by adaptive Gegenbauer quadrature, graded at 1/beta
+    c = model_constants(p)
+    beta = x[-1] * y[-1] / (2 * s * s)
+    angular = gegenbauer_integral(
+        lambda t: np.exp(-beta * t), p.lam, peak_scale=min(1.0, 1.0 / beta)
+    )
+    expo = np.sum((x - y) ** 2) / (4 * s * s)
+    return c.kappa_lambda * s ** (-2 * p.lam - 1 - p.n) * np.exp(-expo) * angular
+
+
+def test_heat_kernel_against_quadrature():
+    # independent oracle for the modified-Bessel closed form: the angular
+    # integral by quadrature, for beta from 6e3 down to 6e-13
+    x = np.array([0.0, 1.0])
+    y = np.array([0.3, 1.2])
+    # beta = x_last y_last / (2 s^2) just above and below the series branch
+    edge = [np.sqrt(1.2 / (2 * b)) for b in (1.01e-4, 1e-4, 0.99e-4)]
+    for lam in (0.3, 0.5, 1.0, 1.7):
         p = ModelParams(n=1, lam=lam, k=1)
-        c = model_constants(p)
-        for s in (0.4, 1.1):
-            beta = X[-1] * Y[-1] / (2 * s * s)
-            closed = (
-                c.kappa_lambda
-                * s ** (-2 * lam - 2)
-                * np.exp(-np.sum((X - Y) ** 2) / (4 * s * s))
-                * np.sqrt(np.pi) * Gamma(lam) * (beta / 2) ** (0.5 - lam)
-                * ive(lam - 0.5, beta)
-            )
-            assert heat_kernel(p, s, X, Y) == pytest.approx(closed, rel=1e-12)
+        for s in [*np.geomspace(1e-2, 1e6, 17), *edge]:
+            v = heat_kernel(p, s, x, y)
+            assert v > 0
+            want = _heat_kernel_by_quadrature(p, s, x, y)
+            assert v == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_heat_kernel_far_field_zero():
+    # |x - y|^2 / (4 s^2) = 2.5e5 > 700: the kernel is 0, not an underflow
+    for lam in (0.3, 1.7):
+        assert heat_kernel(ModelParams(n=1, lam=lam, k=1), 1e-3, X, Y) == 0.0
+    with pytest.raises(ValueError):
+        heat_kernel(P1, 0.0, X, Y)
 
 
 def test_heat_kernel_mass_conservation():

@@ -61,6 +61,25 @@ def test_psi_phi_relation():
         )
 
 
+def test_psi_lambda_scalar_path_matches_array_path():
+    # a float argument takes the scalar path; its value must be the array
+    # path's to the bit, on both sides of the t < 1e-4 series branch
+    for lam in (0.3, 0.5, 1.0, 1.7):
+        for t in (0.0, 1e-7, 9.9e-5, 1e-4, 0.3, 40.0, 1e4):
+            want = psi_lambda(lam, np.array([t]))[0]
+            for scalar in (t, np.float64(t)):
+                got = psi_lambda(lam, scalar)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        psi_lambda(1.0, -0.5)
+    with pytest.raises(ValueError):
+        psi_lambda(1.0, np.float64(-1e-3))
+    for lam in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            psi_lambda(lam, 0.3)
+
+
 def test_psi_bound_stable_under_grid_refinement():
     for lam in (0.5, 1.0, 1.5, 2.7):
         coarse = psi_bound(lam, grid_points=2000)
