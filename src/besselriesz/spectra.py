@@ -13,24 +13,31 @@ from .discretize import OperatorMatrix
 GRAM_BOUND_MAX = 1e-12  # largest relative error accepted from the Gram route
 
 
-def singular_values(A, count: int | None = None, record: dict | None = None) -> np.ndarray:
-    """Singular values, descending: all of them, or the top ``count``.
+def singular_values(A, count: int | None = None, p: float | None = None,
+                    record: dict | None = None) -> np.ndarray:
+    """Singular values, descending: the certified top ``count``, or all of them.
 
-    The top ``count`` come from the Gram matrix G = A^T A and a subset
-    ``eigh`` of its largest eigenvalues.  Squaring costs relative accuracy
-    of about eps * (mu_0 / mu_{count-1})^2; when that bound exceeds
-    ``GRAM_BOUND_MAX`` (or mu_{count-1} is 0) the dense SVD runs instead and
-    its head is returned.  With ``record`` the solver that ran (``"gram"``
-    or ``"dense"``), ``count`` and the Gram bound (None when the Gram route
-    was not tried, or mu_{count-1} is 0 and it has no bound) are written
-    into it.
+    Without ``count`` every value comes from the dense SVD.  With ``count``
+    the top ``count`` come from the Gram matrix G = A^T A and a subset
+    ``eigh`` of its largest eigenvalues, and that head is returned only when
+    two certificates hold: the Gram bound eps * (mu_0 / mu_{count-1})^2 on
+    the relative error of the squares is at most ``GRAM_BOUND_MAX``, and the
+    head carries the weak-``p`` quasinorm of the whole sequence
+    (``tail_certificate``, with ``p`` the problem's exponent).  Otherwise
+    every value comes from the dense SVD.  With ``record`` the solver that
+    ran (``"gram"`` or ``"dense"``), ``count`` (the number of values
+    returned), the Gram bound and the certificate's ``head_sup`` and
+    ``tail_bound`` are written into it; a key the solve never reached (no
+    Gram route, or mu_{count-1} = 0 and no bound) is None.
     """
     entries = A.entries if isinstance(A, OperatorMatrix) else np.asarray(A, dtype=float)
     N = min(entries.shape)
-    solver, bound = "dense", None
-    if count is None:
-        count = N
-    else:
+    if record is None:
+        record = {}
+    record.update(solver="dense", count=N, error_bound=None, head_sup=None, tail_bound=None)
+    if count is not None:
+        if p is None:
+            raise ValueError("a head of count values needs the exponent p to certify it")
         count = int(count)
         if not 0 < count <= N:
             raise ValueError(f"count {count} outside [1, {N}]")
@@ -42,13 +49,17 @@ def singular_values(A, count: int | None = None, record: dict | None = None) -> 
             gram, subset_by_index=[cols - count, cols - 1],
             eigvals_only=True, overwrite_a=True, check_finite=False,
         )[::-1]
-        bound = float(np.finfo(float).eps * lam[0] / lam[-1]) if lam[-1] > 0 else None
-        if bound is not None and bound <= GRAM_BOUND_MAX:
-            solver = "gram"
-    if record is not None:
-        record.update(solver=solver, count=count, error_bound=bound)
-    if solver == "gram":
-        return np.sqrt(np.clip(lam, 0.0, None))
+        if lam[-1] > 0:
+            bound = float(np.finfo(float).eps * lam[0] / lam[-1])
+            record["error_bound"] = bound
+            if bound <= GRAM_BOUND_MAX:
+                head = np.sqrt(np.clip(lam, 0.0, None))
+                frobenius_sq = float(np.linalg.norm(entries)) ** 2
+                head_sup, tail_bound = tail_certificate(head, frobenius_sq, N, p, bound)
+                record.update(head_sup=head_sup, tail_bound=tail_bound)
+                if tail_bound <= head_sup:
+                    record.update(solver="gram", count=count)
+                    return head
     try:
         s = np.linalg.svd(entries, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -56,7 +67,7 @@ def singular_values(A, count: int | None = None, record: dict | None = None) -> 
             f"SVD failed for a {entries.shape[0]}x{entries.shape[1]} matrix "
             f"(fro={np.linalg.norm(entries):.3e}): {exc}"
         ) from exc
-    return np.sort(s)[::-1][:count]
+    return np.sort(s)[::-1]
 
 
 def weak_quasinorm(s, p: float) -> float:
@@ -120,18 +131,19 @@ def default_window(N: int, lo_exp: float = 0.3, hi_exp: float = 0.7) -> tuple:
     return lo, hi
 
 
-def weyl_fit(s, p: float, window=None) -> WeylFit:
-    """Power-law fit of the singular value tail over an index window.
+def weyl_fit(s, p: float, window) -> WeylFit:
+    """Power-law fit of the singular value tail over the inclusive index
+    ``window`` (lo, hi).
 
     The head of the spectrum carries the symbol's large-scale shape and the
-    tail the discretization cutoff, so the default window is
-    [N^0.3, N^0.7].  Both the free fit and the fit with exponent pinned to
-    -1/p are reported; ratio experiments consume the pinned coefficient.
+    tail the discretization cutoff, so callers take the window from the
+    operator's size, ``default_window(N)`` = [N^0.3, N^0.7], not from the
+    length of a solved head.  Both the free fit and the fit with exponent
+    pinned to -1/p are reported; ratio experiments consume the pinned
+    coefficient.
     """
     s = np.asarray(s, dtype=float)
     N = s.size
-    if window is None:
-        window = default_window(N)
     lo, hi = int(window[0]), int(window[1])
     if not (0 <= lo < hi < N):
         raise ValueError(f"window {window} invalid for a sequence of length {N}")

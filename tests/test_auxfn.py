@@ -41,11 +41,11 @@ def test_f20_zero_limit_matches_beta_closed_form():
             closed = gamma(lam) * gamma(n / 2 + 1) / (2 * gamma(lam + n / 2 + 1))
             errs = [abs(F(IDX20, p, x) - closed) for x in (1e-2, 1e-3, 1e-4)]
             assert errs[0] > errs[1] > errs[2]  # numerical limit approaches it
-            assert f_zero(IDX20, p) == pytest.approx(closed, rel=1e-6)
+            assert f_zero(IDX20, p) == pytest.approx(closed, rel=1e-6, abs=0)
 
 
 def test_f20_zero_is_one_third_for_n1_lam1():
-    assert f_zero(IDX20, P11) == pytest.approx(1.0 / 3.0, rel=1e-9)
+    assert f_zero(IDX20, P11) == pytest.approx(1.0 / 3.0, rel=1e-9, abs=0)
 
 
 def test_f_positive_and_decaying():
@@ -70,7 +70,7 @@ def test_f_against_independent_scipy_quadrature():
                 epsrel=1e-12,
                 points=[0.0, 2.0],
             )
-            assert F(idx, p, x) == pytest.approx(x ** (p.n + idx.k) * ref, rel=1e-9)
+            assert F(idx, p, x) == pytest.approx(x ** (p.n + idx.k) * ref, rel=1e-9, abs=0)
 
 
 def test_g_defining_identity():
@@ -82,7 +82,7 @@ def test_g_defining_identity():
 
 def test_g_of_l1_is_f_over_x():
     x = 0.37
-    assert G(IDX11, P11, x) == pytest.approx(F(IDX11, P11, x) / x, rel=1e-7)
+    assert G(IDX11, P11, x) == pytest.approx(F(IDX11, P11, x) / x, rel=1e-7, abs=0)
 
 
 def test_g_cauchy_near_zero():
@@ -101,7 +101,7 @@ def test_decomposition_matches_direct():
 
 def test_c_tail_oracle():
     ref, _ = quad(lambda s: (s + 1) ** -2.5 * s**0.5, 1.0, np.inf)
-    assert C_tail(P11, 0, 0, 1.0) == pytest.approx(ref, rel=1e-12)
+    assert C_tail(P11, 0, 0, 1.0) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_b_part_finite_at_zero():

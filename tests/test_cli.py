@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from besselriesz import __version__, auxfn, cli, kernels
+from besselriesz import __version__, auxfn, cli, kernels, spectra
 from besselriesz.cli import ConfigError, load_config, parse_config, run
 from besselriesz.spectra import (
     GRAM_BOUND_MAX,
@@ -39,6 +39,9 @@ def test_unknown_keys_rejected():
 
 
 def test_box_validation():
+    with pytest.raises(ConfigError, match=r"box.bounds\[0\]\[1\]"):
+        parse_config({"box": {"bounds": [[0, float("inf")], [0.5, 1.5]]},
+                      "symbol": {"kind": "constant", "amplitude": 1.0}})
     with pytest.raises(ConfigError, match="last interval"):
         parse_config({"box": {"bounds": [[0, 1], [0, 1]], "points_per_dim": [8, 8]}})
     with pytest.raises(ConfigError, match="intervals"):
@@ -72,6 +75,9 @@ def test_box_validation():
         ({"ratio_tolerance": "x"}, "ratio_tolerance"),
         ({"seed": "x"}, "seed"),
         ({"output_dir": 5}, "output_dir"),
+        ({"ratio_tolerance": float("nan")}, "ratio_tolerance"),
+        ({"params": {"lam": float("inf")}}, "params.lam"),
+        ({"params": {"lam": float("-inf")}}, "params.lam"),
     ],
 )
 def test_field_types_validated(data, path):
@@ -131,6 +137,10 @@ def test_load_config_roundtrip(tmp_path):
     path.write_text(json.dumps({"pipeline": "sobolev"}))
     cfg = load_config(path)
     assert cfg.pipeline == "sobolev"
+    # json.load reads the NaN token as a float; the config must refuse it
+    path.write_text('{"ratio_tolerance": NaN}')
+    with pytest.raises(ConfigError, match="ratio_tolerance"):
+        load_config(path)
 
 
 def test_spectrum_pipeline_artifacts(tmp_path):
@@ -177,22 +187,22 @@ def test_spectrum_head_matches_dense_reference(tmp_path, m):
     assert report.runtime["svd"]["solver"] == "gram"
     s = _dense_spectrum(cfg)
     level = report.results["level0"]
-    assert level["weak_quasinorm"] == pytest.approx(weak_quasinorm(s, 2.0), rel=1e-12)
-    assert level["top_singular_value"] == pytest.approx(s[0], rel=1e-12)
+    assert level["weak_quasinorm"] == pytest.approx(weak_quasinorm(s, 2.0), rel=1e-12, abs=0)
+    assert level["top_singular_value"] == pytest.approx(s[0], rel=1e-12, abs=0)
     fit = weyl_fit(s, 2.0, default_window(m * m)).as_dict()
     assert level["fit"]["window"] == fit["window"]
     for key in ("exponent", "coefficient", "pinned_coefficient", "residual"):
-        assert level["fit"][key] == pytest.approx(fit[key], rel=1e-12)
+        assert level["fit"][key] == pytest.approx(fit[key], rel=1e-12, abs=0)
 
 
 def test_spectrum_certificate_failure_falls_back_to_dense(tmp_path, monkeypatch):
-    certificate = cli.tail_certificate
+    certificate = spectra.tail_certificate
 
     def failing(*args):
         head_sup, _ = certificate(*args)
         return head_sup, 2.0 * head_sup
 
-    monkeypatch.setattr(cli, "tail_certificate", failing)
+    monkeypatch.setattr(spectra, "tail_certificate", failing)
     cfg = small_spectrum_config()
     report = run(cfg, out_dir=tmp_path)
     solve = report.runtime["svd"]
@@ -207,9 +217,21 @@ def test_spectrum_constant_symbol_all_zero(tmp_path):
     cfg = small_spectrum_config(symbol={"kind": "constant", "amplitude": 3.0})
     report = run(cfg, out_dir=tmp_path)
     assert report.passed
+    # the Gram head ends in 0, so it has no bound: every value is solved
+    assert report.runtime["svd"] == {"solver": "dense", "count": 144, "error_bound": None,
+                                     "head_sup": None, "tail_bound": None}
     rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
+    assert len(rows) == 144
     mus = np.array([float(r.split(",")[1]) for r in rows])
     assert np.all(mus == 0.0)
+
+
+def _strict_json(path):
+    """The file's JSON, refusing the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def test_spectrum_constant_symbol_report_is_strict_json(tmp_path):
@@ -221,14 +243,19 @@ def test_spectrum_constant_symbol_report_is_strict_json(tmp_path):
         "symbol": {"kind": "constant", "amplitude": 0.7},
     })
     run(cfg, out_dir=tmp_path)
-
-    def reject(token):
-        raise ValueError(f"non-JSON constant {token}")
-
-    payload = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+    payload = _strict_json(tmp_path / "report.json")
     solve = payload["runtime"]["svd"]
     assert solve["solver"] == "dense" and solve["error_bound"] is None
     assert payload["results"]["level0"]["top_singular_value"] == 0.0
+
+
+def test_sobolev_constant_symbol_writes_strict_json(tmp_path):
+    # the plain seminorm of a constant is 0: the ratio is null, not NaN
+    cfg = parse_config({"pipeline": "sobolev", "symbol": {"kind": "constant", "amplitude": 0.7}})
+    run(cfg, out_dir=tmp_path)
+    payload = _strict_json(tmp_path / "sobolev.json")
+    assert payload["seminorm_p"] == 0.0 and payload["ratio"] is None
+    assert _strict_json(tmp_path / "report.json")["results"] == payload
 
 
 def test_spectrum_linear_in_symbol(tmp_path):
@@ -269,8 +296,8 @@ def test_ratio_pipeline_double_symbol(tmp_path):
     }
     report = run(parse_config(data), out_dir=tmp_path)
     level = report.results["level0"]
-    assert level["coefficient_ratio"] == pytest.approx(0.5, rel=1e-12)
-    assert level["seminorm_ratio"] == pytest.approx(0.5, rel=1e-12)
+    assert level["coefficient_ratio"] == pytest.approx(0.5, rel=1e-12, abs=0)
+    assert level["seminorm_ratio"] == pytest.approx(0.5, rel=1e-12, abs=0)
     assert report.passed
     # one F table serves both symbols
     assert set(report.timings) == {"table", "assemble_f", "svd_f", "assemble_g", "svd_g"}
@@ -286,16 +313,18 @@ def test_ratio_pipeline_translated_symbol(tmp_path):
     }
     report = run(parse_config(data), out_dir=tmp_path)
     level = report.results["level0"]
-    assert level["seminorm_ratio"] == pytest.approx(1.0, rel=1e-10)
-    assert level["coefficient_ratio"] == pytest.approx(1.0, rel=0.05)
+    assert level["seminorm_ratio"] == pytest.approx(1.0, rel=1e-10, abs=0)
+    assert level["coefficient_ratio"] == pytest.approx(1.0, rel=0.05, abs=0)
     # the window comes from the node count, not the length of the top-count spectrum
     window = list(default_window(24 * 24))
     assert level["fit_f"]["window"] == level["fit_g"]["window"] == window
+    # both heads are certified to carry the weak quasinorm, as in spectrum
     for tag in ("svd_f", "svd_g"):
         solve = report.runtime[tag]
         assert solve["solver"] == "gram"
         assert solve["count"] == window[1] + 1
         assert solve["error_bound"] <= GRAM_BOUND_MAX
+        assert solve["tail_bound"] <= solve["head_sup"]
 
 
 def test_ratio_rejects_degenerate_seminorm(tmp_path):

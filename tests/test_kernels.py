@@ -35,8 +35,8 @@ Y = np.array([0.0, 2.0])
 
 def test_symbol_examples():
     assert symbol_H(X, X) == 0.0
-    assert symbol_H(X, Y) == pytest.approx(1 / np.sqrt(2), rel=1e-15)
-    assert symbol_a(X, Y) == pytest.approx(1 / np.sqrt(2), rel=1e-15)
+    assert symbol_H(X, Y) == pytest.approx(1 / np.sqrt(2), rel=1e-15, abs=0)
+    assert symbol_a(X, Y) == pytest.approx(1 / np.sqrt(2), rel=1e-15, abs=0)
     assert symbol_b(X, Y) == 1.0
     assert symbol_b(Y, X) == 0.0
 
@@ -49,7 +49,7 @@ def test_unit_direction_identity():
         if np.allclose(x, y):
             continue
         total = sum(symbol_h(m, x, y) ** 2 for m in (1, 2))
-        assert total == pytest.approx(1.0, rel=1e-12)
+        assert total == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 def test_symbols_reject_coincident_points():
@@ -67,7 +67,7 @@ def test_ratio_bound_boundary_pair():
         x2 = (3 + sign * np.sqrt(5)) / 2
         x = np.array([0.3, x2])
         y = np.array([0.3, 1.0])
-        assert symbol_H(x, y) == pytest.approx(1.0, rel=1e-12)
+        assert symbol_H(x, y) == pytest.approx(1.0, rel=1e-12, abs=0)
     rep = ratio_bound_check(10**4, seed=11)
     assert rep.violations == 0
     assert rep.bound_lo <= rep.ratio_min <= rep.ratio_max <= rep.bound_hi
@@ -137,15 +137,15 @@ def test_invsqrt_closed_symmetric_positive():
         p = ModelParams(n=1, lam=lam, k=1)
         v = invsqrt_kernel_closed(p, X, Y)
         assert v > 0
-        assert invsqrt_kernel_closed(p, Y, X) == pytest.approx(v, rel=1e-13)
+        assert invsqrt_kernel_closed(p, Y, X) == pytest.approx(v, rel=1e-13, abs=0)
 
 
 def test_invsqrt_regression_anchor():
     # frozen anchor; for lam = 1 the t-integral is elementary and the value
     # is exactly 1/(6 pi)
     v = invsqrt_kernel_closed(P1, X, Y)
-    assert v == pytest.approx(5.305164769729847e-02, rel=1e-10)
-    assert v == pytest.approx(1.0 / (6 * np.pi), rel=1e-12)
+    assert v == pytest.approx(5.305164769729847e-02, rel=1e-10, abs=0)
+    assert v == pytest.approx(1.0 / (6 * np.pi), rel=1e-12, abs=0)
 
 
 def test_invsqrt_three_way_agreement_spot():
@@ -156,8 +156,8 @@ def test_invsqrt_three_way_agreement_spot():
         a = invsqrt_kernel_closed(p, x, y)
         b = invsqrt_kernel_subordination(p, x, y)
         c = spectral_kernel_inverse_radial(p, x, y)
-        assert b == pytest.approx(a, rel=1e-6)
-        assert c == pytest.approx(a, rel=1e-3)
+        assert b == pytest.approx(a, rel=1e-6, abs=0)
+        assert c == pytest.approx(a, rel=1e-3, abs=0)
 
 
 def test_spectral_kernel_gaussian_profile():
@@ -165,8 +165,8 @@ def test_spectral_kernel_gaussian_profile():
     y = np.array([-0.4, 1.8])
     quadrature = spectral_kernel(P1, lambda r: np.exp(-(r**2)), x, y, rel_tol=1e-8)
     closed = gaussian_profile_kernel(P1, x, y)
-    assert quadrature == pytest.approx(closed, rel=1e-7)
-    assert gaussian_profile_kernel(P1, y, x) == pytest.approx(closed, rel=1e-13)
+    assert quadrature == pytest.approx(closed, rel=1e-7, abs=0)
+    assert gaussian_profile_kernel(P1, y, x) == pytest.approx(closed, rel=1e-13, abs=0)
 
 
 def test_spectral_kernel_diagonal_formula():
@@ -181,7 +181,7 @@ def test_spectral_kernel_diagonal_formula():
         epsabs=1e-14,
     )
     diag = (0.5 / np.pi) * np.sqrt(np.pi) * inner
-    assert gaussian_profile_kernel(P1, xx, xx) == pytest.approx(diag, rel=1e-12)
+    assert gaussian_profile_kernel(P1, xx, xx) == pytest.approx(diag, rel=1e-12, abs=0)
 
 
 def test_spectral_inverse_radial_requires_lateral_separation():
@@ -198,7 +198,7 @@ def test_riesz_kernel_bessel_matches_gradient_of_invsqrt():
         e = np.zeros(2)
         e[k - 1] = h
         fd = (invsqrt_kernel_closed(p, x + e, y) - invsqrt_kernel_closed(p, x - e, y)) / (2 * h)
-        assert riesz_kernel_bessel(p, x, y) == pytest.approx(fd, rel=1e-5)
+        assert riesz_kernel_bessel(p, x, y) == pytest.approx(fd, rel=1e-5, abs=0)
 
 
 def test_riesz_kernel_bessel_lateral_antisymmetry():
@@ -208,7 +208,7 @@ def test_riesz_kernel_bessel_lateral_antisymmetry():
     xs = np.array([0.9, 1.2])
     ys = np.array([0.3, 1.2])
     v = riesz_kernel_bessel(P1, x, y)
-    assert riesz_kernel_bessel(P1, xs, ys) == pytest.approx(-v, rel=1e-10)
+    assert riesz_kernel_bessel(P1, xs, ys) == pytest.approx(-v, rel=1e-10, abs=0)
 
 
 def test_riesz_kernel_bessel_k_le_n_single_term():
@@ -220,7 +220,7 @@ def test_riesz_kernel_bessel_k_le_n_single_term():
     from besselriesz.kernels import IDX20
 
     expected = -c.kappa2 * f_eval(IDX20, symbol_H(x, y)) * symbol_K(1, x, y, P1.lam)
-    assert riesz_kernel_bessel(P1, x, y) == pytest.approx(expected, rel=1e-14)
+    assert riesz_kernel_bessel(P1, x, y) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 def test_classical_riesz_kernel_examples():
@@ -228,7 +228,7 @@ def test_classical_riesz_kernel_examples():
     y = np.array([0.3, 2.0])
     assert riesz_kernel_classical(1, 1, x, y) == 0.0  # x_l == y_l
     v = riesz_kernel_classical(1, 2, x, y)
-    assert riesz_kernel_classical(1, 2, y, x) == pytest.approx(-v, rel=1e-15)
+    assert riesz_kernel_classical(1, 2, y, x) == pytest.approx(-v, rel=1e-15, abs=0)
 
 
 def test_classical_riesz_gaussian_oracle():
@@ -236,7 +236,7 @@ def test_classical_riesz_gaussian_oracle():
     for l in (1, 2):
         point = np.array([0.7, 0.4]) if l == 1 else np.array([0.4, 0.9])
         spatial, mult = riesz_gaussian_check(n=1, l=l, point=point)
-        assert spatial == pytest.approx(mult, rel=5e-3)
+        assert spatial == pytest.approx(mult, rel=5e-3, abs=0)
 
 
 def test_commutator_kernel_basics():
@@ -248,7 +248,7 @@ def test_commutator_kernel_basics():
     assert commutator_kernel(base, const, x, y) == 0.0
     v = commutator_kernel(base, f, x, y)
     double = commutator_kernel(base, lambda pts: 2 * f(pts), x, y)
-    assert double == pytest.approx(2 * v, rel=1e-15)
+    assert double == pytest.approx(2 * v, rel=1e-15, abs=0)
 
 
 def test_commutator_lipschitz_bound():
@@ -295,7 +295,7 @@ def test_taylor_local_expansion():
     f = gaussian_bump([0.15, 1.05], 0.35)
     rep = taylor_local_check(P1, f, center=[0.0, 1.0], direction=[1.0, 0.4])
     assert rep.residual_exponent >= -0.2
-    assert rep.leading_ratio == pytest.approx(rep.expected_ratio, rel=0.05)
+    assert rep.leading_ratio == pytest.approx(rep.expected_ratio, rel=0.05, abs=0)
 
 
 def test_taylor_local_constant_symbol():
@@ -311,4 +311,4 @@ def test_tabulated_f_matches_direct_in_kernels():
     y = np.array([0.7, 0.9])
     a = riesz_kernel_bessel(P2, x, y, tab)
     b = riesz_kernel_bessel(P2, x, y, direct)
-    assert a == pytest.approx(b, rel=1e-8)
+    assert a == pytest.approx(b, rel=1e-8, abs=0)

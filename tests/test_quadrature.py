@@ -18,7 +18,7 @@ def test_gegenbauer_integral_constant(lam):
     # integral of (2t - t^2)^(lam-1) over (0, 2) is 2^(2 lam - 1) B(lam, lam)
     exact = 2.0 ** (2 * lam - 1) * beta_fn(lam, lam)
     val = gegenbauer_integral(lambda t: np.ones_like(t), lam)
-    assert val == pytest.approx(exact, rel=1e-13)
+    assert val == pytest.approx(exact, rel=1e-13, abs=0)
 
 
 def test_gegenbauer_integral_polynomial():
@@ -28,7 +28,7 @@ def test_gegenbauer_integral_polynomial():
         0.0, 2.0, points=[0.0, 2.0], epsabs=1e-14, epsrel=1e-13,
     )
     val = gegenbauer_integral(lambda t: t**3 - 2 * t + 5, lam)
-    assert val == pytest.approx(exact, rel=1e-12)
+    assert val == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_gegenbauer_integral_peaked():
@@ -38,7 +38,7 @@ def test_gegenbauer_integral_peaked():
     lam, eps = 0.6, 1e-8
     exact = 5.037694370628565
     val = gegenbauer_integral(lambda t: (eps + t) ** -0.4, lam, peak_scale=eps)
-    assert val == pytest.approx(exact, rel=1e-12)
+    assert val == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_gegenbauer_fixed_order_smooth_in_parameter():
@@ -70,7 +70,7 @@ def test_panel_nodes_memoized_and_read_only():
 def test_panel_integral_left_weight():
     exact, _ = quad(lambda t: np.cos(t) * t**-0.3, 0.0, 1.0, points=[0.0])
     val = panel_integral(np.cos, np.array([0.0, 0.25, 1.0]), alpha=-0.3)
-    assert val == pytest.approx(exact, rel=1e-12)
+    assert val == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_panel_integral_right_weight():
@@ -79,14 +79,14 @@ def test_panel_integral_right_weight():
 
     exact = np.exp(2.0) * np.sqrt(np.pi) * gammainc(0.5, 1.5)
     val = panel_integral(np.exp, (0.5, 2.0), beta=-0.5)
-    assert val == pytest.approx(exact, rel=1e-12)
+    assert val == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_panel_integral_unweighted_panels():
     breaks = geometric_breaks(1e-4, 1.0)[1:]
     exact, _ = quad(lambda s: 1.0 / (s + s * s), breaks[0], 1.0, epsrel=1e-13)
     val = panel_integral(lambda s: 1.0 / (s + s * s), breaks)
-    assert val == pytest.approx(exact, rel=1e-11)
+    assert val == pytest.approx(exact, rel=1e-11, abs=0)
 
 
 @pytest.mark.parametrize("breaks", [(0.5, 1.0, 2.0, 3.0), (0.5, 3.0)])
@@ -98,7 +98,7 @@ def test_panel_integral_both_endpoint_weights(breaks, fixed_order):
     val = panel_integral(
         np.ones_like, breaks, alpha=-0.3, beta=0.4, fixed_order=fixed_order
     )
-    assert val == pytest.approx(exact, rel=1e-12)
+    assert val == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_geometric_breaks_structure():
@@ -111,5 +111,5 @@ def test_gauss_legendre_box_polynomial_exactness():
     rule = gauss_legendre_box([(0.0, 2.0), (-1.0, 3.0)], 8)
     val = float(np.dot(rule.weights, rule.nodes[:, 0] ** 3 * rule.nodes[:, 1] ** 2))
     exact = (2.0**4 / 4.0) * ((3.0**3 + 1.0) / 3.0)
-    assert val == pytest.approx(exact, rel=1e-14)
-    assert rule.weights.sum() == pytest.approx(8.0, rel=1e-14)
+    assert val == pytest.approx(exact, rel=1e-14, abs=0)
+    assert rule.weights.sum() == pytest.approx(8.0, rel=1e-14, abs=0)

@@ -53,7 +53,7 @@ def test_seminorms_vanish_on_constants():
 
 def test_sobolev_coordinate_function():
     f = coordinate_symbol(0, 2)
-    assert sobolev_seminorm(f, 2.0, UNIT_BOX) == pytest.approx(1.0, rel=1e-12)
+    assert sobolev_seminorm(f, 2.0, UNIT_BOX) == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 def test_directional_coordinate_oracle():
@@ -62,7 +62,7 @@ def test_directional_coordinate_oracle():
     f = coordinate_symbol(0, 2)
     rule = sphere_rule(1, 128)
     val = directional_seminorm(f, 1, 2.0, UNIT_BOX, rule)
-    assert val == pytest.approx(np.sqrt(3 * np.pi / 4), rel=1e-12)
+    assert val == pytest.approx(np.sqrt(3 * np.pi / 4), rel=1e-12, abs=0)
 
 
 def test_seminorm_homogeneity():
@@ -71,10 +71,10 @@ def test_seminorm_homogeneity():
     for c in (-3.0, 0.5):
         g = scale_symbol(f, c)
         assert sobolev_seminorm(g, 2.0, UNIT_BOX) == pytest.approx(
-            abs(c) * sobolev_seminorm(f, 2.0, UNIT_BOX), rel=1e-12
+            abs(c) * sobolev_seminorm(f, 2.0, UNIT_BOX), rel=1e-12, abs=0
         )
         assert directional_seminorm(g, 1, 2.0, UNIT_BOX, rule) == pytest.approx(
-            abs(c) * directional_seminorm(f, 1, 2.0, UNIT_BOX, rule), rel=1e-12
+            abs(c) * directional_seminorm(f, 1, 2.0, UNIT_BOX, rule), rel=1e-12, abs=0
         )
 
 
@@ -114,8 +114,8 @@ def test_equivalence_probe_bumps():
         ratios[m] = (min(rs), max(rs))
     for m, (lo, hi) in ratios.items():
         assert 0.1 < lo <= hi < 10.0
-    assert ratios[32][0] == pytest.approx(ratios[64][0], rel=5e-3)
-    assert ratios[32][1] == pytest.approx(ratios[64][1], rel=5e-3)
+    assert ratios[32][0] == pytest.approx(ratios[64][0], rel=5e-3, abs=0)
+    assert ratios[32][1] == pytest.approx(ratios[64][1], rel=5e-3, abs=0)
 
 
 def test_symbol_gradients_match_finite_differences():

@@ -23,7 +23,7 @@ def test_bessel_series_values_at_origin():
 
 def test_bessel_half_integer_closed_form():
     x = np.pi / 2
-    assert bessel_j(0.5, x) == pytest.approx(2.0 / np.pi, rel=1e-12)
+    assert bessel_j(0.5, x) == pytest.approx(2.0 / np.pi, rel=1e-12, abs=0)
 
 
 def test_bessel_rejects_negative_argument():
@@ -36,13 +36,13 @@ def test_bessel_rejects_negative_argument():
 def test_phi_lambda_half_reduces_to_j0():
     x = np.linspace(0.1, 20, 40)
     assert np.allclose(phi_lambda(0.5, x), bessel_j(0.0, x), rtol=1e-13)
-    assert phi_lambda(0.5, 0.0) == pytest.approx(1.0, rel=1e-13)
+    assert phi_lambda(0.5, 0.0) == pytest.approx(1.0, rel=1e-13, abs=0)
 
 
 def test_phi_lambda_one_closed_form():
     x = np.linspace(0.05, 30, 57)
     assert np.allclose(phi_lambda(1.0, x), np.sqrt(2 / np.pi) * np.sin(x) / x, rtol=1e-12)
-    assert phi_lambda(1.0, 0.0) == pytest.approx(np.sqrt(2 / np.pi), rel=1e-13)
+    assert phi_lambda(1.0, 0.0) == pytest.approx(np.sqrt(2 / np.pi), rel=1e-13, abs=0)
 
 
 def test_psi_lambda_examples():
@@ -90,15 +90,15 @@ def test_psi_bound_stable_under_grid_refinement():
 def test_gen_binomial_examples():
     assert gen_binomial(3.7, 0) == 1.0
     lam = 1.8
-    assert gen_binomial(lam - 1.0, 1) == pytest.approx(lam - 1.0, rel=1e-15)
-    assert gen_binomial(-2.5, 2) == pytest.approx(4.375, rel=1e-15)
+    assert gen_binomial(lam - 1.0, 1) == pytest.approx(lam - 1.0, rel=1e-15, abs=0)
+    assert gen_binomial(-2.5, 2) == pytest.approx(4.375, rel=1e-15, abs=0)
 
 
 @given(m=st.integers(min_value=0, max_value=25), k=st.integers(min_value=0, max_value=25))
 @settings(max_examples=100, deadline=None)
 def test_gen_binomial_matches_integer_binomial(m, k):
     if m >= k:
-        assert gen_binomial(float(m), k) == pytest.approx(integer_binom(m, k), rel=1e-12)
+        assert gen_binomial(float(m), k) == pytest.approx(integer_binom(m, k), rel=1e-12, abs=0)
 
 
 def test_model_params_validation():
@@ -115,8 +115,8 @@ def test_constant_relations_exact():
         for lam in (0.5, 1.0, 1.5, 2.7):
             c = model_constants(ModelParams(n=n, lam=lam, k=1))
             assert c.kappa2 == (2.0 * lam + n) * c.kappa1  # same expression
-            assert c.kappa2 / c.kappa1 == pytest.approx(2 * lam + n, rel=1e-15)
-            assert c.kappa3 * c.omega_n == pytest.approx(c.kappa2, rel=1e-15)
+            assert c.kappa2 / c.kappa1 == pytest.approx(2 * lam + n, rel=1e-15, abs=0)
+            assert c.kappa3 * c.omega_n == pytest.approx(c.kappa2, rel=1e-15, abs=0)
             for v in (c.kappa_lambda, c.kappa1, c.kappa2, c.kappa3, c.omega_n):
                 assert v > 0
 
@@ -125,11 +125,11 @@ def test_constant_values_n1():
     # mass-normalized family; the heat-kernel and three-way representation
     # tests in test_kernels pin these absolutely
     c = model_constants(ModelParams(n=1, lam=0.5, k=1))
-    assert c.kappa_lambda == pytest.approx(1 / (4 * np.pi**1.5), rel=1e-14)
-    assert c.kappa1 == pytest.approx(np.pi**-2, rel=1e-14)
-    assert c.kappa2 == pytest.approx(2 * np.pi**-2, rel=1e-14)
-    assert c.omega_n == pytest.approx(1 / (2 * np.pi), rel=1e-14)
+    assert c.kappa_lambda == pytest.approx(1 / (4 * np.pi**1.5), rel=1e-14, abs=0)
+    assert c.kappa1 == pytest.approx(np.pi**-2, rel=1e-14, abs=0)
+    assert c.kappa2 == pytest.approx(2 * np.pi**-2, rel=1e-14, abs=0)
+    assert c.omega_n == pytest.approx(1 / (2 * np.pi), rel=1e-14, abs=0)
 
 
 def test_riesz_constant_dimension_two():
-    assert riesz_constant(1) == pytest.approx(1 / (2 * np.pi), rel=1e-14)
+    assert riesz_constant(1) == pytest.approx(1 / (2 * np.pi), rel=1e-14, abs=0)

@@ -19,15 +19,19 @@ from besselriesz.symbols import Symbol, gaussian_bump
 
 
 def test_singular_values_diagonal():
-    s = singular_values(np.diag([3.0, 1.0, 2.0]))
+    record = {}
+    s = singular_values(np.diag([3.0, 1.0, 2.0]), record=record)
     assert np.allclose(s, [3.0, 2.0, 1.0])
+    # no count: the dense SVD of every value, no Gram bound, no certificate
+    assert record == {"solver": "dense", "count": 3, "error_bound": None,
+                      "head_sup": None, "tail_bound": None}
 
 
 def test_singular_values_rank_one():
     u = np.array([1.0, 2.0, -1.0])
     v = np.array([0.5, 0.0, 2.0])
     s = singular_values(np.outer(u, v))
-    assert s[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-13)
+    assert s[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-13, abs=0)
     assert np.all(s[1:] <= 1e-14 * s[0])
 
 
@@ -41,21 +45,35 @@ def test_top_count_matches_dense_head(m):
     for sym in (cfg.symbol, cfg.symbol2):
         A = cli.commutator(cfg.params, sym, grid, ftab)
         record = {}
-        top = singular_values(A, count, record)
+        top = singular_values(A, count, 2.0, record)
         assert record["solver"] == "gram"
         assert record["count"] == count
         assert record["error_bound"] <= GRAM_BOUND_MAX
+        assert record["tail_bound"] <= record["head_sup"]
         np.testing.assert_allclose(top, singular_values(A)[:count], rtol=1e-12, atol=0)
 
 
 def test_top_count_falls_back_to_dense():
-    # a range of 1e-8 squares to 1e-16: the Gram bound trips
+    # a range of 1e-8 squares to 1e-16: the Gram bound trips, the certificate
+    # is never reached, and every value comes from the dense SVD
     D = np.diag(np.logspace(0, -8, 40))
     record = {}
-    top = singular_values(D, 40, record)
-    assert record["solver"] == "dense"
+    s = singular_values(D, 20, 2.0, record)
+    assert record["solver"] == "dense" and record["count"] == 40
     assert record["error_bound"] > GRAM_BOUND_MAX
-    assert np.array_equal(top, singular_values(D)[:40])
+    assert record["head_sup"] is None and record["tail_bound"] is None
+    assert np.array_equal(s, singular_values(D))
+
+
+def test_top_count_certificate_failure_falls_back_to_dense():
+    # the identity's weighted sequence peaks at its last index: a head of 10
+    # passes the Gram bound but cannot carry the weak-L2 quasinorm
+    record = {}
+    s = singular_values(np.eye(40), 10, 2.0, record)
+    assert record["solver"] == "dense" and record["count"] == 40
+    assert record["error_bound"] <= GRAM_BOUND_MAX
+    assert not record["tail_bound"] <= record["head_sup"]
+    assert np.array_equal(s, np.ones(40))
 
 
 def test_top_count_gram_overwritten_in_place(monkeypatch):
@@ -68,9 +86,12 @@ def test_top_count_gram_overwritten_in_place(monkeypatch):
         return eigh(a, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigh", spy)
-    A = np.random.default_rng(3).normal(size=(30, 30))
+    # a rotated power law steeper than the weak-L2 rate, so the head certifies
+    rng = np.random.default_rng(3)
+    U, V = (np.linalg.qr(rng.normal(size=(30, 30)))[0] for _ in range(2))
+    A = U @ np.diag((np.arange(30) + 1.0) ** -0.75) @ V.T
     record = {}
-    singular_values(A, 5, record)
+    singular_values(A, 5, 2.0, record)
     assert record["solver"] == "gram"
     assert orders == [True]
 
@@ -78,13 +99,16 @@ def test_top_count_gram_overwritten_in_place(monkeypatch):
 def test_top_count_validation():
     A = np.eye(5)
     for count in (0, -1, 6):
-        with pytest.raises(ValueError, match="count"):
-            singular_values(A, count)
+        with pytest.raises(ValueError, match="outside"):
+            singular_values(A, count, 2.0)
+    # a head is only returned certified, and the certificate needs p
+    with pytest.raises(ValueError, match="exponent p"):
+        singular_values(A, 3)
 
 
 def test_weak_quasinorm_examples():
     k = np.arange(50)
-    assert weak_quasinorm((k + 1.0) ** -0.5, 2.0) == pytest.approx(1.0, rel=1e-14)
+    assert weak_quasinorm((k + 1.0) ** -0.5, 2.0) == pytest.approx(1.0, rel=1e-14, abs=0)
     assert weak_quasinorm([5.0], 3.0) == 5.0
 
 
@@ -92,7 +116,7 @@ def test_weak_quasinorm_examples():
 @settings(max_examples=50, deadline=None)
 def test_weak_quasinorm_homogeneous(c, p):
     s = np.sort(np.random.default_rng(0).uniform(0, 1, 30))[::-1]
-    assert weak_quasinorm(c * s, p) == pytest.approx(c * weak_quasinorm(s, p), rel=1e-12)
+    assert weak_quasinorm(c * s, p) == pytest.approx(c * weak_quasinorm(s, p), rel=1e-12, abs=0)
 
 
 def test_weak_quasinorm_dominates_top_value():
@@ -124,26 +148,25 @@ def test_tail_certificate_power_law_head():
     assert tail_bound <= head_sup
     assert head_sup == weak_quasinorm(s, 2.0) == 1.0
     assert tail_bound == pytest.approx(
-        _tail_bound_by_loop(s[:200], frobenius_sq, 2000, 2.0, 0.0), rel=1e-12)
+        _tail_bound_by_loop(s[:200], frobenius_sq, 2000, 2.0, 0.0), rel=1e-12, abs=0)
     # the error bound of the head's squares raises the tail mass
     loose = tail_certificate(s[:200], frobenius_sq, 2000, 2.0, error_bound=1e-3)[1]
     assert loose == pytest.approx(
-        _tail_bound_by_loop(s[:200], frobenius_sq, 2000, 2.0, 1e-3), rel=1e-12)
+        _tail_bound_by_loop(s[:200], frobenius_sq, 2000, 2.0, 1e-3), rel=1e-12, abs=0)
     assert loose > tail_bound
 
 
 def test_tail_certificate_rejects_flat_spectrum():
     # the identity's weighted sequence (k+1)^(1/2) peaks at the last index
-    head = singular_values(np.eye(40), 10)
+    head = np.ones(10)
     head_sup, tail_bound = tail_certificate(head, 40.0, 40, 2.0)
-    assert head_sup == pytest.approx(np.sqrt(10.0), rel=1e-14)
+    assert head_sup == pytest.approx(np.sqrt(10.0), rel=1e-14, abs=0)
     assert not tail_bound <= head_sup
     assert tail_bound >= weak_quasinorm(np.ones(40), 2.0)
 
 
 def test_tail_certificate_zero_matrix():
-    head = singular_values(np.zeros((40, 40)), 10)
-    assert tail_certificate(head, 0.0, 40, 2.0) == (0.0, 0.0)
+    assert tail_certificate(np.zeros(10), 0.0, 40, 2.0) == (0.0, 0.0)
     # a head that is the whole sequence leaves no tail
     assert tail_certificate(np.ones(4), 4.0, 4, 2.0) == (2.0, 0.0)
 
@@ -151,10 +174,10 @@ def test_tail_certificate_zero_matrix():
 def test_weyl_fit_exact_power_law():
     k = np.arange(300, dtype=float)
     s = 2.0 * (k + 1.0) ** -0.5
-    fit = weyl_fit(s, 2.0)
+    fit = weyl_fit(s, 2.0, default_window(s.size))
     assert fit.exponent == pytest.approx(-0.5, abs=1e-12)
-    assert fit.coefficient == pytest.approx(2.0, rel=1e-12)
-    assert fit.pinned_coefficient == pytest.approx(2.0, rel=1e-12)
+    assert fit.coefficient == pytest.approx(2.0, rel=1e-12, abs=0)
+    assert fit.pinned_coefficient == pytest.approx(2.0, rel=1e-12, abs=0)
     assert fit.residual <= 1e-13
 
 
@@ -164,7 +187,7 @@ def test_weyl_fit_noisy_power_law_recovery():
     delta = 0.02
     s = 1.7 * (k + 1.0) ** -0.5 * (1.0 + rng.uniform(-delta, delta, k.size))
     s = np.sort(s)[::-1]
-    fit = weyl_fit(s, 2.0)
+    fit = weyl_fit(s, 2.0, default_window(s.size))
     assert abs(fit.coefficient - 1.7) <= 5 * delta * 1.7
     assert abs(fit.exponent + 0.5) <= delta
 
