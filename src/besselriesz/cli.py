@@ -92,15 +92,18 @@ def _typed(value, kind, path: str):
     lists, Python callers may pass tuples.  An int may be given as an integral
     float (48.0), a float as an int; a boolean is not a number, and NaN and
     +-inf (which ``json.load`` reads from the ``NaN`` and ``Infinity``
-    tokens) are not numbers either.  Anything else raises ConfigError naming
-    ``path``."""
+    tokens) are not numbers either, nor is an int past float range.  Anything
+    else raises ConfigError naming ``path``."""
     if isinstance(kind, list):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path} must be an array, got {value!r}")
         return tuple(_typed(v, kind[0], f"{path}[{i}]") for i, v in enumerate(value))
     if kind in (int, float):
         ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        ok = ok and (float(value).is_integer() if kind is int else math.isfinite(value))
+        try:
+            ok = ok and (float(value).is_integer() if kind is int else math.isfinite(value))
+        except OverflowError:  # an int past float range; its repr may be too long to print
+            raise ConfigError(f"{path} must be {_KIND_NAMES[kind]} within float range") from None
     else:
         ok = isinstance(value, kind)
     if not ok:
@@ -208,7 +211,18 @@ def parse_config(data: dict) -> ExperimentConfig:
     _validate_symbol_support(grid, cfg.symbol_spec, "symbol")
     if pipeline == "ratio":
         _validate_symbol_support(grid, cfg.symbol2_spec, "symbol2")
+    elif cfg.symbol2_spec is not None:
+        # unused here, but echoed into report.json, which takes finite numbers only
+        _type_symbol_fields(cfg.symbol2_spec, "symbol2")
     return cfg
+
+
+def _type_symbol_fields(spec: dict, name: str) -> None:
+    """The symbol's numeric fields are finite numbers (arrays of them)."""
+    for key in ("center", "width", "amplitude"):
+        if key in spec:
+            kind = [float] if isinstance(spec[key], (list, tuple)) else float
+            _typed(spec[key], kind, f"{name}.{key}")
 
 
 def _validate_symbol_support(grid: BoxGrid, spec: dict | None, name: str) -> None:
@@ -216,10 +230,7 @@ def _validate_symbol_support(grid: BoxGrid, spec: dict | None, name: str) -> Non
     clear the grid box by two cells."""
     if spec is None:
         raise ConfigError(f"{name} missing")
-    for key in ("center", "width", "amplitude"):
-        if key in spec:
-            kind = [float] if isinstance(spec[key], (list, tuple)) else float
-            _typed(spec[key], kind, f"{name}.{key}")
+    _type_symbol_fields(spec, name)
     try:
         sym = build_symbol(spec)
     except (KeyError, TypeError, ValueError) as exc:
@@ -394,7 +405,10 @@ def run_spectrum(cfg: ExperimentConfig, out: Path, refine: int = 0) -> RunReport
                 fh.write("\n")
         results[f"level{i}"] = level
         if cfg.save_matrix and i == 0:
+            # after the solve: the dense entries are built here, once the
+            # Gram array is gone
             save_matrix(A, out / "matrix.bin")
+        del A  # a saved level's dense entries go before the next level's solve
     if refine > 0:
         qs = [results[f"level{i}"]["weak_quasinorm"] for i in range(refine + 1)]
         results["quasinorm_drift"] = [

@@ -12,7 +12,7 @@ import csv
 import itertools
 import numbers
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,16 +80,60 @@ def make_grid(bounds, points_per_dim, halfspace: bool = False) -> BoxGrid:
     return BoxGrid(bounds=bounds, points_per_dim=points_per_dim, nodes=nodes, cell_weights=weights)
 
 
-@dataclass
 class OperatorMatrix:
-    entries: np.ndarray
-    grid: BoxGrid
-    measure_exponent: float  # 2*lam: the measure is x_last^(2 lam) dx
-    diagonal_bias: float = 0.0
+    """An N x N Nystrom matrix on ``grid``, held as its dense ``entries`` or
+    as a row producer ``rows``: ``rows(lo, out)`` writes the matrix's rows
+    lo, lo + 1, ... into the C-ordered ``out``, with ``lo`` and ``len(out)``
+    multiples of the grid's vertical count m_v.  A produced matrix builds
+    ``entries`` when they are first read and keeps them; ``row_blocks``
+    hands out its rows without building them."""
 
-    def __post_init__(self):
-        if self.entries.shape != (len(self.grid.nodes),) * 2:
+    def __init__(self, grid: BoxGrid, measure_exponent: float, diagonal_bias: float = 0.0,
+                 entries: np.ndarray | None = None, rows=None):
+        if (entries is None) == (rows is None):
+            raise ValueError("an operator matrix needs its entries or a row producer")
+        N = len(grid.nodes)
+        if entries is not None and entries.shape != (N, N):
             raise ValueError("entries shape does not match the grid")
+        self.grid = grid
+        self.measure_exponent = measure_exponent  # 2*lam: the measure is x_last^(2 lam) dx
+        self.diagonal_bias = diagonal_bias
+        self._entries = entries
+        self._rows = rows
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.grid.nodes),) * 2
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            self._entries = np.empty(self.shape)
+            self._rows(0, self._entries)
+        return self._entries
+
+    def row_blocks(self):
+        """The matrix's rows in order, as C-ordered (rows, N) blocks: the
+        dense entries as one block once they exist, otherwise groups of up to
+        ``_BLOCK_LATERAL_ROWS`` lateral row blocks, and up to an eighth of
+        the rows, filled into one reused buffer, so each block must be read
+        before the next is asked for."""
+        if self._entries is not None:
+            yield self._entries
+            return
+        N = self.shape[0]
+        mv = self.grid.points_per_dim[-1]
+        step = mv * max(1, min(_BLOCK_LATERAL_ROWS, N // mv // 8))
+        buf = np.empty((step, N))
+        for lo in range(0, N, step):
+            block = buf[: min(step, N - lo)]
+            self._rows(lo, block)
+            yield block
+
+
+# lateral row blocks (m_v rows each) per block of ``row_blocks``: bounds the
+# buffer that stands in for the dense matrix
+_BLOCK_LATERAL_ROWS = 8
 
 
 def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
@@ -99,10 +143,15 @@ def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
     is Lebesgue measure.
 
     The kernel must broadcast over point arrays of shape (..., dim).  Diagonal
-    entries are zeroed by default (commutator-type kernels are odd to leading
-    order, so zeroing is unbiased); pass ``zero_diagonal=False`` for kernels
-    that are smooth across the diagonal.  ``diagonal_bias`` reports a crude
-    cell-local scale of the omitted entries.
+    entries, where a singular kernel has no value, are zeroed by default;
+    pass ``zero_diagonal=False`` for kernels that are smooth across the
+    diagonal.  Zeroing is not unbiased: for a commutator the Riesz kernel and
+    f(y) - f(x) are both odd in x - y, so their product is even and the
+    omitted self-cell integral is O(h), not zero.  ``diagonal_bias``
+    measures the size of the omitted entries, and nothing corrects for it:
+    the largest over nodes (at most 1024 of them) of w_i mu_i times the
+    mean |kernel| at the points a quarter of the smallest cell width off the
+    node, both ways along each of the first two axes.
 
     With ``symbol=f`` the result is the commutator matrix
     A_ij = kernel(x_i, x_j) (f(x_j) - f(x_i)) sqrt(w_i mu_i w_j mu_j), and
@@ -110,33 +159,38 @@ def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
     through x' - y'.  On the midpoint grid the kernel matrix is then
     block-Toeplitz in the lateral index, so the kernel is evaluated only on
     its generator, one block of vertical pairs per lateral offset
-    (prod(2 m_l - 1) m_v^2 entries instead of N^2), and the matrix is filled
-    from it one lateral row block at a time.  The diagonal-bias probes
-    evaluate the kernel and the symbol pointwise.
+    (prod(2 m_l - 1) m_v^2 entries instead of N^2).  The matrix keeps that
+    generator and the symbol values and produces its rows from them one
+    lateral row block at a time; the dense entries are built only when read.
+    The diagonal-bias probes evaluate the kernel and the symbol pointwise.
     """
     nodes = grid.nodes
     N = len(nodes)
-    norm = np.sqrt(grid.cell_weights * grid.nodes[:, -1] ** (2.0 * lam))
+    norm = np.sqrt(grid.cell_weights * nodes[:, -1] ** (2.0 * lam))
+    idx = np.arange(N)
+    entries = rows = None
     if symbol is None:
-        out = _assemble_dense(kernel, nodes)
+        entries = _assemble_dense(kernel, nodes)
+        if zero_diagonal:
+            entries[idx, idx] = 0.0
+        if not np.all(np.isfinite(entries)):
+            raise _nonfinite(nodes, *np.argwhere(~np.isfinite(entries))[0])
+        entries *= norm[:, None]
+        entries *= norm[None, :]
         probe = kernel
     else:
-        out = _assemble_toeplitz(kernel, symbol, grid)
+        gen = _toeplitz_generator(kernel, grid)
+        fv = np.asarray(symbol(nodes), dtype=float)
+        if not np.all(np.isfinite(fv)):
+            bad = int(np.argmax(~np.isfinite(fv)))
+            raise FloatingPointError(f"symbol not finite at node {bad}: x={nodes[bad]}")
+        pair = _first_nonfinite_pair(gen, grid, zero_diagonal)
+        if pair is not None:
+            raise _nonfinite(nodes, *pair)
+        rows = _toeplitz_rows(gen, fv, norm, grid, zero_diagonal)
 
         def probe(x, y):
             return kernel(x, y) * (symbol(y) - symbol(x))
-
-    idx = np.arange(N)
-    if zero_diagonal:
-        out[idx, idx] = 0.0
-    if not np.all(np.isfinite(out)):
-        bad = np.argwhere(~np.isfinite(out))[0]
-        raise FloatingPointError(
-            f"kernel evaluation not finite at node pair {tuple(bad.tolist())}: "
-            f"x={nodes[bad[0]]}, y={nodes[bad[1]]}"
-        )
-    out *= norm[:, None]
-    out *= norm[None, :]
 
     bias = 0.0
     if zero_diagonal:
@@ -153,8 +207,13 @@ def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
         vals /= len(probes)
         bias = float(np.max(vals * norm[sample] ** 2))
 
-    return OperatorMatrix(
-        entries=out, grid=grid, measure_exponent=2.0 * lam, diagonal_bias=bias,
+    return OperatorMatrix(grid, 2.0 * lam, bias, entries=entries, rows=rows)
+
+
+def _nonfinite(nodes: np.ndarray, i, j) -> FloatingPointError:
+    i, j = int(i), int(j)
+    return FloatingPointError(
+        f"kernel evaluation not finite at node pair {(i, j)}: x={nodes[i]}, y={nodes[j]}"
     )
 
 
@@ -207,25 +266,55 @@ def _toeplitz_generator(kernel, grid: BoxGrid) -> np.ndarray:
     return gen.reshape(*(2 * m - 1 for m in lateral), mv, mv)
 
 
-def _assemble_toeplitz(kernel, symbol, grid: BoxGrid) -> np.ndarray:
-    """kernel(x_i, x_j) (f(x_j) - f(x_i)) from the lateral Toeplitz generator."""
+def _first_nonfinite_pair(gen: np.ndarray, grid: BoxGrid, zero_diagonal: bool):
+    """The first node pair (i, j), in row-major order, whose generator entry
+    is not finite, or None.  Pair (i, j) with lateral indices I, J and
+    vertical indices a, b reads gen[I - J + m - 1][a, b], and an offset d's
+    first such pair has I = max(d, 0), J = max(-d, 0).  A zeroed diagonal
+    skips the zero offset's diagonal a = b, where a singular kernel has no
+    value; with finite symbol values these are the entries that can fail."""
     *lateral, mv = grid.points_per_dim
-    N = len(grid.nodes)
-    gen = _toeplitz_generator(kernel, grid)
-    fv = np.asarray(symbol(grid.nodes), dtype=float)
-    out = np.empty((N, N))
+    bad = ~np.isfinite(gen)
+    if zero_diagonal:
+        bad[tuple(m - 1 for m in lateral)][np.arange(mv), np.arange(mv)] = False
+    if not bad.any():
+        return None
+    where = np.argwhere(bad)
+    d = where[:, :-2] - (np.array(lateral) - 1)
+    i = np.ravel_multi_index(tuple(np.maximum(d, 0).T), lateral) * mv + where[:, -2]
+    j = np.ravel_multi_index(tuple(np.maximum(-d, 0).T), lateral) * mv + where[:, -1]
+    first = np.lexsort((j, i))[0]
+    return i[first], j[first]
+
+
+def _toeplitz_rows(gen: np.ndarray, fv: np.ndarray, norm: np.ndarray, grid: BoxGrid,
+                   zero_diagonal: bool):
+    """Row producer of kernel(x_i, x_j) (f(x_j) - f(x_i)) norm_i norm_j from
+    the lateral Toeplitz generator: ``rows(lo, out)`` fills ``out`` one
+    lateral row block (m_v rows) at a time."""
+    *lateral, mv = grid.points_per_dim
     flip = (slice(None, None, -1),) * len(lateral)
-    for row in range(N // mv):
-        # lateral column J sits at generator offset I - J + m - 1, which runs
-        # down from I + m - 1 to I as J runs up: a reversed slice per axis
-        I = np.unravel_index(row, lateral)
-        blocks = gen[tuple(slice(i, i + m) for i, m in zip(I, lateral))][flip]
-        rows = slice(row * mv, (row + 1) * mv)
-        dest = out[rows]
-        dest.reshape(mv, *lateral, mv)[...] = np.moveaxis(blocks, -2, 0)
-        with np.errstate(invalid="ignore"):
-            dest *= fv[None, :] - fv[rows, None]
-    return out
+    diag = np.arange(mv)
+
+    def rows(lo: int, out: np.ndarray) -> None:
+        for r in range(len(out) // mv):
+            # lateral column J sits at generator offset I - J + m - 1, which
+            # runs down from I + m - 1 to I as J runs up: a reversed slice
+            # per axis
+            row = lo // mv + r
+            I = np.unravel_index(row, lateral)
+            blocks = gen[tuple(slice(i, i + m) for i, m in zip(I, lateral))][flip]
+            nodes = slice(row * mv, (row + 1) * mv)
+            dest = out[r * mv:(r + 1) * mv]
+            dest.reshape(mv, *lateral, mv)[...] = np.moveaxis(blocks, -2, 0)
+            with np.errstate(invalid="ignore"):
+                dest *= fv[None, :] - fv[nodes, None]
+            if zero_diagonal:
+                dest[diag, row * mv + diag] = 0.0
+            dest *= norm[nodes, None]
+            dest *= norm[None, :]
+
+    return rows
 
 
 def schur_apply(symbol, A: OperatorMatrix) -> OperatorMatrix:
@@ -236,7 +325,7 @@ def schur_apply(symbol, A: OperatorMatrix) -> OperatorMatrix:
     M = np.asarray(M, dtype=float)
     idx = np.arange(len(nodes))
     M[idx, idx] = np.nan_to_num(M[idx, idx])
-    return replace(A, entries=A.entries * M)
+    return OperatorMatrix(A.grid, A.measure_exponent, A.diagonal_bias, entries=A.entries * M)
 
 
 def save_matrix(A: OperatorMatrix, path) -> None:

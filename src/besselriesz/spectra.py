@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from .discretize import OperatorMatrix
 
@@ -19,7 +20,9 @@ def singular_values(A, count: int | None = None, p: float | None = None,
 
     Without ``count`` every value comes from the dense SVD.  With ``count``
     the top ``count`` come from the Gram matrix G = A^T A and a subset
-    ``eigh`` of its largest eigenvalues, and that head is returned only when
+    ``eigh`` of its largest eigenvalues.  G is summed over A's row blocks
+    (``gram_lower``), so a produced ``OperatorMatrix`` builds its dense
+    entries only for the dense SVD.  The head is returned only when
     two certificates hold: the Gram bound eps * (mu_0 / mu_{count-1})^2 on
     the relative error of the squares is at most ``GRAM_BOUND_MAX``, and the
     head carries the weak-``p`` quasinorm of the whole sequence
@@ -30,8 +33,9 @@ def singular_values(A, count: int | None = None, p: float | None = None,
     ``tail_bound`` are written into it; a key the solve never reached (no
     Gram route, or mu_{count-1} = 0 and no bound) is None.
     """
-    entries = A.entries if isinstance(A, OperatorMatrix) else np.asarray(A, dtype=float)
-    N = min(entries.shape)
+    if not isinstance(A, OperatorMatrix):
+        A = np.asarray(A, dtype=float)
+    N = min(A.shape)
     if record is None:
         record = {}
     record.update(solver="dense", count=N, error_bound=None, head_sup=None, tail_bound=None)
@@ -41,25 +45,25 @@ def singular_values(A, count: int | None = None, p: float | None = None,
         count = int(count)
         if not 0 < count <= N:
             raise ValueError(f"count {count} outside [1, {N}]")
-        cols = entries.shape[1]
-        # G is symmetric, so G.T is G in the Fortran order that eigh can
-        # overwrite in place; a C-ordered G would be copied first
-        gram = (entries.T @ entries).T
+        cols = A.shape[1]
+        gram = gram_lower(A)
+        frobenius_sq = float(np.trace(gram))  # read before eigh overwrites G
         lam = scipy.linalg.eigh(
-            gram, subset_by_index=[cols - count, cols - 1],
+            gram, lower=True, subset_by_index=[cols - count, cols - 1],
             eigvals_only=True, overwrite_a=True, check_finite=False,
         )[::-1]
+        del gram  # freed before a dense fallback builds the entries
         if lam[-1] > 0:
             bound = float(np.finfo(float).eps * lam[0] / lam[-1])
             record["error_bound"] = bound
             if bound <= GRAM_BOUND_MAX:
                 head = np.sqrt(np.clip(lam, 0.0, None))
-                frobenius_sq = float(np.linalg.norm(entries)) ** 2
                 head_sup, tail_bound = tail_certificate(head, frobenius_sq, N, p, bound)
                 record.update(head_sup=head_sup, tail_bound=tail_bound)
                 if tail_bound <= head_sup:
                     record.update(solver="gram", count=count)
                     return head
+    entries = A.entries if isinstance(A, OperatorMatrix) else A
     try:
         s = np.linalg.svd(entries, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -68,6 +72,23 @@ def singular_values(A, count: int | None = None, p: float | None = None,
             f"(fro={np.linalg.norm(entries):.3e}): {exc}"
         ) from exc
     return np.sort(s)[::-1]
+
+
+def gram_lower(A) -> np.ndarray:
+    """The lower triangle of G = A^T A in one Fortran-ordered array, the
+    upper triangle left 0.  dsyrk adds each of A's row blocks
+    (``OperatorMatrix.row_blocks``; a plain array is one block) into it, so
+    no other array of G's size is held, and ``eigh`` can overwrite it in
+    place (a C-ordered G would be copied first)."""
+    blocks = A.row_blocks() if isinstance(A, OperatorMatrix) else (np.asarray(A, dtype=float),)
+    cols = A.shape[1]
+    gram = np.zeros((cols, cols), order="F")
+    for block in blocks:
+        # a C-ordered (rows, cols) block is its Fortran-ordered transpose,
+        # and dsyrk adds that transpose times its own transpose
+        gram = scipy.linalg.blas.dsyrk(1.0, np.ascontiguousarray(block).T, beta=1.0, c=gram,
+                                       lower=1, overwrite_c=1)
+    return gram
 
 
 def weak_quasinorm(s, p: float) -> float:

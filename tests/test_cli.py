@@ -78,6 +78,8 @@ def test_box_validation():
         ({"ratio_tolerance": float("nan")}, "ratio_tolerance"),
         ({"params": {"lam": float("inf")}}, "params.lam"),
         ({"params": {"lam": float("-inf")}}, "params.lam"),
+        ({"params": {"lam": 10**400}}, "params.lam"),
+        ({"params": {"n": 10**400}}, "params.n"),
     ],
 )
 def test_field_types_validated(data, path):
@@ -119,6 +121,19 @@ def test_symbol_support_validation():
     with pytest.raises(ConfigError, match="in dim 2"):
         parse_config({"params": {"n": 2, "k": 3}, "box": box3,
                       "symbol": {**bump3, "width": [0.35, 0.35, 0.4]}})
+
+
+def test_symbol2_typed_outside_ratio():
+    # every report.json echoes symbol2, so its numbers are typed whatever the
+    # pipeline; its support box is checked for ratio only
+    bad = {"kind": "cosine-bump", "center": [float("nan"), 1.0], "width": 0.3}
+    for pipeline in ("sobolev", "spectrum", "ratio"):
+        with pytest.raises(ConfigError, match=r"symbol2.center\[0\]"):
+            parse_config({"pipeline": pipeline, "symbol2": bad})
+    leaky = {"kind": "gaussian-bump", "center": [0.5, 1.0], "width": 0.3}
+    assert parse_config({"pipeline": "sobolev", "symbol2": leaky}).symbol2_spec == leaky
+    with pytest.raises(ConfigError, match="symbol2: numeric support"):
+        parse_config({"pipeline": "ratio", "symbol2": leaky})
 
 
 def test_pipeline_validation():
@@ -413,6 +428,26 @@ def test_benchmark_tracer_counters(tmp_path, monkeypatch):
     assert tracer.counts["spectra.svd_rows"] == 144
 
 
+def test_spectrum_holds_one_square_array(tmp_path):
+    # the Gram route sums A^T A over A's row blocks, so the run's peak of
+    # traced allocations is one N x N float64 array and change, not two
+    import tracemalloc
+
+    cfg = parse_config({"box": {"points_per_dim": [32, 32]}})
+    tracemalloc.start()
+    try:
+        run(cfg, out_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * 1024**2
+
+
+def _benchmark_references(workload):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+    return json.loads(path.read_text())["workloads"][workload]
+
+
 @pytest.mark.parametrize("label, pipeline, seed",
                          [("kernel.s0", "kernel", 0), ("kernel.s5", "kernel", 5),
                           ("auxfn", "auxfn", 0)])
@@ -420,8 +455,7 @@ def test_pointwise_outputs_match_benchmark_references(tmp_path, label, pipeline,
     # the benchmark rejects a run whose CSV values leave its recorded
     # references by more than 1e-10 relative; the rel_* and dec_resid*
     # columns are route discrepancies near rounding, held on scale 1
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
-    want = json.loads(path.read_text())["workloads"]["pointwise"][label]
+    want = _benchmark_references("pointwise")[label]
     run(parse_config({"pipeline": pipeline}), out_dir=tmp_path, seed=seed)
     with open(tmp_path / f"{pipeline}.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -430,6 +464,28 @@ def test_pointwise_outputs_match_benchmark_references(tmp_path, label, pipeline,
     for key, ref in want.items():
         floor = 1.0 if key.split(".")[1].startswith(("rel_", "dec_resid")) else 0.0
         assert abs(got[key] - ref) <= 1e-10 * max(abs(ref), floor), key
+
+
+def _check_pipeline_references(tmp_path, workload, pipeline, points):
+    # the benchmark rejects a run whose outputs leave its recorded
+    # references by more than 1e-10 relative
+    want = _benchmark_references(workload)[pipeline]
+    run(parse_config({"pipeline": pipeline, "box": {"points_per_dim": [points, points]}}),
+        out_dir=tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    got = _benchmark_child().collect_outputs(pipeline, tmp_path, report)
+    assert set(got) == set(want)
+    for key, ref in want.items():
+        assert abs(got[key] - ref) <= 1e-10 * abs(ref), key
+
+
+def test_ratio_outputs_match_benchmark_references(tmp_path):
+    _check_pipeline_references(tmp_path, "ratio-48", "ratio", 48)
+
+
+@pytest.mark.slow
+def test_spectrum_outputs_match_benchmark_references(tmp_path):
+    _check_pipeline_references(tmp_path, "spectrum-64", "spectrum", 64)
 
 
 def test_verify_pipeline_report_shape(tmp_path, monkeypatch, capsys):

@@ -17,8 +17,8 @@ from besselriesz.kernels import (
 )
 from besselriesz.quadrature import gauss_legendre_box
 from besselriesz.special import ModelParams
-from besselriesz.spectra import singular_values
-from besselriesz.symbols import constant_symbol, gaussian_bump
+from besselriesz.spectra import gram_lower, singular_values
+from besselriesz.symbols import Symbol, constant_symbol, gaussian_bump
 
 P2 = ModelParams(n=1, lam=1.0, k=2)
 
@@ -157,7 +157,7 @@ def test_frobenius_domination():
     assert np.linalg.norm(A2.entries) <= np.linalg.norm(A1.entries)
 
 
-@pytest.mark.parametrize(
+TOEPLITZ_GRIDS = pytest.mark.parametrize(
     "n, k, points",
     [
         (1, 1, (12, 12)),
@@ -168,17 +168,56 @@ def test_frobenius_domination():
         (2, 3, (6, 5, 7)),
     ],
 )
-def test_toeplitz_commutator_matches_brute_force(n, k, points):
+
+
+def toeplitz_commutator(n, k, points):
+    """(grid, Riesz kernel, symbol, commutator matrix) on a box in dimension n + 1."""
     p = ModelParams(n=n, lam=1.0, k=k)
     g = make_grid([(0.0, 1.0)] * n + [(0.5, 1.5)], points, halfspace=True)
     base = riesz_base(g, p)
     sym = gaussian_bump([0.5] * n + [1.0], 0.15)
-    A = assemble(base, g, p.lam, symbol=sym)
+    return g, base, sym, assemble(base, g, p.lam, symbol=sym)
+
+
+@TOEPLITZ_GRIDS
+def test_toeplitz_commutator_matches_brute_force(n, k, points):
+    g, base, sym, A = toeplitz_commutator(n, k, points)
+    p = ModelParams(n=n, lam=1.0, k=k)
     B = assemble(brute_force_commutator(base, sym), g, p.lam)
     scale = np.max(np.abs(B.entries))
     assert scale > 0.0
     assert np.max(np.abs(A.entries - B.entries)) <= 1e-13 * scale
     assert A.diagonal_bias == B.diagonal_bias
+
+
+@TOEPLITZ_GRIDS
+def test_gram_from_row_blocks_matches_dense(n, k, points):
+    # the row blocks cover the matrix in several groups, the last one short
+    g, _, _, A = toeplitz_commutator(n, k, points)
+    sizes = [block.shape[0] for block in A.row_blocks()]
+    assert len(sizes) > 1 and sum(sizes) == len(g.nodes)
+    gram = gram_lower(A)
+    assert gram.flags.f_contiguous
+    dense = A.entries.T @ A.entries
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(np.tril(gram) - np.tril(dense))) <= 1e-14 * scale
+    assert np.all(np.triu(gram, 1) == 0.0)
+
+
+def test_certified_head_leaves_entries_unbuilt():
+    g = make_grid([(0.0, 1.0), (0.5, 1.5)], (16, 16), halfspace=True)
+    A = commutator(g)
+    record = {}
+    singular_values(A, 20, 2.0, record)
+    assert record["solver"] == "gram"
+    assert A._entries is None
+    # a constant symbol's Gram head has no bound: the dense fallback builds
+    # the entries and returns every value
+    C = commutator(g, sym=constant_symbol(2.5))
+    s = singular_values(C, 20, 2.0, record)
+    assert record["solver"] == "dense" and record["count"] == 256
+    assert C._entries is not None
+    assert s.shape == (256,) and np.all(s == 0.0)
 
 
 def test_toeplitz_assembly_reports_nonfinite_pair():
@@ -190,6 +229,10 @@ def test_toeplitz_assembly_reports_nonfinite_pair():
 
     with pytest.raises(FloatingPointError, match=r"node pair \(0, 2\)"):
         assemble(base, g, 1.0, symbol=gaussian_bump([0.5, 1.0], 0.15))
+    # a symbol value that is not finite spoils a whole row and column
+    sym = Symbol(func=lambda x: np.where(x[..., 0] > 0.5, np.nan, 0.0), gradient=np.zeros_like)
+    with pytest.raises(FloatingPointError, match="symbol not finite at node 8"):
+        assemble(smooth_kernel, g, 1.0, symbol=sym)
 
 
 def test_weighted_assembly_requires_lambda():
