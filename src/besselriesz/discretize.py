@@ -13,6 +13,7 @@ import itertools
 import numbers
 import struct
 from dataclasses import dataclass
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -82,24 +83,24 @@ def make_grid(bounds, points_per_dim, halfspace: bool = False) -> BoxGrid:
 
 class OperatorMatrix:
     """An N x N Nystrom matrix on ``grid``, held as its dense ``entries`` or
-    as a row producer ``rows``: ``rows(lo, out)`` writes the matrix's rows
-    lo, lo + 1, ... into the C-ordered ``out``, with ``lo`` and ``len(out)``
-    multiples of the grid's vertical count m_v.  A produced matrix builds
-    ``entries`` when they are first read and keeps them; ``row_blocks``
-    hands out its rows without building them."""
+    as a ``ProducedMatrix`` ``rows``.  A produced matrix builds ``entries``
+    when they are first read and keeps them; ``row_blocks`` hands out its
+    rows without building them.  ``mirror``, when given, is a callable
+    returning the matrix's mirror split (``mirror_blocks``)."""
 
     def __init__(self, grid: BoxGrid, measure_exponent: float, diagonal_bias: float = 0.0,
-                 entries: np.ndarray | None = None, rows=None):
+                 entries: np.ndarray | None = None, rows=None, mirror=None):
         if (entries is None) == (rows is None):
             raise ValueError("an operator matrix needs its entries or a row producer")
         N = len(grid.nodes)
-        if entries is not None and entries.shape != (N, N):
-            raise ValueError("entries shape does not match the grid")
+        if (entries if rows is None else rows).shape != (N, N):
+            raise ValueError("matrix shape does not match the grid")
         self.grid = grid
         self.measure_exponent = measure_exponent  # 2*lam: the measure is x_last^(2 lam) dx
         self.diagonal_bias = diagonal_bias
         self._entries = entries
         self._rows = rows
+        self._mirror = mirror
 
     @property
     def shape(self) -> tuple:
@@ -109,25 +110,51 @@ class OperatorMatrix:
     def entries(self) -> np.ndarray:
         if self._entries is None:
             self._entries = np.empty(self.shape)
-            self._rows(0, self._entries)
+            self._rows.fill(0, self._entries)
         return self._entries
 
     def row_blocks(self):
         """The matrix's rows in order, as C-ordered (rows, N) blocks: the
-        dense entries as one block once they exist, otherwise groups of up to
-        ``_BLOCK_LATERAL_ROWS`` lateral row blocks, and up to an eighth of
-        the rows, filled into one reused buffer, so each block must be read
-        before the next is asked for."""
+        dense entries as one block once they exist, otherwise the produced
+        blocks of ``ProducedMatrix.row_blocks``."""
         if self._entries is not None:
             yield self._entries
             return
-        N = self.shape[0]
-        mv = self.grid.points_per_dim[-1]
-        step = mv * max(1, min(_BLOCK_LATERAL_ROWS, N // mv // 8))
-        buf = np.empty((step, N))
-        for lo in range(0, N, step):
-            block = buf[: min(step, N - lo)]
-            self._rows(lo, block)
+        yield from self._rows.row_blocks()
+
+    def mirror_blocks(self) -> tuple:
+        """(blocks, coupling): matrices whose singular values together are
+        this matrix's up to ``coupling``, the Frobenius norm of what the
+        split drops (so, by Weyl's inequality, a bound on the shift of every
+        singular value).  A matrix with no mirror split is its own single
+        block, with coupling 0.  Each block has a ``shape`` and
+        ``row_blocks``."""
+        if self._mirror is None:
+            return (self,), 0.0
+        return self._mirror()
+
+
+class ProducedMatrix:
+    """A (rows, cols) matrix held only as its row producer: ``fill(lo,
+    out)`` writes its rows lo, lo + 1, ... into the C-ordered ``out``, with
+    ``lo`` and ``len(out)`` multiples of ``mv``."""
+
+    def __init__(self, shape: tuple, fill, mv: int):
+        self.shape = shape
+        self.fill = fill
+        self._mv = mv
+
+    def row_blocks(self):
+        """The rows in order, as C-ordered blocks of up to
+        ``_BLOCK_LATERAL_ROWS`` lateral row blocks (``mv`` rows each) and up
+        to an eighth of the rows, filled into one reused buffer, so each
+        block must be read before the next is asked for."""
+        nrows, ncols = self.shape
+        step = self._mv * max(1, min(_BLOCK_LATERAL_ROWS, nrows // self._mv // 8))
+        buf = np.empty((step, ncols))
+        for lo in range(0, nrows, step):
+            block = buf[: min(step, nrows - lo)]
+            self.fill(lo, block)
             yield block
 
 
@@ -162,13 +189,16 @@ def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
     (prod(2 m_l - 1) m_v^2 entries instead of N^2).  The matrix keeps that
     generator and the symbol values and produces its rows from them one
     lateral row block at a time; the dense entries are built only when read.
-    The diagonal-bias probes evaluate the kernel and the symbol pointwise.
+    Where the generator has a parity under the lateral mirror of an axis
+    and the symbol values are mirror-equal to rounding, the matrix also
+    carries its split into half-size blocks (``_mirror_symmetry``).  The
+    diagonal-bias probes evaluate the kernel and the symbol pointwise.
     """
     nodes = grid.nodes
     N = len(nodes)
     norm = np.sqrt(grid.cell_weights * nodes[:, -1] ** (2.0 * lam))
     idx = np.arange(N)
-    entries = rows = None
+    entries = rows = mirror = None
     if symbol is None:
         entries = _assemble_dense(kernel, nodes)
         if zero_diagonal:
@@ -187,7 +217,10 @@ def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
         pair = _first_nonfinite_pair(gen, grid, zero_diagonal)
         if pair is not None:
             raise _nonfinite(nodes, *pair)
-        rows = _toeplitz_rows(gen, fv, norm, grid, zero_diagonal)
+        rows = _toeplitz_rows(gen, fv, norm, grid)
+        signs, even = _mirror_symmetry(gen, fv, grid)
+        if signs:
+            mirror = partial(_mirror_split, gen, fv, even, norm, grid, signs)
 
         def probe(x, y):
             return kernel(x, y) * (symbol(y) - symbol(x))
@@ -207,7 +240,7 @@ def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
         vals /= len(probes)
         bias = float(np.max(vals * norm[sample] ** 2))
 
-    return OperatorMatrix(grid, 2.0 * lam, bias, entries=entries, rows=rows)
+    return OperatorMatrix(grid, 2.0 * lam, bias, entries=entries, rows=rows, mirror=mirror)
 
 
 def _nonfinite(nodes: np.ndarray, i, j) -> FloatingPointError:
@@ -233,7 +266,8 @@ def _assemble_dense(kernel, nodes: np.ndarray) -> np.ndarray:
 
 
 # generator entries evaluated per kernel call: bounds the kernel's temporaries
-_GENERATOR_CHUNK = 2**18
+# (about 11 float64 arrays of the chunk's size for the tabulated Riesz kernel)
+_GENERATOR_CHUNK = 2**15
 
 
 def _toeplitz_generator(kernel, grid: BoxGrid) -> np.ndarray:
@@ -288,33 +322,151 @@ def _first_nonfinite_pair(gen: np.ndarray, grid: BoxGrid, zero_diagonal: bool):
 
 
 def _toeplitz_rows(gen: np.ndarray, fv: np.ndarray, norm: np.ndarray, grid: BoxGrid,
-                   zero_diagonal: bool):
-    """Row producer of kernel(x_i, x_j) (f(x_j) - f(x_i)) norm_i norm_j from
-    the lateral Toeplitz generator: ``rows(lo, out)`` fills ``out`` one
-    lateral row block (m_v rows) at a time."""
+                   signs: dict | None = None, parity: dict | None = None) -> ProducedMatrix:
+    """kernel(x_i, x_j) (f(x_j) - f(x_i)) norm_i norm_j, produced from the
+    lateral Toeplitz generator one lateral row block (m_v rows) at a time.
+    Lateral column J of row I sits at generator offset I - J, which runs
+    down as J runs up: a reversed slice per axis.  The diagonal, where
+    f(x_j) - f(x_i) = 0 and a singular kernel has no value, is set to 0.
+
+    With ``signs`` (split axis l: the generator's parity sign_l under the
+    mirror J_l, which reverses lateral index l) and ``parity`` (split axis
+    l: a column parity s), ``fv`` must be mirror-even along the split axes,
+    and the result is the block of the mirror split whose columns are the
+    basis vectors (e_K + s e_{J K}) / sqrt(2), its rows those of parity
+    s * sign_l.  Its entries are B[I, K] = sum over the images J' K of K
+    of (+-) A[I, J' K], one factor s per reversed axis, over the first half
+    of each split axis: its first ceil(m/2) indices for parity +1 (with the
+    middle of an odd m), floor(m/2) for -1.  The image along l reads the
+    generator at offset I + K - (m - 1), a forward (Hankel) slice, and
+    f(J K) = f(K), so every image shares K's symbol factor.  A middle row or
+    column is the basis vector e_M alone and is scaled by 1/sqrt(2)."""
+    signs = signs or {}
     *lateral, mv = grid.points_per_dim
-    flip = (slice(None, None, -1),) * len(lateral)
+    row_lat, col_lat, row_scale, col_scale = [], [], [], []
+    for l, m in enumerate(lateral):
+        s = parity[l] if l in signs else 0  # the column parity; 0 where l is not split
+        for counts, scales, p in ((row_lat, row_scale, s * signs.get(l, 0)),
+                                  (col_lat, col_scale, s)):
+            size = m if p == 0 else (m + 1) // 2 if p > 0 else m // 2
+            scale = np.ones(size)
+            if p > 0 and m % 2:
+                scale[-1] = np.sqrt(0.5)
+            counts.append(size)
+            scales.append(scale)
+
+    def factors(counts, scales):
+        # node indices, and norm times the middle scaling, of a lateral range
+        part = tuple(map(slice, counts))
+        scale = reduce(np.multiply.outer, scales)[..., None]
+        return (np.arange(len(fv)).reshape(*lateral, mv)[part].ravel(),
+                (norm.reshape(*lateral, mv)[part] * scale).ravel())
+
+    row_nodes, row_factor = factors(row_lat, row_scale)
+    col_nodes, col_factor = factors(col_lat, col_scale)
+    col_f = fv[col_nodes]
+    # one term per choice of image along the split axes: (sign, image per axis)
+    terms = []
+    for images in itertools.product((False, True), repeat=len(signs)):
+        image = dict(zip(signs, images))
+        sign = np.prod([parity[l] for l in signs if image[l]], initial=1)
+        terms.append((sign, [image.get(l, False) for l in range(len(lateral))]))
     diag = np.arange(mv)
 
-    def rows(lo: int, out: np.ndarray) -> None:
+    def fill(lo: int, out: np.ndarray) -> None:
+        # one buffer for the symbol differences of every row block: a fresh
+        # temporary per block would map and fault in new pages each time
+        diff = np.empty((mv, len(col_nodes)))
         for r in range(len(out) // mv):
-            # lateral column J sits at generator offset I - J + m - 1, which
-            # runs down from I + m - 1 to I as J runs up: a reversed slice
-            # per axis
             row = lo // mv + r
-            I = np.unravel_index(row, lateral)
-            blocks = gen[tuple(slice(i, i + m) for i, m in zip(I, lateral))][flip]
+            I = np.unravel_index(row, row_lat)
             nodes = slice(row * mv, (row + 1) * mv)
             dest = out[r * mv:(r + 1) * mv]
-            dest.reshape(mv, *lateral, mv)[...] = np.moveaxis(blocks, -2, 0)
+            view = dest.reshape(mv, *col_lat, mv)
             with np.errstate(invalid="ignore"):
-                dest *= fv[None, :] - fv[nodes, None]
-            if zero_diagonal:
-                dest[diag, row * mv + diag] = 0.0
-            dest *= norm[nodes, None]
-            dest *= norm[None, :]
+                for t, (sign, image) in enumerate(terms):
+                    blocks = gen[tuple(slice(i, i + c) if h else slice(i + m - c, i + m)
+                                       for i, m, c, h in zip(I, lateral, col_lat, image))]
+                    src = np.moveaxis(blocks[tuple(slice(None) if h else slice(None, None, -1)
+                                                   for h in image)], -2, 0)
+                    if t == 0:
+                        view[...] = src
+                    elif sign > 0:
+                        view += src
+                    else:
+                        view -= src
+                np.subtract(col_f[None, :], fv[row_nodes[nodes], None], out=diff)
+                dest *= diff
+            if all(i < c for i, c in zip(I, col_lat)):
+                k = np.ravel_multi_index(I, col_lat) * mv
+                dest[diag, k + diag] = 0.0
+            dest *= row_factor[nodes, None]
+            dest *= col_factor[None, :]
 
-    return rows
+    return ProducedMatrix((len(row_nodes), len(col_nodes)), fill, mv)
+
+
+# symbol values split along a mirror when their odd part is at most this many
+# ulps of their largest magnitude.  Rounding of the nodes and the symbol
+# leaves about 1 ulp on the default boxes; the coupling grows with it, and a
+# few ulps more would spoil the Gram bound at 96^2
+_MIRROR_ULPS = 4
+
+
+def _mirror_symmetry(gen: np.ndarray, fv: np.ndarray, grid: BoxGrid):
+    """The lateral axes along which the commutator splits, as {axis: sign},
+    and the symbol values made mirror-even along them.
+
+    The mirror J_l reverses lateral index l.  Axis l splits when the
+    generator reversed along l equals sign * gen exactly (sign = +-1), away
+    from its non-finite entries (the zero offset's diagonal, which the
+    reversal maps to itself), and the symbol's odd part (f - f o J_l) / 2 is
+    at most ``_MIRROR_ULPS`` ulps of max |f|.  The values are then replaced
+    by their mirror mean (f + f o J_l) / 2, which is exactly even, and the
+    next axis is tested on them."""
+    *lateral, mv = grid.points_per_dim
+    finite = np.isfinite(gen)
+    even = fv.reshape(*lateral, mv)
+    tol = _MIRROR_ULPS * np.finfo(float).eps * np.max(np.abs(fv), initial=0.0)
+    signs = {}
+    for l, m in enumerate(lateral):
+        if m < 2:
+            continue
+        mask = finite & np.flip(finite, l)
+        kept, mirrored_gen = gen[mask], np.flip(gen, l)[mask]
+        if np.array_equal(mirrored_gen, kept):
+            sign = 1
+        elif np.array_equal(mirrored_gen, -kept):
+            sign = -1
+        else:
+            continue
+        mirrored = np.flip(even, l)
+        if np.max(np.abs(even - mirrored)) / 2 > tol:
+            continue
+        even = (even + mirrored) / 2
+        signs[l] = sign
+    return signs, even.ravel()
+
+
+def _mirror_split(gen: np.ndarray, fv: np.ndarray, even: np.ndarray, norm: np.ndarray,
+                  grid: BoxGrid, signs: dict) -> tuple:
+    """(blocks, coupling) of the commutator split along the mirrors ``signs``.
+
+    With f = f_e + f_o, f_e the mirror-even values ``even``, the commutator
+    of f_e commutes (sign +1) or anticommutes (sign -1) with each mirror, so
+    in the basis (e_I +- e_{J I}) / sqrt(2) it falls into one block per
+    choice of column parities (``_toeplitz_rows``): 2 blocks for one axis, 4
+    for two.  What the split drops is the commutator of f_o, and
+    ``coupling`` is its Frobenius norm, summed from the generator one
+    lateral row block at a time; it is 0, with no pass, when f_o is 0."""
+    odd = fv - even
+    coupling = 0.0
+    if np.any(odd):
+        blocks = _toeplitz_rows(gen, odd, norm, grid).row_blocks()
+        coupling = float(np.sqrt(sum(float(np.dot(b.ravel(), b.ravel())) for b in blocks)))
+    blocks = tuple(_toeplitz_rows(gen, even, norm, grid, signs, dict(zip(signs, parity)))
+                   for parity in itertools.product((1, -1), repeat=len(signs)))
+    return blocks, coupling
 
 
 def schur_apply(symbol, A: OperatorMatrix) -> OperatorMatrix:

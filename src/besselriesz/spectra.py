@@ -19,49 +19,67 @@ def singular_values(A, count: int | None = None, p: float | None = None,
     """Singular values, descending: the certified top ``count``, or all of them.
 
     Without ``count`` every value comes from the dense SVD.  With ``count``
-    the top ``count`` come from the Gram matrix G = A^T A and a subset
-    ``eigh`` of its largest eigenvalues.  G is summed over A's row blocks
-    (``gram_lower``), so a produced ``OperatorMatrix`` builds its dense
-    entries only for the dense SVD.  The head is returned only when
-    two certificates hold: the Gram bound eps * (mu_0 / mu_{count-1})^2 on
-    the relative error of the squares is at most ``GRAM_BOUND_MAX``, and the
-    head carries the weak-``p`` quasinorm of the whole sequence
-    (``tail_certificate``, with ``p`` the problem's exponent).  Otherwise
-    every value comes from the dense SVD.  With ``record`` the solver that
-    ran (``"gram"`` or ``"dense"``), ``count`` (the number of values
-    returned), the Gram bound and the certificate's ``head_sup`` and
-    ``tail_bound`` are written into it; a key the solve never reached (no
-    Gram route, or mu_{count-1} = 0 and no bound) is None.
+    the top ``count`` come from the blocks of A's mirror split
+    (``OperatorMatrix.mirror_blocks``; a matrix with no split, or a plain
+    array, is one block): per block the Gram matrix G = B^T B, summed over
+    B's row blocks (``gram_lower``), and a subset ``eigh`` of its largest
+    min(``count``, size) eigenvalues; the values of every block are merged
+    and the top ``count`` kept.  So a produced ``OperatorMatrix`` builds its
+    dense entries only for the dense SVD.  The split drops a coupling of
+    Frobenius norm delta, which moves every singular value by at most delta
+    (Weyl), so the head of A itself is returned only when two certificates
+    hold: the bound eps * (mu_0 / mu_{count-1})^2 + 2 delta / mu_{count-1} +
+    (delta / mu_{count-1})^2 on the relative error of the squares is at
+    most ``GRAM_BOUND_MAX``, and the head carries the weak-``p`` quasinorm
+    of the whole sequence (``tail_certificate``, with ``p`` the problem's
+    exponent, its tail bound raised by N^(1/p) delta and the head's sup
+    lowered by count^(1/p) delta).  Otherwise every value comes from the
+    dense SVD.  With ``record`` the solver that ran (``"gram"`` or
+    ``"dense"``), ``count`` (the number of values returned), the error
+    bound, the certificate's ``head_sup`` and ``tail_bound``, ``blocks``
+    (the number of blocks solved; 1 for the dense SVD) and ``coupling``
+    (delta; 0 for a single block) are written into it; a key the solve
+    never reached (no Gram route, or mu_{count-1} = 0 and no bound) is None.
     """
     if not isinstance(A, OperatorMatrix):
         A = np.asarray(A, dtype=float)
     N = min(A.shape)
     if record is None:
         record = {}
-    record.update(solver="dense", count=N, error_bound=None, head_sup=None, tail_bound=None)
+    record.update(solver="dense", count=N, error_bound=None, head_sup=None, tail_bound=None,
+                  blocks=1, coupling=0.0)
     if count is not None:
         if p is None:
             raise ValueError("a head of count values needs the exponent p to certify it")
         count = int(count)
         if not 0 < count <= N:
             raise ValueError(f"count {count} outside [1, {N}]")
-        cols = A.shape[1]
-        gram = gram_lower(A)
-        frobenius_sq = float(np.trace(gram))  # read before eigh overwrites G
-        lam = scipy.linalg.eigh(
-            gram, lower=True, subset_by_index=[cols - count, cols - 1],
-            eigvals_only=True, overwrite_a=True, check_finite=False,
-        )[::-1]
-        del gram  # freed before a dense fallback builds the entries
+        blocks, coupling = A.mirror_blocks() if isinstance(A, OperatorMatrix) else ((A,), 0.0)
+        frobenius_sq = 0.0
+        values = []
+        for block in blocks:
+            cols = block.shape[1]
+            gram = gram_lower(block)
+            frobenius_sq += float(np.trace(gram))  # read before eigh overwrites G
+            values.append(scipy.linalg.eigh(
+                gram, lower=True, subset_by_index=[cols - min(count, cols), cols - 1],
+                eigvals_only=True, overwrite_a=True, check_finite=False,
+            ))
+            del gram  # freed before the next block's G, or a dense fallback's entries
+        lam = np.sort(np.concatenate(values))[::-1][:count]
         if lam[-1] > 0:
-            bound = float(np.finfo(float).eps * lam[0] / lam[-1])
+            rel = coupling / np.sqrt(lam[-1])
+            bound = float(np.finfo(float).eps * lam[0] / lam[-1] + 2.0 * rel + rel * rel)
             record["error_bound"] = bound
             if bound <= GRAM_BOUND_MAX:
                 head = np.sqrt(np.clip(lam, 0.0, None))
                 head_sup, tail_bound = tail_certificate(head, frobenius_sq, N, p, bound)
                 record.update(head_sup=head_sup, tail_bound=tail_bound)
-                if tail_bound <= head_sup:
-                    record.update(solver="gram", count=count)
+                # every value of A is within delta of the one solved
+                shift = coupling * np.array([N, count]) ** (1.0 / p)
+                if tail_bound + shift[0] <= head_sup - shift[1]:
+                    record.update(solver="gram", count=count, blocks=len(blocks),
+                                  coupling=coupling)
                     return head
     entries = A.entries if isinstance(A, OperatorMatrix) else A
     try:
@@ -76,11 +94,11 @@ def singular_values(A, count: int | None = None, p: float | None = None,
 
 def gram_lower(A) -> np.ndarray:
     """The lower triangle of G = A^T A in one Fortran-ordered array, the
-    upper triangle left 0.  dsyrk adds each of A's row blocks
-    (``OperatorMatrix.row_blocks``; a plain array is one block) into it, so
-    no other array of G's size is held, and ``eigh`` can overwrite it in
-    place (a C-ordered G would be copied first)."""
-    blocks = A.row_blocks() if isinstance(A, OperatorMatrix) else (np.asarray(A, dtype=float),)
+    upper triangle left 0.  dsyrk adds each of A's row blocks (``row_blocks``
+    of an ``OperatorMatrix`` or a ``ProducedMatrix``; a plain array is one
+    block) into it, so no other array of G's size is held, and ``eigh`` can
+    overwrite it in place (a C-ordered G would be copied first)."""
+    blocks = A.row_blocks() if hasattr(A, "row_blocks") else (np.asarray(A, dtype=float),)
     cols = A.shape[1]
     gram = np.zeros((cols, cols), order="F")
     for block in blocks:

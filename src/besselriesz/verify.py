@@ -286,10 +286,11 @@ def check_weyl_law() -> CheckResult:
     """10: free-fit exponent near -1/2 and the two-symbol ratio test,
     both holding at the default grid and after one doubling."""
     t0 = time.perf_counter()
-    results = _run_cli({"pipeline": "ratio"}, refine=1).results
+    report = _run_cli({"pipeline": "ratio"}, refine=1)
     record = {}
     ok = True
-    for label, level in (("base", results["level0"]), ("doubled", results["level1"])):
+    for label, index, tag in (("base", 0, ""), ("doubled", 1, "_L1")):
+        level = report.results[f"level{index}"]
         exponent = level["fit_f"]["exponent"]
         deviation = level["relative_deviation"]
         ok = ok and abs(exponent + 0.5) <= 0.1 and deviation <= 0.15
@@ -298,6 +299,10 @@ def check_weyl_law() -> CheckResult:
             "coefficient_ratio": level["coefficient_ratio"],
             "seminorm_ratio": level["seminorm_ratio"],
             "ratio_deviation": deviation,
+            # which solver gave each symbol's head, and from how many mirror blocks
+            **{f"svd_{sym}": {key: report.runtime[f"svd_{sym}{tag}"][key]
+                              for key in ("solver", "blocks", "coupling")}
+               for sym in ("f", "g")},
         }
     return _result(
         "10 power-law exponent and coefficient-ratio law", t0, ok,

@@ -179,8 +179,13 @@ def test_spectrum_pipeline_artifacts(tmp_path):
     # route and certifies that it carries the weak quasinorm
     solve = runtime["svd"]
     count = default_window(144)[1] + 1
-    assert set(solve) == {"solver", "count", "error_bound", "head_sup", "tail_bound"}
+    assert set(solve) == {"solver", "count", "error_bound", "head_sup", "tail_bound",
+                          "blocks", "coupling"}
     assert solve["solver"] == "gram" and solve["count"] == count == 33
+    # the bump is centred on the box's lateral mirror: two half-size blocks,
+    # coupled only by the rounding of the symbol's mirror images
+    assert solve["blocks"] == 2
+    assert 0.0 <= solve["coupling"] <= 1e-14
     assert solve["error_bound"] <= GRAM_BOUND_MAX
     assert solve["tail_bound"] <= solve["head_sup"]
     assert solve["head_sup"] == payload["results"]["level0"]["weak_quasinorm"]
@@ -234,7 +239,8 @@ def test_spectrum_constant_symbol_all_zero(tmp_path):
     assert report.passed
     # the Gram head ends in 0, so it has no bound: every value is solved
     assert report.runtime["svd"] == {"solver": "dense", "count": 144, "error_bound": None,
-                                     "head_sup": None, "tail_bound": None}
+                                     "head_sup": None, "tail_bound": None, "blocks": 1,
+                                     "coupling": 0.0}
     rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
     assert len(rows) == 144
     mus = np.array([float(r.split(",")[1]) for r in rows])
@@ -441,6 +447,23 @@ def test_spectrum_holds_one_square_array(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 8 * 1024**2
+
+
+def test_spectrum_solves_half_size_blocks(tmp_path):
+    # the default symbol splits into two mirror blocks, whose Gram matrices
+    # are (N/2)^2 each and solved one after the other: the run's peak of
+    # traced allocations stays well under one N x N float64 array
+    import tracemalloc
+
+    cfg = parse_config({"box": {"points_per_dim": [32, 32]}})
+    tracemalloc.start()
+    try:
+        report = run(cfg, out_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.runtime["svd"]["blocks"] == 2
+    assert peak <= 0.75 * 8 * 1024**2
 
 
 def _benchmark_references(workload):

@@ -17,7 +17,7 @@ from besselriesz.kernels import (
 )
 from besselriesz.quadrature import gauss_legendre_box
 from besselriesz.special import ModelParams
-from besselriesz.spectra import gram_lower, singular_values
+from besselriesz.spectra import default_window, gram_lower, singular_values
 from besselriesz.symbols import Symbol, constant_symbol, gaussian_bump
 
 P2 = ModelParams(n=1, lam=1.0, k=2)
@@ -214,10 +214,84 @@ def test_certified_head_leaves_entries_unbuilt():
     # a constant symbol's Gram head has no bound: the dense fallback builds
     # the entries and returns every value
     C = commutator(g, sym=constant_symbol(2.5))
+    assert len(C.mirror_blocks()[0]) == 2  # the split's blocks are all 0 as well
     s = singular_values(C, 20, 2.0, record)
-    assert record["solver"] == "dense" and record["count"] == 256
+    assert record["solver"] == "dense" and record["count"] == 256 and record["blocks"] == 1
     assert C._entries is not None
     assert s.shape == (256,) and np.all(s == 0.0)
+
+
+def split_commutator(n, k, points, center, sym=None):
+    """(commutator, fit-window count) of a bump at ``center`` on a box in
+    dimension n + 1 whose lateral mirrors sit at 0.5."""
+    p = ModelParams(n=n, lam=1.0, k=k)
+    g = make_grid([(0.0, 1.0)] * n + [(0.5, 1.5)], points, halfspace=True)
+    sym = sym or gaussian_bump(center, 0.15 if n == 1 else 0.2)
+    A = cli.commutator(p, sym, g, cli.f_table(p, g.bounds))
+    return A, default_window(len(g.nodes))[1] + 1
+
+
+@pytest.mark.parametrize(
+    "n, k, points, center, shapes",
+    [
+        # k = n + 1 (vertical): the generator is even under the mirror
+        (1, 2, (32, 32), [0.5, 1.0], [(512, 512), (512, 512)]),
+        (1, 2, (33, 32), [0.5, 1.0], [(544, 544), (512, 512)]),
+        # lateral k: odd, so each block maps one mirror parity to the other
+        (1, 1, (32, 32), [0.5, 1.0], [(512, 512), (512, 512)]),
+        (1, 1, (33, 32), [0.5, 1.0], [(512, 544), (544, 512)]),
+        # n = 2: both lateral axes split, or only the one the bump is centred on
+        (2, 1, (9, 9, 8), [0.5, 0.5, 1.0], [(160, 200), (128, 160), (200, 160), (160, 128)]),
+        (2, 3, (10, 9, 8), [0.5, 0.5, 1.0], [(200, 200), (160, 160), (200, 200), (160, 160)]),
+        (2, 1, (10, 9, 8), [0.5, 0.4, 1.0], [(360, 360), (360, 360)]),
+        (2, 3, (9, 10, 8), [0.4, 0.5, 1.0], [(360, 360), (360, 360)]),
+    ],
+)
+def test_mirror_split_head_matches_dense(n, k, points, center, shapes):
+    A, count = split_commutator(n, k, points, center)
+    blocks, coupling = A.mirror_blocks()
+    assert [b.shape for b in blocks] == shapes
+    assert coupling <= 1e-15
+    record = {}
+    head = singular_values(A, count, float(n + 1), record)
+    assert record["solver"] == "gram" and record["blocks"] == len(shapes)
+    assert record["coupling"] == coupling
+    np.testing.assert_allclose(head, singular_values(A)[:count], rtol=1e-12, atol=0)
+    assert A._entries is not None  # built by the dense reference only
+
+
+def test_mirror_split_carries_its_coupling():
+    # 32^2 puts the bump's values on the mirror bitwise: no coupling, no pass
+    f = gaussian_bump([0.5, 1.0], 0.15)
+    A, count = split_commutator(1, 2, (32, 32), None, sym=f)
+    assert A.mirror_blocks()[1] == 0.0
+    # values pushed off the mirror by about an ulp still split, and the
+    # dropped coupling enters the certificate
+    pushed = Symbol(func=lambda x: f.func(x) + 5e-16 * (x[..., 0] - 0.5), gradient=f.gradient)
+    A, _ = split_commutator(1, 2, (32, 32), None, sym=pushed)
+    record = {}
+    head = singular_values(A, count, 2.0, record)
+    assert record["solver"] == "gram" and record["blocks"] == 2
+    assert 0.0 < record["coupling"] <= 1e-15
+    np.testing.assert_allclose(head, singular_values(A)[:count], rtol=1e-12, atol=0)
+    # a push of 1e-13 is no rounding: the operator stays one block, and its
+    # whole Gram still certifies
+    far = Symbol(func=lambda x: f.func(x) + 1e-13 * (x[..., 0] - 0.5), gradient=f.gradient)
+    A, _ = split_commutator(1, 2, (32, 32), None, sym=far)
+    assert len(A.mirror_blocks()[0]) == 1
+    singular_values(A, count, 2.0, record)
+    assert record["solver"] == "gram" and record["blocks"] == 1 and record["coupling"] == 0.0
+
+
+def test_mirror_split_skips_off_centre_symbol():
+    # the default second symbol sits off the lateral mirror
+    cfg = cli.parse_config({})
+    grid = cfg.grid((24, 24))
+    A = cli.commutator(cfg.params, cfg.symbol2, grid, cli.f_table(cfg.params, cfg.bounds))
+    assert A.mirror_blocks() == ((A,), 0.0)
+    record = {}
+    singular_values(A, default_window(len(grid.nodes))[1] + 1, 2.0, record)
+    assert record["solver"] == "gram" and record["blocks"] == 1 and record["coupling"] == 0.0
 
 
 def test_toeplitz_assembly_reports_nonfinite_pair():

@@ -24,7 +24,7 @@ def test_singular_values_diagonal():
     assert np.allclose(s, [3.0, 2.0, 1.0])
     # no count: the dense SVD of every value, no Gram bound, no certificate
     assert record == {"solver": "dense", "count": 3, "error_bound": None,
-                      "head_sup": None, "tail_bound": None}
+                      "head_sup": None, "tail_bound": None, "blocks": 1, "coupling": 0.0}
 
 
 def test_singular_values_rank_one():
