@@ -19,6 +19,9 @@ def main() -> int:
           f"exponent {fit['exponent']:.4f} (power law expects -0.5), "
           f"pinned coefficient {fit['pinned_coefficient']:.6f}, "
           f"weak quasinorm {report.results['level0']['weak_quasinorm']:.6f}")
+    solve = report.runtime["svd"]
+    print("seconds: " + ", ".join(f"{stage} {t:.2f}" for stage, t in report.timings.items())
+          + f"; solver {solve['solver']} over {solve['blocks']} block(s)")
     print(f"artifacts in {out}")
     return 0 if report.passed else 1
 

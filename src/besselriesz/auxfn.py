@@ -284,24 +284,81 @@ def derivative_bound_probe(idx: AuxIndex, p: ModelParams, j: int, xs) -> Envelop
 # ---------------------------------------------------------------------------
 
 
+def table_nodes(h_max: float) -> np.ndarray:
+    """The spline nodes of an F table on [0, max(h_max, 0.4)], graded toward
+    0 where F is least smooth."""
+    small = np.geomspace(1e-4, 0.2, 120)
+    bulk = np.linspace(0.2, max(h_max, 0.4), 1600)[1:]
+    return np.concatenate([[0.0], small, bulk])
+
+
+def F_batch(p: ModelParams, xs, indices, record: dict | None = None) -> dict:
+    """{idx: F(idx, p, x) at every x of ``xs``} for each index of ``indices``.
+
+    F_kl is x^(n+k) times the Gegenbauer integral of (x^2+2t)^(-lam-n/2-1)
+    t^l, so the indices need one integral per distinct l, and (1, 1) and
+    (2, 1) share theirs.  The panel rule depends on x only through min(x^2,
+    1), so every x >= 1 shares one rule: the nodes are grouped by it, and
+    each group is one batched ``gegenbauer_integral``, converged per
+    integrand.  At x = 0 the value is ``f_zero``.  With ``record``, its
+    ``nodes`` is len(xs) and the quadrature's ``integrals`` and
+    ``max_order`` are accumulated into it.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if np.any(xs < 0):
+        raise ValueError("F requires x >= 0")
+    # the limits at 0 first: the rules they build at x = 1e-4 are then still
+    # cached when a table node at 1e-4 asks for them
+    limits = {idx: f_zero(idx, p) for idx in indices}
+    ls = sorted({idx.l for idx in indices})
+    power = -p.lam - p.n / 2 - 1.0
+    integrals = np.zeros((len(ls), len(xs)))
+    scales = np.minimum(xs * xs, 1.0)
+    for scale in np.unique(scales[xs > 0]):
+        group = np.flatnonzero(scales == scale)
+        x2 = xs[group] * xs[group]
+
+        def g(t):
+            # one (nodes, l, x) array: a temporary of its size would stay on
+            # the heap, below the allocator's mmap threshold
+            out = np.empty((len(t), len(ls), len(group)))
+            base = np.add(x2, 2.0 * t[:, None], out=out[:, 0])
+            np.power(base, power, out=base)
+            for i in reversed(range(len(ls))):  # the base in out[:, 0] last
+                if ls[i]:
+                    np.multiply(base, t[:, None] ** ls[i], out=out[:, i])
+            return out.reshape(len(t), -1)
+
+        vals = gegenbauer_integral(g, p.lam, peak_scale=scale, record=record)
+        integrals[:, group] = vals.reshape(len(ls), len(group))
+    if record is not None:
+        record["nodes"] = record.get("nodes", 0) + len(xs)
+    out = {}
+    for idx in indices:
+        values = xs ** (p.n + idx.k) * integrals[ls.index(idx.l)]
+        values[xs == 0] = limits[idx]
+        out[idx] = values
+    return out
+
+
 class FTable:
     """Cubic-spline tabulation of F on [0, h_max] for vectorized kernel assembly.
 
-    The node set is graded toward 0 where F is least smooth.  Accuracy is
-    ~1e-9 relative (checked in the test suite against direct quadrature),
-    far below every spectral tolerance that consumes it.
+    The node set is ``table_nodes(h_max)``.  Accuracy is ~1e-9 relative
+    (checked in the test suite against direct quadrature), far below every
+    spectral tolerance that consumes it.  ``values``, F at those nodes, is
+    taken as given when a batched pass (``F_batch``) already has them.
     """
 
-    def __init__(self, idx: AuxIndex, p: ModelParams, h_max: float):
-        h_max = max(h_max, 0.4)
+    def __init__(self, idx: AuxIndex, p: ModelParams, h_max: float,
+                 values: np.ndarray | None = None):
+        nodes = table_nodes(h_max)
         self.idx = idx
         self.params = p
-        self.h_max = h_max
-        small = np.geomspace(1e-4, 0.2, 120)
-        bulk = np.linspace(0.2, h_max, 1600)[1:]
-        grid = np.concatenate([[0.0], small, bulk])
-        vals = np.array([F(idx, p, x) for x in grid])
-        self._spline = CubicSpline(grid, vals)
+        self.h_max = nodes[-1]
+        if values is None:
+            values = F_batch(p, nodes, (idx,))[idx]
+        self._spline = CubicSpline(nodes, values)
 
     def __call__(self, h):
         h = np.asarray(h, dtype=float)

@@ -343,42 +343,41 @@ def riesz_base(params: ModelParams, f_eval):
     return partial(riesz_kernel_bessel, params, f_eval=f_eval)
 
 
-def commutator(params: ModelParams, symbol: Symbol, grid: BoxGrid,
-               ftab: TabulatedF) -> OperatorMatrix:
+def commutator(params: ModelParams, symbol, grid: BoxGrid, ftab: TabulatedF):
     """[R_k, M_symbol] on ``grid`` in L2(x_last^(2 lam) dx), from the lateral
-    block-Toeplitz generator of the tabulated Riesz kernel."""
+    block-Toeplitz generator of the tabulated Riesz kernel; for a tuple of
+    symbols, the tuple of their commutators, which share one generator."""
     return assemble(riesz_base(params, ftab), grid, params.lam, symbol=symbol)
 
 
-def _spectrum_for(cfg: ExperimentConfig, sym: Symbol, grid: BoxGrid, ftab: TabulatedF,
-                  timings: dict, runtime: dict, tag: str):
-    """Assemble [R_k, M_sym] and take its singular values; returns (A, s,
-    fit window).  The window comes from the node count, and the fit reads
+def _spectrum_for(cfg: ExperimentConfig, A: OperatorMatrix, timings: dict, runtime: dict,
+                  tag: str):
+    """The singular values of the commutator A and their fit window; returns
+    (s, window).  The window comes from the node count, and the fit reads
     indices up to its hi only, so ``singular_values`` is asked for the top
     hi + 1 values at the exponent n + 1: it returns that head when the head
     is trusted, every value otherwise.  The solver record lands in
     ``runtime["svd<tag>"]``."""
-    N = len(grid.nodes)
+    N = A.shape[0]
     window = default_window(N, *cfg.window_exponents)
     t0 = time.perf_counter()
-    A = commutator(cfg.params, sym, grid, ftab)
-    t1 = time.perf_counter()
     s, runtime[f"svd{tag}"], runtime["blas_pinned"] = _svd_deterministic(
         A, min(window[1] + 1, N), float(cfg.params.n + 1))
-    timings[f"assemble{tag}"] = t1 - t0
-    timings[f"svd{tag}"] = time.perf_counter() - t1
-    return A, s, window
+    timings[f"svd{tag}"] = time.perf_counter() - t0
+    return s, window
 
 
-def _levels(cfg: ExperimentConfig, refine: int, timings: dict):
+def _levels(cfg: ExperimentConfig, refine: int, timings: dict, runtime: dict):
     """(index, tag, grid, F table) per level, the points doubled per level.
     Every level's grid is built before the F table, so a level past the node
     cap fails before any work; refinement keeps the box, so one F table
-    serves every level."""
+    serves every level.  The table's quadrature record lands in
+    ``runtime["f_table"]``."""
     grids = [cfg.grid(tuple(m * 2**i for m in cfg.points_per_dim)) for i in range(refine + 1)]
     t0 = time.perf_counter()
     ftab = f_table(cfg.params, cfg.bounds)
     timings["table"] = time.perf_counter() - t0
+    runtime["f_table"] = ftab.record
     for i, grid in enumerate(grids):
         yield i, "" if i == 0 else f"_L{i}", grid, ftab
 
@@ -386,8 +385,11 @@ def _levels(cfg: ExperimentConfig, refine: int, timings: dict):
 def run_spectrum(cfg: ExperimentConfig, out: Path, refine: int = 0) -> RunReport:
     p = cfg.params
     timings, results, runtime = {}, {}, {}
-    for i, tag, grid, ftab in _levels(cfg, refine, timings):
-        A, s, (lo, hi) = _spectrum_for(cfg, cfg.symbol, grid, ftab, timings, runtime, tag)
+    for i, tag, grid, ftab in _levels(cfg, refine, timings, runtime):
+        t0 = time.perf_counter()
+        A = commutator(p, cfg.symbol, grid, ftab)
+        timings[f"assemble{tag}"] = time.perf_counter() - t0
+        s, (lo, hi) = _spectrum_for(cfg, A, timings, runtime, tag)
         pw = float(p.n + 1)
         write_spectrum_csv(out / f"spectrum{tag}.csv", s, pw)
         level = {
@@ -422,14 +424,20 @@ def run_ratio(cfg: ExperimentConfig, out: Path, refine: int = 0) -> RunReport:
     timings, results, assertions, runtime = {}, {}, [], {}
     sphere = sphere_rule(p.n, 128)
     pw = float(p.n + 1)
-    for i, tag, grid, ftab in _levels(cfg, refine, timings):
+    for i, tag, grid, ftab in _levels(cfg, refine, timings, runtime):
         sem1 = directional_seminorm(cfg.symbol, p.k, pw, grid, sphere)
         sem2 = directional_seminorm(cfg.symbol2, p.k, pw, grid, sphere)
         if min(sem1, sem2) < 1e-8:
             raise ConfigError("degenerate (near-zero) seminorm in ratio experiment")
-        # keep only the spectra, so the first matrix is freed before the second
-        s1, window = _spectrum_for(cfg, cfg.symbol, grid, ftab, timings, runtime, f"_f{tag}")[1:]
-        s2 = _spectrum_for(cfg, cfg.symbol2, grid, ftab, timings, runtime, f"_g{tag}")[1]
+        # one generator for both symbols; each matrix is dropped after its
+        # solve, so a dense fallback's entries are freed before the next solve
+        t0 = time.perf_counter()
+        A1, A2 = commutator(p, (cfg.symbol, cfg.symbol2), grid, ftab)
+        timings[f"assemble{tag}"] = time.perf_counter() - t0
+        s1, window = _spectrum_for(cfg, A1, timings, runtime, f"_f{tag}")
+        del A1
+        s2 = _spectrum_for(cfg, A2, timings, runtime, f"_g{tag}")[0]
+        del A2
         fit1 = weyl_fit(s1, pw, window)
         fit2 = weyl_fit(s2, pw, window)
         coeff_ratio = fit1.pinned_coefficient / fit2.pinned_coefficient

@@ -13,7 +13,7 @@ import itertools
 import numbers
 import struct
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +164,7 @@ _BLOCK_LATERAL_ROWS = 8
 
 
 def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
-             symbol=None) -> OperatorMatrix:
+             symbol=None):
     """Symmetric Nystrom matrix A_ij = kernel(x_i, x_j) sqrt(w_i mu_i w_j mu_j)
     on L2(x_last^(2 lam) dx), with mu_i = x_last^(2 lam) at node i; ``lam=0``
     is Lebesgue measure.
@@ -186,19 +186,22 @@ def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
     through x' - y'.  On the midpoint grid the kernel matrix is then
     block-Toeplitz in the lateral index, so the kernel is evaluated only on
     its generator, one block of vertical pairs per lateral offset
-    (prod(2 m_l - 1) m_v^2 entries instead of N^2).  The matrix keeps that
-    generator and the symbol values and produces its rows from them one
-    lateral row block at a time; the dense entries are built only when read.
-    Where the generator has a parity under the lateral mirror of an axis
-    and the symbol values are mirror-equal to rounding, the matrix also
-    carries its split into half-size blocks (``_mirror_symmetry``).  The
-    diagonal-bias probes evaluate the kernel and the symbol pointwise.
+    (prod(2 m_l - 1) m_v^2 entries instead of N^2).  The cells are uniform,
+    so sqrt(w_i mu_i) depends on the vertical index only and is folded into
+    the generator once, in place.  The matrix keeps that generator and the
+    symbol values and produces its rows from them one lateral row block at
+    a time; the dense entries are built only when read.  Where the
+    generator has a parity under the lateral mirror of an axis and the
+    symbol values are mirror-equal to rounding, the matrix also carries its
+    split into half-size blocks (``_mirror_symmetry``).  With a tuple of
+    symbols the result is the tuple of their commutator matrices, which
+    share one generator.  The diagonal-bias probes evaluate the kernel and
+    the symbol pointwise.
     """
     nodes = grid.nodes
     N = len(nodes)
     norm = np.sqrt(grid.cell_weights * nodes[:, -1] ** (2.0 * lam))
     idx = np.arange(N)
-    entries = rows = mirror = None
     if symbol is None:
         entries = _assemble_dense(kernel, nodes)
         if zero_diagonal:
@@ -207,40 +210,63 @@ def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
             raise _nonfinite(nodes, *np.argwhere(~np.isfinite(entries))[0])
         entries *= norm[:, None]
         entries *= norm[None, :]
-        probe = kernel
-    else:
-        gen = _toeplitz_generator(kernel, grid)
-        fv = np.asarray(symbol(nodes), dtype=float)
+        return OperatorMatrix(grid, 2.0 * lam, _diagonal_bias(kernel, grid, norm, zero_diagonal),
+                              entries=entries)
+
+    symbols = symbol if isinstance(symbol, tuple) else (symbol,)
+    values = []
+    for sym in symbols:
+        fv = np.asarray(sym(nodes), dtype=float)
         if not np.all(np.isfinite(fv)):
             bad = int(np.argmax(~np.isfinite(fv)))
             raise FloatingPointError(f"symbol not finite at node {bad}: x={nodes[bad]}")
-        pair = _first_nonfinite_pair(gen, grid, zero_diagonal)
-        if pair is not None:
-            raise _nonfinite(nodes, *pair)
-        rows = _toeplitz_rows(gen, fv, norm, grid)
+        values.append(fv)
+    gen = _toeplitz_generator(kernel, grid)
+    pair = _first_nonfinite_pair(gen, grid, zero_diagonal)
+    if pair is not None:
+        raise _nonfinite(nodes, *pair)
+    # the cells are uniform laterally, so norm_i depends on the vertical
+    # index a only, and norm_a norm_b folds into every generator block
+    mv = grid.points_per_dim[-1]
+    vertical = norm[:mv]
+    if not np.array_equal(norm.reshape(-1, mv), np.broadcast_to(vertical, (N // mv, mv))):
+        raise ValueError("the Toeplitz generator needs Nystrom weights that are uniform laterally")
+    gen *= np.multiply.outer(vertical, vertical)
+    matrices = []
+    for sym, fv in zip(symbols, values):
         signs, even = _mirror_symmetry(gen, fv, grid)
-        if signs:
-            mirror = partial(_mirror_split, gen, fv, even, norm, grid, signs)
+        mirror = partial(_mirror_split, gen, fv, even, grid, signs) if signs else None
 
-        def probe(x, y):
-            return kernel(x, y) * (symbol(y) - symbol(x))
+        def probe(x, y, sym=sym):
+            return kernel(x, y) * (sym(y) - sym(x))
 
-    bias = 0.0
-    if zero_diagonal:
-        sample = idx if N <= 1024 else idx[:: max(1, N // 1024)]
-        h = grid.cell_widths.min()
-        probes = []
-        for axis in range(min(grid.dim, 2)):
-            e = np.zeros(grid.dim)
-            e[axis] = 0.25 * h
-            probes.extend([e, -e])
-        vals = np.zeros(len(sample))
-        for e in probes:
-            vals += np.abs(probe(nodes[sample], nodes[sample] + e))
-        vals /= len(probes)
-        bias = float(np.max(vals * norm[sample] ** 2))
+        matrices.append(OperatorMatrix(grid, 2.0 * lam,
+                                       _diagonal_bias(probe, grid, norm, zero_diagonal),
+                                       rows=_toeplitz_rows(gen, fv, grid), mirror=mirror))
+    return tuple(matrices) if isinstance(symbol, tuple) else matrices[0]
 
-    return OperatorMatrix(grid, 2.0 * lam, bias, entries=entries, rows=rows, mirror=mirror)
+
+def _diagonal_bias(probe, grid: BoxGrid, norm: np.ndarray, zero_diagonal: bool) -> float:
+    """The largest over nodes (at most 1024 of them) of norm_i^2 times the
+    mean |probe| at the points a quarter of the smallest cell width off the
+    node, both ways along each of the first two axes; 0 when the diagonal is
+    kept."""
+    if not zero_diagonal:
+        return 0.0
+    nodes = grid.nodes
+    N = len(nodes)
+    sample = np.arange(N) if N <= 1024 else np.arange(N)[:: max(1, N // 1024)]
+    h = grid.cell_widths.min()
+    probes = []
+    for axis in range(min(grid.dim, 2)):
+        e = np.zeros(grid.dim)
+        e[axis] = 0.25 * h
+        probes.extend([e, -e])
+    vals = np.zeros(len(sample))
+    for e in probes:
+        vals += np.abs(probe(nodes[sample], nodes[sample] + e))
+    vals /= len(probes)
+    return float(np.max(vals * norm[sample] ** 2))
 
 
 def _nonfinite(nodes: np.ndarray, i, j) -> FloatingPointError:
@@ -321,10 +347,11 @@ def _first_nonfinite_pair(gen: np.ndarray, grid: BoxGrid, zero_diagonal: bool):
     return i[first], j[first]
 
 
-def _toeplitz_rows(gen: np.ndarray, fv: np.ndarray, norm: np.ndarray, grid: BoxGrid,
+def _toeplitz_rows(gen: np.ndarray, fv: np.ndarray, grid: BoxGrid,
                    signs: dict | None = None, parity: dict | None = None) -> ProducedMatrix:
-    """kernel(x_i, x_j) (f(x_j) - f(x_i)) norm_i norm_j, produced from the
-    lateral Toeplitz generator one lateral row block (m_v rows) at a time.
+    """kernel(x_i, x_j) (f(x_j) - f(x_i)) norm_i norm_j, produced one
+    lateral row block (m_v rows) at a time from the lateral Toeplitz
+    generator ``gen``, into which ``assemble`` has folded norm_a norm_b.
     Lateral column J of row I sits at generator offset I - J, which runs
     down as J runs up: a reversed slice per axis.  The diagonal, where
     f(x_j) - f(x_i) = 0 and a singular kernel has no value, is set to 0.
@@ -343,27 +370,17 @@ def _toeplitz_rows(gen: np.ndarray, fv: np.ndarray, norm: np.ndarray, grid: BoxG
     column is the basis vector e_M alone and is scaled by 1/sqrt(2)."""
     signs = signs or {}
     *lateral, mv = grid.points_per_dim
-    row_lat, col_lat, row_scale, col_scale = [], [], [], []
+    row_lat, col_lat, row_mid, col_mid = [], [], [], []
     for l, m in enumerate(lateral):
         s = parity[l] if l in signs else 0  # the column parity; 0 where l is not split
-        for counts, scales, p in ((row_lat, row_scale, s * signs.get(l, 0)),
-                                  (col_lat, col_scale, s)):
-            size = m if p == 0 else (m + 1) // 2 if p > 0 else m // 2
-            scale = np.ones(size)
+        for counts, middles, p in ((row_lat, row_mid, s * signs.get(l, 0)),
+                                   (col_lat, col_mid, s)):
+            counts.append(m if p == 0 else (m + 1) // 2 if p > 0 else m // 2)
             if p > 0 and m % 2:
-                scale[-1] = np.sqrt(0.5)
-            counts.append(size)
-            scales.append(scale)
+                middles.append(l)
 
-    def factors(counts, scales):
-        # node indices, and norm times the middle scaling, of a lateral range
-        part = tuple(map(slice, counts))
-        scale = reduce(np.multiply.outer, scales)[..., None]
-        return (np.arange(len(fv)).reshape(*lateral, mv)[part].ravel(),
-                (norm.reshape(*lateral, mv)[part] * scale).ravel())
-
-    row_nodes, row_factor = factors(row_lat, row_scale)
-    col_nodes, col_factor = factors(col_lat, col_scale)
+    row_nodes = np.arange(len(fv)).reshape(*lateral, mv)[tuple(map(slice, row_lat))].ravel()
+    col_nodes = np.arange(len(fv)).reshape(*lateral, mv)[tuple(map(slice, col_lat))].ravel()
     col_f = fv[col_nodes]
     # one term per choice of image along the split axes: (sign, image per axis)
     terms = []
@@ -372,6 +389,7 @@ def _toeplitz_rows(gen: np.ndarray, fv: np.ndarray, norm: np.ndarray, grid: BoxG
         sign = np.prod([parity[l] for l in signs if image[l]], initial=1)
         terms.append((sign, [image.get(l, False) for l in range(len(lateral))]))
     diag = np.arange(mv)
+    half = np.sqrt(0.5)
 
     def fill(lo: int, out: np.ndarray) -> None:
         # one buffer for the symbol differences of every row block: a fresh
@@ -380,9 +398,9 @@ def _toeplitz_rows(gen: np.ndarray, fv: np.ndarray, norm: np.ndarray, grid: BoxG
         for r in range(len(out) // mv):
             row = lo // mv + r
             I = np.unravel_index(row, row_lat)
-            nodes = slice(row * mv, (row + 1) * mv)
             dest = out[r * mv:(r + 1) * mv]
             view = dest.reshape(mv, *col_lat, mv)
+            np.subtract(col_f[None, :], fv[row_nodes[row * mv:(row + 1) * mv], None], out=diff)
             with np.errstate(invalid="ignore"):
                 for t, (sign, image) in enumerate(terms):
                     blocks = gen[tuple(slice(i, i + c) if h else slice(i + m - c, i + m)
@@ -395,13 +413,18 @@ def _toeplitz_rows(gen: np.ndarray, fv: np.ndarray, norm: np.ndarray, grid: BoxG
                         view += src
                     else:
                         view -= src
-                np.subtract(col_f[None, :], fv[row_nodes[nodes], None], out=diff)
+                # a copy, then a contiguous product: faster than one
+                # np.multiply(src, diff, out=view), whose strided source
+                # keeps its inner loop to m_v entries
                 dest *= diff
             if all(i < c for i, c in zip(I, col_lat)):
                 k = np.ravel_multi_index(I, col_lat) * mv
                 dest[diag, k + diag] = 0.0
-            dest *= row_factor[nodes, None]
-            dest *= col_factor[None, :]
+            for l in row_mid:
+                if I[l] == row_lat[l] - 1:
+                    dest *= half
+            for l in col_mid:
+                view[(slice(None),) * (l + 1) + (-1,)] *= half
 
     return ProducedMatrix((len(row_nodes), len(col_nodes)), fill, mv)
 
@@ -448,8 +471,8 @@ def _mirror_symmetry(gen: np.ndarray, fv: np.ndarray, grid: BoxGrid):
     return signs, even.ravel()
 
 
-def _mirror_split(gen: np.ndarray, fv: np.ndarray, even: np.ndarray, norm: np.ndarray,
-                  grid: BoxGrid, signs: dict) -> tuple:
+def _mirror_split(gen: np.ndarray, fv: np.ndarray, even: np.ndarray, grid: BoxGrid,
+                  signs: dict) -> tuple:
     """(blocks, coupling) of the commutator split along the mirrors ``signs``.
 
     With f = f_e + f_o, f_e the mirror-even values ``even``, the commutator
@@ -462,9 +485,9 @@ def _mirror_split(gen: np.ndarray, fv: np.ndarray, even: np.ndarray, norm: np.nd
     odd = fv - even
     coupling = 0.0
     if np.any(odd):
-        blocks = _toeplitz_rows(gen, odd, norm, grid).row_blocks()
+        blocks = _toeplitz_rows(gen, odd, grid).row_blocks()
         coupling = float(np.sqrt(sum(float(np.dot(b.ravel(), b.ravel())) for b in blocks)))
-    blocks = tuple(_toeplitz_rows(gen, even, norm, grid, signs, dict(zip(signs, parity)))
+    blocks = tuple(_toeplitz_rows(gen, even, grid, signs, dict(zip(signs, parity)))
                    for parity in itertools.product((1, -1), repeat=len(signs)))
     return blocks, coupling
 

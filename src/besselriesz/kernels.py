@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as _gamma
 from scipy.special import ive, k0
 
-from .auxfn import AuxIndex, F, FTable, f_zero
+from .auxfn import AuxIndex, F, F_batch, FTable, f_zero, table_nodes
 from .quadrature import QuadratureError, gauss_legendre_box, gegenbauer_integral
 from .special import ModelParams, model_constants, psi_bound, psi_lambda
 
@@ -97,11 +97,19 @@ class DirectF:
 
 
 class TabulatedF:
-    """Spline tables of F for the three index pairs; for matrix assembly."""
+    """Spline tables of F for the three index pairs; for matrix assembly.
+
+    The three tables share one node set, filled by one batched quadrature
+    pass (``F_batch``: two integrals per node, each distinct panel rule
+    built once).  ``record`` holds that pass's ``nodes``, ``integrals`` and
+    ``max_order``."""
 
     def __init__(self, p: ModelParams, h_max: float):
         self.params = p
-        self.tables = {idx: FTable(idx, p, h_max) for idx in (IDX20, IDX11, IDX21)}
+        self.record = {}
+        indices = (IDX20, IDX11, IDX21)
+        values = F_batch(p, table_nodes(h_max), indices, self.record)
+        self.tables = {idx: FTable(idx, p, h_max, values[idx]) for idx in indices}
 
     def __call__(self, idx: AuxIndex, h):
         return self.tables[idx](h)

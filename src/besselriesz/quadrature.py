@@ -50,33 +50,30 @@ def _panel_rule(breaks: tuple, alpha: float, beta: float, order: int):
     shared between callers and therefore read-only.
     """
     lo, hi = breaks[0], breaks[-1]
-    last = len(breaks) - 2
-    ts = []
-    ws = []
-    for i in range(last + 1):
-        a, b = breaks[i], breaks[i + 1]
+    if len(breaks) == 2:
+        x, w = _jacobi_rule(order, beta, alpha)
+        half = 0.5 * (hi - lo)
+        t, w = 0.5 * (hi + lo) + half * x, w * half ** (alpha + beta + 1.0)
+    else:
+        # (t-lo)^alpha dt maps to half^(alpha+1) (1+xi)^alpha dxi on [-1, 1]
+        a, b = breaks[0], breaks[1]
+        x, w = _jacobi_rule(order, 0.0, alpha)
         half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        if i == 0 and i == last:
-            x, w = _jacobi_rule(order, beta, alpha)
-            t = mid + half * x
-            weight = w * half ** (alpha + beta + 1.0)
-        elif i == 0:
-            # (t-lo)^alpha dt maps to half^(alpha+1) (1+xi)^alpha dxi on [-1, 1]
-            x, w = _jacobi_rule(order, 0.0, alpha)
-            t = mid + half * x
-            weight = w * half ** (alpha + 1.0) * (hi - t) ** beta
-        elif i == last:
-            x, w = _jacobi_rule(order, beta, 0.0)
-            t = mid + half * x
-            weight = w * half ** (beta + 1.0) * (t - lo) ** alpha
-        else:
-            x, w = _legendre_rule(order)
-            t = mid + half * x
-            weight = w * half * (t - lo) ** alpha * (hi - t) ** beta
-        ts.append(t)
-        ws.append(weight)
-    t, w = np.concatenate(ts), np.concatenate(ws)
+        t_first = 0.5 * (b + a) + half * x
+        w_first = w * half ** (alpha + 1.0) * (hi - t_first) ** beta
+        a, b = breaks[-2], breaks[-1]
+        x, w = _jacobi_rule(order, beta, 0.0)
+        half = 0.5 * (b - a)
+        t_last = 0.5 * (b + a) + half * x
+        w_last = w * half ** (beta + 1.0) * (t_last - lo) ** alpha
+        # the interior panels at once, one row each
+        a, b = np.array(breaks[1:-2]), np.array(breaks[2:-1])
+        x, w = _legendre_rule(order)
+        half = (0.5 * (b - a))[:, None]
+        t_mid = (0.5 * (b + a))[:, None] + half * x
+        w_mid = w * half * (t_mid - lo) ** alpha * (hi - t_mid) ** beta
+        t = np.concatenate([t_first, t_mid.ravel(), t_last])
+        w = np.concatenate([w_first, w_mid.ravel(), w_last])
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w
@@ -89,34 +86,49 @@ def panel_integral(
     beta: float = 0.0,
     rel_tol: float = 1e-13,
     fixed_order: int | None = None,
-) -> float:
+    record: dict | None = None,
+):
     """Integrate g(t) * (t-a)^alpha * (b-t)^beta over [a, b] = [breaks[0], breaks[-1]].
 
-    ``g`` must accept an ndarray of nodes.  The order of every panel doubles
-    from 16 until two successive values agree to ``rel_tol``; past order 256
-    a ``QuadratureError`` is raised.  With ``fixed_order`` the rule is applied
+    ``g`` must accept an ndarray of nodes and return one value per node, or
+    a (nodes, m) array of m integrands sharing the rule; the result is then a
+    float, or the m integrals.  The order of every panel doubles from 16, and
+    each integrand's value is the first that agrees with the one before to
+    ``rel_tol``; while any integrand has not converged past order 256 a
+    ``QuadratureError`` is raised.  With ``fixed_order`` the rule is applied
     once without adaptivity, which keeps the quadrature error a smooth
     function of any parameters of g (useful for finite differencing through
-    the result).
+    the result).  With ``record`` the number of integrands is added to
+    ``record["integrals"]`` and the highest order used is kept in
+    ``record["max_order"]``.
     """
     breaks = tuple(breaks)
 
-    def value(order: int) -> float:
+    def value(order: int):
         t, w = _panel_rule(breaks, alpha, beta, order)
-        return float(np.dot(w, g(t)))
+        return np.asarray(np.dot(w, g(t)))
 
-    if fixed_order is not None:
-        return value(fixed_order)
-    order = 16
-    prev = value(order)
-    while order < 256:
-        order *= 2
-        cur = value(order)
-        err = abs(cur - prev)
-        if err <= rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise QuadratureError("panel_integral did not converge", cur, err)
+    order = 16 if fixed_order is None else fixed_order
+    cur = value(order)
+    if fixed_order is None:
+        result = np.full(cur.shape, np.nan)
+        pending = np.ones(cur.shape, dtype=bool)
+        while pending.any():
+            if order >= 256:
+                worst = np.argmax(np.where(pending, err, -np.inf))
+                raise QuadratureError("panel_integral did not converge",
+                                      cur.flat[worst], err.flat[worst])
+            order *= 2
+            prev, cur = cur, value(order)
+            err = np.abs(cur - prev)
+            done = pending & (err <= rel_tol * np.maximum(np.abs(cur), 1e-300))
+            result[done] = cur[done]
+            pending &= ~done
+        cur = result
+    if record is not None:
+        record["integrals"] = record.get("integrals", 0) + cur.size
+        record["max_order"] = max(record.get("max_order", 0), order)
+    return float(cur) if cur.ndim == 0 else cur
 
 
 def gegenbauer_integral(
@@ -124,17 +136,19 @@ def gegenbauer_integral(
     lam: float,
     peak_scale: float = 1.0,
     fixed_order: int | None = None,
-) -> float:
+    record: dict | None = None,
+):
     """Integrate g(t) * (2t - t^2)^(lam - 1) over t in (0, 2) to 1e-12 relative.
 
     ``peak_scale`` is the width of any sharp feature of g at t = 0: panels are
     graded geometrically from it up to 1 (grading hint only; correctness does
-    not depend on it).  ``fixed_order`` is passed to ``panel_integral``.
+    not depend on it).  ``g`` may return a batch of integrands, and
+    ``fixed_order`` and ``record`` are passed to ``panel_integral``.
     """
     start = min(max(peak_scale, 1e-14), 1.0)
     breaks = tuple(geometric_breaks(start, 1.0)) + (2.0,)
     return panel_integral(
-        g, breaks, lam - 1.0, lam - 1.0, rel_tol=1e-12, fixed_order=fixed_order
+        g, breaks, lam - 1.0, lam - 1.0, rel_tol=1e-12, fixed_order=fixed_order, record=record
     )
 
 

@@ -22,15 +22,18 @@ def singular_values(A, count: int | None = None, p: float | None = None,
     the top ``count`` come from the blocks of A's mirror split
     (``OperatorMatrix.mirror_blocks``; a matrix with no split, or a plain
     array, is one block): per block the Gram matrix G = B^T B, summed over
-    B's row blocks (``gram_lower``), and a subset ``eigh`` of its largest
-    min(``count``, size) eigenvalues; the values of every block are merged
+    B's row blocks (``gram_lower``), and the largest min(``count``, size)
+    of all its eigenvalues.  ``eigh`` reduces G to tridiagonal form
+    (dsytrd) and takes every eigenvalue of that (dsterf), which costs less
+    than bisecting it for a subset; the values of every block are merged
     and the top ``count`` kept.  So a produced ``OperatorMatrix`` builds its
     dense entries only for the dense SVD.  The split drops a coupling of
     Frobenius norm delta, which moves every singular value by at most delta
     (Weyl), so the head of A itself is returned only when two certificates
     hold: the bound eps * (mu_0 / mu_{count-1})^2 + 2 delta / mu_{count-1} +
-    (delta / mu_{count-1})^2 on the relative error of the squares is at
-    most ``GRAM_BOUND_MAX``, and the head carries the weak-``p`` quasinorm
+    (delta / mu_{count-1})^2 on the relative error of the squares (its
+    first term is the backward error of the reduction) is at most
+    ``GRAM_BOUND_MAX``, and the head carries the weak-``p`` quasinorm
     of the whole sequence (``tail_certificate``, with ``p`` the problem's
     exponent, its tail bound raised by N^(1/p) delta and the head's sup
     lowered by count^(1/p) delta).  Otherwise every value comes from the
@@ -61,10 +64,12 @@ def singular_values(A, count: int | None = None, p: float | None = None,
             cols = block.shape[1]
             gram = gram_lower(block)
             frobenius_sq += float(np.trace(gram))  # read before eigh overwrites G
+            # every eigenvalue (dsytrd, then dsterf), ascending; the top
+            # min(count, cols) are kept
             values.append(scipy.linalg.eigh(
-                gram, lower=True, subset_by_index=[cols - min(count, cols), cols - 1],
-                eigvals_only=True, overwrite_a=True, check_finite=False,
-            ))
+                gram, lower=True, driver="evd", eigvals_only=True, overwrite_a=True,
+                check_finite=False,
+            )[cols - min(count, cols):])
             del gram  # freed before the next block's G, or a dense fallback's entries
         lam = np.sort(np.concatenate(values))[::-1][:count]
         if lam[-1] > 0:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from besselriesz import __version__, auxfn, cli, kernels, spectra
+from besselriesz import __version__, auxfn, cli, discretize, kernels, spectra
 from besselriesz.cli import ConfigError, load_config, parse_config, run
 from besselriesz.spectra import (
     GRAM_BOUND_MAX,
@@ -172,8 +172,11 @@ def test_spectrum_pipeline_artifacts(tmp_path):
     assert set(payload["timings"]) == {"table", "assemble", "svd"}
     pinnable = importlib.util.find_spec("threadpoolctl") is not None
     runtime = payload["runtime"]
-    assert set(runtime) == {"blas_pinned", "peak_rss_mb", "svd"}
+    assert set(runtime) == {"blas_pinned", "peak_rss_mb", "svd", "f_table"}
     assert runtime["blas_pinned"] == pinnable
+    # the F table's one batched pass: two integrals per node past 0, every
+    # one converged at order 32
+    assert runtime["f_table"] == {"nodes": 1720, "integrals": 3438, "max_order": 32}
     assert runtime["peak_rss_mb"] > 0
     # the spectrum pipeline solves the fit window's head through the Gram
     # route and certifies that it carries the weak quasinorm
@@ -320,8 +323,9 @@ def test_ratio_pipeline_double_symbol(tmp_path):
     assert level["coefficient_ratio"] == pytest.approx(0.5, rel=1e-12, abs=0)
     assert level["seminorm_ratio"] == pytest.approx(0.5, rel=1e-12, abs=0)
     assert report.passed
-    # one F table serves both symbols
-    assert set(report.timings) == {"table", "assemble_f", "svd_f", "assemble_g", "svd_g"}
+    # one F table and one assembly (one generator) serve both symbols
+    assert set(report.timings) == {"table", "assemble", "svd_f", "svd_g"}
+    assert set(report.runtime) == {"blas_pinned", "peak_rss_mb", "svd_f", "svd_g", "f_table"}
 
 
 def test_ratio_pipeline_translated_symbol(tmp_path):
@@ -391,6 +395,29 @@ def test_refine_levels(tmp_path, monkeypatch):
     # refinement keeps the box, so one F table serves both levels
     assert len(built) == 1
     assert set(report.timings) == {"table", "assemble", "svd", "assemble_L1", "svd_L1"}
+
+
+def test_ratio_builds_one_generator_per_level(tmp_path, monkeypatch):
+    # the generator does not depend on the symbol: one per level serves both
+    built = []
+    generator = discretize._toeplitz_generator
+
+    def counting_generator(kernel, grid):
+        built.append(grid.points_per_dim)
+        return generator(kernel, grid)
+
+    monkeypatch.setattr(discretize, "_toeplitz_generator", counting_generator)
+    data = {
+        "pipeline": "ratio",
+        "box": {"points_per_dim": [16, 16]},
+        "symbol": {"kind": "cosine-bump", "center": [0.5, 1.0], "width": [0.35, 0.35]},
+        "symbol2": {"kind": "cosine-bump", "center": [0.48, 1.0], "width": [0.3, 0.3]},
+    }
+    report = run(parse_config(data), out_dir=tmp_path, refine=1)
+    assert report.passed
+    assert built == [(16, 16), (32, 32)]
+    assert set(report.timings) == {"table", "assemble", "svd_f", "svd_g",
+                                   "assemble_L1", "svd_f_L1", "svd_g_L1"}
 
 
 def test_refine_past_node_cap_fails_before_any_work(tmp_path, monkeypatch):

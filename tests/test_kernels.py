@@ -1,7 +1,14 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from besselriesz import auxfn, quadrature
+from besselriesz.auxfn import F, table_nodes
 from besselriesz.kernels import (
+    IDX11,
+    IDX20,
+    IDX21,
     DirectF,
     TabulatedF,
     commutator_kernel,
@@ -302,6 +309,42 @@ def test_taylor_local_constant_symbol():
     rep = taylor_local_check(P1, constant_symbol(1.0), center=[0.0, 1.0])
     assert np.all(rep.residual == 0.0)
     assert rep.residual_exponent == np.inf
+
+
+@pytest.mark.parametrize("n, lam", [(1, 1.0), (1, 0.5), (2, 1.5)])
+def test_tabulated_f_batch_matches_pointwise_f(n, lam):
+    # the batched pass shares one integral between F11 and F21 and one
+    # panel rule between all nodes past 1; every table node, every index
+    p = ModelParams(n=n, lam=lam, k=n + 1)
+    tab = TabulatedF(p, 3.0)
+    nodes = table_nodes(3.0)
+    for idx in (IDX20, IDX11, IDX21):
+        direct = np.array([F(idx, p, float(x)) for x in nodes])
+        np.testing.assert_allclose(tab(idx, nodes), direct, rtol=1e-14, atol=0)
+    assert tab.record == {"nodes": len(nodes), "integrals": 2 * (len(nodes) - 1),
+                          "max_order": 32}
+
+
+def test_tabulated_f_builds_each_panel_rule_once(monkeypatch):
+    # the per-point route built each rule of a node below 1 once per index:
+    # the cache had evicted it before the next index came back to it
+    built = []
+    rule = quadrature._panel_rule
+
+    def counting_rule(*key):
+        built.append(key)
+        return rule.__wrapped__(*key)
+
+    # a cold cache of the same size, counting what it has to build
+    monkeypatch.setattr(quadrature, "_panel_rule", lru_cache(maxsize=256)(counting_rule))
+    monkeypatch.setattr(auxfn, "_f_zero_cached", lru_cache(maxsize=64)(auxfn._f_zero_cached.__wrapped__))
+    tab = TabulatedF(ModelParams(n=1, lam=1.0, k=2), 3.0)
+    assert len(built) == len(set(built))
+    # at least orders 16 and 32 for each distinct min(x^2, 1): the nodes
+    # below 1 (not 0) and one for every node past 1
+    below = int(np.sum(table_nodes(3.0) < 1.0)) - 1
+    assert len(built) >= 2 * (below + 1)
+    assert tab.record["max_order"] == 32
 
 
 def test_tabulated_f_matches_direct_in_kernels():

@@ -4,6 +4,12 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# what a script prints besides its headline: for the default experiment,
+# where the time went and which solver ran
+DETAILS = {
+    "run_default_experiment.py": ("seconds: table ", ", assemble ", ", svd ",
+                                  "; solver gram over 2 block(s)"),
+}
 
 
 @pytest.mark.parametrize(
@@ -18,4 +24,7 @@ def test_script_runs(script, args, line, tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exit_info:
         runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert exit_info.value.code == 0
-    assert line in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert line in out
+    for detail in DETAILS.get(script, ()):
+        assert detail in out

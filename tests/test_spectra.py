@@ -78,11 +78,12 @@ def test_top_count_certificate_failure_falls_back_to_dense():
 
 def test_top_count_gram_overwritten_in_place(monkeypatch):
     # eigh copies a C-ordered G before overwriting it: one more N x N array
-    orders = []
+    orders, calls = [], []
     eigh = scipy.linalg.eigh
 
     def spy(a, **kwargs):
         orders.append(a.flags.f_contiguous)
+        calls.append(kwargs)
         return eigh(a, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigh", spy)
@@ -94,6 +95,22 @@ def test_top_count_gram_overwritten_in_place(monkeypatch):
     singular_values(A, 5, 2.0, record)
     assert record["solver"] == "gram"
     assert orders == [True]
+    # every eigenvalue of the tridiagonal form (dsterf), not a bisected subset
+    assert "subset_by_index" not in calls[0] and calls[0]["driver"] == "evd"
+
+
+def test_split_head_past_a_block_size_matches_dense():
+    # 8^2 splits into two 32-column blocks; a head of 48 takes every value of
+    # one block and the top of the other
+    cfg = cli.parse_config({})
+    grid = cfg.grid((8, 8))
+    A = cli.commutator(cfg.params, gaussian_bump([0.5, 1.0], 0.2), grid,
+                       cli.f_table(cfg.params, cfg.bounds))
+    assert [block.shape for block in A.mirror_blocks()[0]] == [(32, 32), (32, 32)]
+    record = {}
+    top = singular_values(A, 48, 2.0, record)
+    assert record["solver"] == "gram" and record["blocks"] == 2 and record["count"] == 48
+    np.testing.assert_allclose(top, singular_values(A)[:48], rtol=1e-12, atol=0)
 
 
 def test_top_count_validation():
