@@ -312,20 +312,6 @@ class RunReport:
             fh.write("\n")
 
 
-def _svd_deterministic(A, count: int, p: float) -> tuple[np.ndarray, dict, bool]:
-    """``singular_values(A, count, p)`` with the BLAS pool pinned to one
-    thread, so results do not depend on the run-time thread count.  Returns
-    (values, solver record, pinned); without threadpoolctl the pool is left
-    as it is and pinned is False."""
-    solve = {}
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return singular_values(A, count, p, record=solve), solve, False
-    with threadpool_limits(limits=1):
-        return singular_values(A, count, p, record=solve), solve, True
-
-
 # ---------------------------------------------------------------------------
 # pipelines
 # ---------------------------------------------------------------------------
@@ -361,8 +347,9 @@ def _spectrum_for(cfg: ExperimentConfig, A: OperatorMatrix, timings: dict, runti
     N = A.shape[0]
     window = default_window(N, *cfg.window_exponents)
     t0 = time.perf_counter()
-    s, runtime[f"svd{tag}"], runtime["blas_pinned"] = _svd_deterministic(
-        A, min(window[1] + 1, N), float(cfg.params.n + 1))
+    runtime[f"svd{tag}"] = {}
+    s = singular_values(A, min(window[1] + 1, N), float(cfg.params.n + 1),
+                        record=runtime[f"svd{tag}"])
     timings[f"svd{tag}"] = time.perf_counter() - t0
     return s, window
 

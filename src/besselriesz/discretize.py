@@ -47,7 +47,13 @@ def make_grid(bounds, points_per_dim, halfspace: bool = False) -> BoxGrid:
     """Midpoint-rule tensor grid with deterministic lexicographic node order.
 
     With ``halfspace`` the lower bound of the last coordinate must be positive
-    (box compactly inside the upper half-space).
+    (box compactly inside the upper half-space).  Each lateral axis (all but
+    the last) is built as mirror pairs: its first m // 2 nodes are a + b
+    minus the last m // 2 in reverse, so a symbol centred on the box's
+    lateral mirror takes exactly mirror-even values and the commutator
+    splits into half-size blocks (``assemble``).  The plain midpoint formula
+    gives mirror images bit for bit only when m is a power of two, and for
+    those m the nodes are the same.
     """
     bounds = tuple((float(a), float(b)) for a, b in bounds)
     if np.isscalar(points_per_dim):
@@ -74,6 +80,9 @@ def make_grid(bounds, points_per_dim, halfspace: bool = False) -> BoxGrid:
         a + (b - a) * (np.arange(m) + 0.5) / m
         for (a, b), m in zip(bounds, points_per_dim)
     ]
+    for (a, b), x in zip(bounds[:-1], axes[:-1]):
+        half = len(x) // 2
+        x[:half] = (a + b) - x[::-1][:half]
     grids = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
     cell = np.prod([(b - a) / m for (a, b), m in zip(bounds, points_per_dim)])
@@ -123,14 +132,11 @@ class OperatorMatrix:
         yield from self._rows.row_blocks()
 
     def mirror_blocks(self) -> tuple:
-        """(blocks, coupling): matrices whose singular values together are
-        this matrix's up to ``coupling``, the Frobenius norm of what the
-        split drops (so, by Weyl's inequality, a bound on the shift of every
-        singular value).  A matrix with no mirror split is its own single
-        block, with coupling 0.  Each block has a ``shape`` and
-        ``row_blocks``."""
+        """Matrices whose singular values together are exactly this
+        matrix's: the blocks of its mirror split, or the matrix itself when
+        it has none.  Each block has a ``shape`` and ``row_blocks``."""
         if self._mirror is None:
-            return (self,), 0.0
+            return (self,)
         return self._mirror()
 
 
@@ -192,8 +198,8 @@ def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
     symbol values and produces its rows from them one lateral row block at
     a time; the dense entries are built only when read.  Where the
     generator has a parity under the lateral mirror of an axis and the
-    symbol values are mirror-equal to rounding, the matrix also carries its
-    split into half-size blocks (``_mirror_symmetry``).  With a tuple of
+    symbol values equal their mirror image exactly, the matrix also carries
+    its split into half-size blocks (``_mirror_symmetry``).  With a tuple of
     symbols the result is the tuple of their commutator matrices, which
     share one generator.  The diagonal-bias probes evaluate the kernel and
     the symbol pointwise.
@@ -234,8 +240,8 @@ def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
     gen *= np.multiply.outer(vertical, vertical)
     matrices = []
     for sym, fv in zip(symbols, values):
-        signs, even = _mirror_symmetry(gen, fv, grid)
-        mirror = partial(_mirror_split, gen, fv, even, grid, signs) if signs else None
+        signs = _mirror_symmetry(gen, fv, grid)
+        mirror = partial(_mirror_split, gen, fv, grid, signs) if signs else None
 
         def probe(x, y, sym=sym):
             return kernel(x, y) * (sym(y) - sym(x))
@@ -429,67 +435,43 @@ def _toeplitz_rows(gen: np.ndarray, fv: np.ndarray, grid: BoxGrid,
     return ProducedMatrix((len(row_nodes), len(col_nodes)), fill, mv)
 
 
-# symbol values split along a mirror when their odd part is at most this many
-# ulps of their largest magnitude.  Rounding of the nodes and the symbol
-# leaves about 1 ulp on the default boxes; the coupling grows with it, and a
-# few ulps more would spoil the Gram bound at 96^2
-_MIRROR_ULPS = 4
-
-
-def _mirror_symmetry(gen: np.ndarray, fv: np.ndarray, grid: BoxGrid):
-    """The lateral axes along which the commutator splits, as {axis: sign},
-    and the symbol values made mirror-even along them.
+def _mirror_symmetry(gen: np.ndarray, fv: np.ndarray, grid: BoxGrid) -> dict:
+    """The lateral axes along which the commutator splits, as {axis: sign}.
 
     The mirror J_l reverses lateral index l.  Axis l splits when the
     generator reversed along l equals sign * gen exactly (sign = +-1), away
     from its non-finite entries (the zero offset's diagonal, which the
-    reversal maps to itself), and the symbol's odd part (f - f o J_l) / 2 is
-    at most ``_MIRROR_ULPS`` ulps of max |f|.  The values are then replaced
-    by their mirror mean (f + f o J_l) / 2, which is exactly even, and the
-    next axis is tested on them."""
+    reversal maps to itself), and the symbol values reversed along l equal
+    them exactly.  ``make_grid`` builds the lateral nodes as mirror pairs,
+    so a symbol centred on the mirror passes bit for bit; values an ulp off
+    it do not split, and their whole Gram matrix is solved instead."""
     *lateral, mv = grid.points_per_dim
     finite = np.isfinite(gen)
-    even = fv.reshape(*lateral, mv)
-    tol = _MIRROR_ULPS * np.finfo(float).eps * np.max(np.abs(fv), initial=0.0)
+    values = fv.reshape(*lateral, mv)
     signs = {}
     for l, m in enumerate(lateral):
-        if m < 2:
+        if m < 2 or not np.array_equal(np.flip(values, l), values):
             continue
         mask = finite & np.flip(finite, l)
         kept, mirrored_gen = gen[mask], np.flip(gen, l)[mask]
         if np.array_equal(mirrored_gen, kept):
-            sign = 1
+            signs[l] = 1
         elif np.array_equal(mirrored_gen, -kept):
-            sign = -1
-        else:
-            continue
-        mirrored = np.flip(even, l)
-        if np.max(np.abs(even - mirrored)) / 2 > tol:
-            continue
-        even = (even + mirrored) / 2
-        signs[l] = sign
-    return signs, even.ravel()
+            signs[l] = -1
+    return signs
 
 
-def _mirror_split(gen: np.ndarray, fv: np.ndarray, even: np.ndarray, grid: BoxGrid,
-                  signs: dict) -> tuple:
-    """(blocks, coupling) of the commutator split along the mirrors ``signs``.
+def _mirror_split(gen: np.ndarray, fv: np.ndarray, grid: BoxGrid, signs: dict) -> tuple:
+    """The blocks of the commutator split along the mirrors ``signs``.
 
-    With f = f_e + f_o, f_e the mirror-even values ``even``, the commutator
-    of f_e commutes (sign +1) or anticommutes (sign -1) with each mirror, so
-    in the basis (e_I +- e_{J I}) / sqrt(2) it falls into one block per
-    choice of column parities (``_toeplitz_rows``): 2 blocks for one axis, 4
-    for two.  What the split drops is the commutator of f_o, and
-    ``coupling`` is its Frobenius norm, summed from the generator one
-    lateral row block at a time; it is 0, with no pass, when f_o is 0."""
-    odd = fv - even
-    coupling = 0.0
-    if np.any(odd):
-        blocks = _toeplitz_rows(gen, odd, grid).row_blocks()
-        coupling = float(np.sqrt(sum(float(np.dot(b.ravel(), b.ravel())) for b in blocks)))
-    blocks = tuple(_toeplitz_rows(gen, even, grid, signs, dict(zip(signs, parity)))
-                   for parity in itertools.product((1, -1), repeat=len(signs)))
-    return blocks, coupling
+    The symbol values are mirror-even, so the commutator commutes (sign +1)
+    or anticommutes (sign -1) with each mirror, and in the basis
+    (e_I +- e_{J I}) / sqrt(2) it falls into one block per choice of column
+    parities (``_toeplitz_rows``): 2 blocks for one axis, 4 for two.  The
+    split is exact: the blocks' singular values together are the
+    commutator's."""
+    return tuple(_toeplitz_rows(gen, fv, grid, signs, dict(zip(signs, parity)))
+                 for parity in itertools.product((1, -1), repeat=len(signs)))
 
 
 def schur_apply(symbol, A: OperatorMatrix) -> OperatorMatrix:

@@ -27,22 +27,19 @@ def singular_values(A, count: int | None = None, p: float | None = None,
     (dsytrd) and takes every eigenvalue of that (dsterf), which costs less
     than bisecting it for a subset; the values of every block are merged
     and the top ``count`` kept.  So a produced ``OperatorMatrix`` builds its
-    dense entries only for the dense SVD.  The split drops a coupling of
-    Frobenius norm delta, which moves every singular value by at most delta
-    (Weyl), so the head of A itself is returned only when two certificates
-    hold: the bound eps * (mu_0 / mu_{count-1})^2 + 2 delta / mu_{count-1} +
-    (delta / mu_{count-1})^2 on the relative error of the squares (its
-    first term is the backward error of the reduction) is at most
-    ``GRAM_BOUND_MAX``, and the head carries the weak-``p`` quasinorm
-    of the whole sequence (``tail_certificate``, with ``p`` the problem's
-    exponent, its tail bound raised by N^(1/p) delta and the head's sup
-    lowered by count^(1/p) delta).  Otherwise every value comes from the
-    dense SVD.  With ``record`` the solver that ran (``"gram"`` or
-    ``"dense"``), ``count`` (the number of values returned), the error
-    bound, the certificate's ``head_sup`` and ``tail_bound``, ``blocks``
-    (the number of blocks solved; 1 for the dense SVD) and ``coupling``
-    (delta; 0 for a single block) are written into it; a key the solve
-    never reached (no Gram route, or mu_{count-1} = 0 and no bound) is None.
+    dense entries only for the dense SVD.  The split is exact (the blocks'
+    values together are A's), and the head is returned only when two
+    certificates hold: the bound eps * mu_0^2 / mu_{count-1}^2 on the
+    relative error of the squares (the backward error of the reduction) is
+    at most ``GRAM_BOUND_MAX``, and the head carries the weak-``p``
+    quasinorm of the whole sequence (``tail_certificate``, with ``p`` the
+    problem's exponent: ``tail_bound <= head_sup``).  Otherwise every value
+    comes from the dense SVD.  With
+    ``record`` the solver that ran (``"gram"`` or ``"dense"``), ``count``
+    (the number of values returned), the error bound, the certificate's
+    ``head_sup`` and ``tail_bound``, and ``blocks`` (the number of blocks
+    solved; 1 for the dense SVD) are written into it; a key the solve never
+    reached (no Gram route, or mu_{count-1} = 0 and no bound) is None.
     """
     if not isinstance(A, OperatorMatrix):
         A = np.asarray(A, dtype=float)
@@ -50,14 +47,14 @@ def singular_values(A, count: int | None = None, p: float | None = None,
     if record is None:
         record = {}
     record.update(solver="dense", count=N, error_bound=None, head_sup=None, tail_bound=None,
-                  blocks=1, coupling=0.0)
+                  blocks=1)
     if count is not None:
         if p is None:
             raise ValueError("a head of count values needs the exponent p to certify it")
         count = int(count)
         if not 0 < count <= N:
             raise ValueError(f"count {count} outside [1, {N}]")
-        blocks, coupling = A.mirror_blocks() if isinstance(A, OperatorMatrix) else ((A,), 0.0)
+        blocks = A.mirror_blocks() if isinstance(A, OperatorMatrix) else (A,)
         frobenius_sq = 0.0
         values = []
         for block in blocks:
@@ -73,18 +70,14 @@ def singular_values(A, count: int | None = None, p: float | None = None,
             del gram  # freed before the next block's G, or a dense fallback's entries
         lam = np.sort(np.concatenate(values))[::-1][:count]
         if lam[-1] > 0:
-            rel = coupling / np.sqrt(lam[-1])
-            bound = float(np.finfo(float).eps * lam[0] / lam[-1] + 2.0 * rel + rel * rel)
+            bound = float(np.finfo(float).eps * lam[0] / lam[-1])
             record["error_bound"] = bound
             if bound <= GRAM_BOUND_MAX:
                 head = np.sqrt(np.clip(lam, 0.0, None))
                 head_sup, tail_bound = tail_certificate(head, frobenius_sq, N, p, bound)
                 record.update(head_sup=head_sup, tail_bound=tail_bound)
-                # every value of A is within delta of the one solved
-                shift = coupling * np.array([N, count]) ** (1.0 / p)
-                if tail_bound + shift[0] <= head_sup - shift[1]:
-                    record.update(solver="gram", count=count, blocks=len(blocks),
-                                  coupling=coupling)
+                if tail_bound <= head_sup:
+                    record.update(solver="gram", count=count, blocks=len(blocks))
                     return head
     entries = A.entries if isinstance(A, OperatorMatrix) else A
     try:

@@ -170,10 +170,8 @@ def test_spectrum_pipeline_artifacts(tmp_path):
     assert len(payload["config_sha256"]) == 64
     assert payload["passed"] is True
     assert set(payload["timings"]) == {"table", "assemble", "svd"}
-    pinnable = importlib.util.find_spec("threadpoolctl") is not None
     runtime = payload["runtime"]
-    assert set(runtime) == {"blas_pinned", "peak_rss_mb", "svd", "f_table"}
-    assert runtime["blas_pinned"] == pinnable
+    assert set(runtime) == {"peak_rss_mb", "svd", "f_table"}
     # the F table's one batched pass: two integrals per node past 0, every
     # one converged at order 32
     assert runtime["f_table"] == {"nodes": 1720, "integrals": 3438, "max_order": 32}
@@ -183,12 +181,10 @@ def test_spectrum_pipeline_artifacts(tmp_path):
     solve = runtime["svd"]
     count = default_window(144)[1] + 1
     assert set(solve) == {"solver", "count", "error_bound", "head_sup", "tail_bound",
-                          "blocks", "coupling"}
+                          "blocks"}
     assert solve["solver"] == "gram" and solve["count"] == count == 33
-    # the bump is centred on the box's lateral mirror: two half-size blocks,
-    # coupled only by the rounding of the symbol's mirror images
+    # the bump is centred on the box's lateral mirror: two half-size blocks
     assert solve["blocks"] == 2
-    assert 0.0 <= solve["coupling"] <= 1e-14
     assert solve["error_bound"] <= GRAM_BOUND_MAX
     assert solve["tail_bound"] <= solve["head_sup"]
     assert solve["head_sup"] == payload["results"]["level0"]["weak_quasinorm"]
@@ -242,8 +238,7 @@ def test_spectrum_constant_symbol_all_zero(tmp_path):
     assert report.passed
     # the Gram head ends in 0, so it has no bound: every value is solved
     assert report.runtime["svd"] == {"solver": "dense", "count": 144, "error_bound": None,
-                                     "head_sup": None, "tail_bound": None, "blocks": 1,
-                                     "coupling": 0.0}
+                                     "head_sup": None, "tail_bound": None, "blocks": 1}
     rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
     assert len(rows) == 144
     mus = np.array([float(r.split(",")[1]) for r in rows])
@@ -325,7 +320,7 @@ def test_ratio_pipeline_double_symbol(tmp_path):
     assert report.passed
     # one F table and one assembly (one generator) serve both symbols
     assert set(report.timings) == {"table", "assemble", "svd_f", "svd_g"}
-    assert set(report.runtime) == {"blas_pinned", "peak_rss_mb", "svd_f", "svd_g", "f_table"}
+    assert set(report.runtime) == {"peak_rss_mb", "svd_f", "svd_g", "f_table"}
 
 
 def test_ratio_pipeline_translated_symbol(tmp_path):

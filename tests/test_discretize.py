@@ -49,6 +49,26 @@ def test_grid_1d_midpoints():
     assert np.allclose(g.cell_weights, 0.25)
 
 
+@pytest.mark.parametrize("bounds", [(0.0, 1.0), (-7.0, 7.0)])
+def test_grid_lateral_nodes_are_mirror_pairs(bounds):
+    def midpoints(a, b, m):
+        return a + (b - a) * (np.arange(m) + 0.5) / m
+
+    def axes(m):
+        g = make_grid([bounds, (0.5, 1.5)], (m, m), halfspace=True)
+        return np.unique(g.nodes[:, 0]), np.unique(g.nodes[:, 1])
+
+    for m in (7, 24, 33, 48, 96):
+        lateral, vertical = axes(m)
+        assert np.array_equal(lateral, sum(bounds) - lateral[::-1])
+        assert np.array_equal(vertical, midpoints(0.5, 1.5, m))
+    # at 2^j points the plain midpoints are already mirror pairs: unchanged
+    for m in (16, 32, 64):
+        lateral, vertical = axes(m)
+        assert np.array_equal(lateral, midpoints(*bounds, m))
+        assert np.array_equal(vertical, midpoints(0.5, 1.5, m))
+
+
 def test_grid_2d():
     g = make_grid([(0.0, 1.0), (1.0, 2.0)], (2, 2))
     assert len(g.nodes) == 4
@@ -214,7 +234,7 @@ def test_certified_head_leaves_entries_unbuilt():
     # a constant symbol's Gram head has no bound: the dense fallback builds
     # the entries and returns every value
     C = commutator(g, sym=constant_symbol(2.5))
-    assert len(C.mirror_blocks()[0]) == 2  # the split's blocks are all 0 as well
+    assert len(C.mirror_blocks()) == 2  # the split's blocks are all 0 as well
     s = singular_values(C, 20, 2.0, record)
     assert record["solver"] == "dense" and record["count"] == 256 and record["blocks"] == 1
     assert C._entries is not None
@@ -249,38 +269,36 @@ def split_commutator(n, k, points, center, sym=None):
 )
 def test_mirror_split_head_matches_dense(n, k, points, center, shapes):
     A, count = split_commutator(n, k, points, center)
-    blocks, coupling = A.mirror_blocks()
-    assert [b.shape for b in blocks] == shapes
-    assert coupling <= 1e-15
+    assert [b.shape for b in A.mirror_blocks()] == shapes
     record = {}
     head = singular_values(A, count, float(n + 1), record)
     assert record["solver"] == "gram" and record["blocks"] == len(shapes)
-    assert record["coupling"] == coupling
     np.testing.assert_allclose(head, singular_values(A)[:count], rtol=1e-12, atol=0)
     assert A._entries is not None  # built by the dense reference only
 
 
-def test_mirror_split_carries_its_coupling():
-    # 32^2 puts the bump's values on the mirror bitwise: no coupling, no pass
-    f = gaussian_bump([0.5, 1.0], 0.15)
-    A, count = split_commutator(1, 2, (32, 32), None, sym=f)
-    assert A.mirror_blocks()[1] == 0.0
-    # values pushed off the mirror by about an ulp still split, and the
-    # dropped coupling enters the certificate
+def test_mirror_split_needs_exact_mirror_values():
+    # the default bump at 48^2: the mirror-pair nodes put its values on the
+    # mirror bit for bit, so it splits
+    f = cli.parse_config({}).symbol
+    A, count = split_commutator(1, 2, (48, 48), None, sym=f)
+    assert len(A.mirror_blocks()) == 2
+    # values pushed an ulp off the mirror stay one block, and its whole Gram
+    # certifies the same head as the dense SVD
     pushed = Symbol(func=lambda x: f.func(x) + 5e-16 * (x[..., 0] - 0.5), gradient=f.gradient)
-    A, _ = split_commutator(1, 2, (32, 32), None, sym=pushed)
+    A, _ = split_commutator(1, 2, (48, 48), None, sym=pushed)
+    assert A.mirror_blocks() == (A,)
     record = {}
     head = singular_values(A, count, 2.0, record)
-    assert record["solver"] == "gram" and record["blocks"] == 2
-    assert 0.0 < record["coupling"] <= 1e-15
+    assert record["solver"] == "gram" and record["blocks"] == 1
     np.testing.assert_allclose(head, singular_values(A)[:count], rtol=1e-12, atol=0)
-    # a push of 1e-13 is no rounding: the operator stays one block, and its
-    # whole Gram still certifies
-    far = Symbol(func=lambda x: f.func(x) + 1e-13 * (x[..., 0] - 0.5), gradient=f.gradient)
-    A, _ = split_commutator(1, 2, (32, 32), None, sym=far)
-    assert len(A.mirror_blocks()[0]) == 1
+    # a push of 1e-13 is no rounding either: one block, and its Gram certifies
+    g = gaussian_bump([0.5, 1.0], 0.15)
+    far = Symbol(func=lambda x: g.func(x) + 1e-13 * (x[..., 0] - 0.5), gradient=g.gradient)
+    A, count = split_commutator(1, 2, (32, 32), None, sym=far)
+    assert len(A.mirror_blocks()) == 1
     singular_values(A, count, 2.0, record)
-    assert record["solver"] == "gram" and record["blocks"] == 1 and record["coupling"] == 0.0
+    assert record["solver"] == "gram" and record["blocks"] == 1
 
 
 def test_mirror_split_skips_off_centre_symbol():
@@ -288,10 +306,10 @@ def test_mirror_split_skips_off_centre_symbol():
     cfg = cli.parse_config({})
     grid = cfg.grid((24, 24))
     A = cli.commutator(cfg.params, cfg.symbol2, grid, cli.f_table(cfg.params, cfg.bounds))
-    assert A.mirror_blocks() == ((A,), 0.0)
+    assert A.mirror_blocks() == (A,)
     record = {}
     singular_values(A, default_window(len(grid.nodes))[1] + 1, 2.0, record)
-    assert record["solver"] == "gram" and record["blocks"] == 1 and record["coupling"] == 0.0
+    assert record["solver"] == "gram" and record["blocks"] == 1
 
 
 def test_toeplitz_assembly_reports_nonfinite_pair():

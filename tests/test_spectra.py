@@ -24,7 +24,7 @@ def test_singular_values_diagonal():
     assert np.allclose(s, [3.0, 2.0, 1.0])
     # no count: the dense SVD of every value, no Gram bound, no certificate
     assert record == {"solver": "dense", "count": 3, "error_bound": None,
-                      "head_sup": None, "tail_bound": None, "blocks": 1, "coupling": 0.0}
+                      "head_sup": None, "tail_bound": None, "blocks": 1}
 
 
 def test_singular_values_rank_one():
@@ -106,7 +106,7 @@ def test_split_head_past_a_block_size_matches_dense():
     grid = cfg.grid((8, 8))
     A = cli.commutator(cfg.params, gaussian_bump([0.5, 1.0], 0.2), grid,
                        cli.f_table(cfg.params, cfg.bounds))
-    assert [block.shape for block in A.mirror_blocks()[0]] == [(32, 32), (32, 32)]
+    assert [block.shape for block in A.mirror_blocks()] == [(32, 32), (32, 32)]
     record = {}
     top = singular_values(A, 48, 2.0, record)
     assert record["solver"] == "gram" and record["blocks"] == 2 and record["count"] == 48
