@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Print what moved between two ``report.json`` files.
+
+    python3 scripts/report_diff.py old/report.json new/report.json
+
+It prints one line per change:
+
+- every numeric value under ``results``, and every assertion's ``measured``,
+  that moved by more than 1e-10 relative (a non-numeric value that changed,
+  or a key only one report has, is printed too);
+- every ``timings`` entry that moved past the ``wall_s`` bound of
+  ``BENCHMARK.json``;
+- ``runtime.peak_rss_mb``, when it moved past the ``peak_rss_mb`` bound;
+- any change to ``runtime.scipy_modules``.
+
+The bounds are relative and read from ``BENCHMARK.json`` at the root of the
+checkout.  The exit code is 1 when anything was printed, 0 otherwise.
+"""
+
+import json
+import sys
+from numbers import Real
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+VALUE_REL_TOL = 1e-10
+
+
+def benchmark_bounds() -> dict:
+    """{metric name: relative bound} of the benchmark's end-to-end metrics."""
+    with open(BENCHMARK) as fh:
+        return {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+
+
+def _leaves(value, path: str):
+    """(path, leaf) for every non-container value under ``value``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _moved(old, new, rel: float) -> bool:
+    return abs(new - old) > rel * abs(old)
+
+
+def _change(path: str, old, new) -> str:
+    if _is_number(old) and _is_number(new) and old != 0:
+        return f"{path}: {old!r} -> {new!r} (relative {(new - old) / abs(old):+.3e})"
+    return f"{path}: {old!r} -> {new!r}"
+
+
+def _diff_values(old, new, path: str, rel: float):
+    """The leaves under ``path`` that moved by more than ``rel``, or whose
+    non-numeric value or presence changed."""
+    a, b = dict(_leaves(old, path)), dict(_leaves(new, path))
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b:
+            yield f"{key}: only in the {'first' if key in a else 'second'} report"
+        elif _is_number(a[key]) and _is_number(b[key]):
+            if _moved(a[key], b[key], rel):
+                yield _change(key, a[key], b[key])
+        elif a[key] != b[key]:
+            yield _change(key, a[key], b[key])
+
+
+def diff_reports(old: dict, new: dict, bounds: dict) -> list:
+    """The lines of change from report ``old`` to report ``new``."""
+    lines = list(_diff_values(old.get("results", {}), new.get("results", {}), "results",
+                              VALUE_REL_TOL))
+    measured_old = {a["name"]: a.get("measured") for a in old.get("assertions", [])}
+    measured_new = {a["name"]: a.get("measured") for a in new.get("assertions", [])}
+    lines += _diff_values(measured_old, measured_new, "measured", VALUE_REL_TOL)
+    lines += _diff_values(old.get("timings", {}), new.get("timings", {}), "timings",
+                          bounds["wall_s"])
+    runtime_old, runtime_new = old.get("runtime", {}), new.get("runtime", {})
+    lines += _diff_values(runtime_old.get("peak_rss_mb"), runtime_new.get("peak_rss_mb"),
+                          "runtime.peak_rss_mb", bounds["peak_rss_mb"])
+    modules_old, modules_new = (runtime_old.get("scipy_modules"),
+                                runtime_new.get("scipy_modules"))
+    if modules_old != modules_new:
+        lines.append(_change("runtime.scipy_modules", modules_old, modules_new))
+    return lines
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print("usage: report_diff.py OLD_REPORT NEW_REPORT", file=sys.stderr)
+        return 2
+    old, new = (json.loads(Path(path).read_text()) for path in argv)
+    lines = diff_reports(old, new, benchmark_bounds())
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .quadrature import gegenbauer_integral, geometric_breaks, panel_integral
 from .special import ModelParams, gen_binomial
@@ -284,11 +284,18 @@ def derivative_bound_probe(idx: AuxIndex, p: ModelParams, j: int, xs) -> Envelop
 # ---------------------------------------------------------------------------
 
 
+# an F table's node layout: 0, then a geometric run (first, last, count)
+# graded toward 0 where F is least smooth, then a uniform run of this many
+# nodes from the geometric run's last to the table's end
+_GEOMETRIC_RUN = (1e-4, 0.2, 120)
+_UNIFORM_RUN = 1600
+
+
 def table_nodes(h_max: float) -> np.ndarray:
-    """The spline nodes of an F table on [0, max(h_max, 0.4)], graded toward
-    0 where F is least smooth."""
-    small = np.geomspace(1e-4, 0.2, 120)
-    bulk = np.linspace(0.2, max(h_max, 0.4), 1600)[1:]
+    """The spline nodes of an F table on [0, max(h_max, 0.4)]."""
+    first, last, count = _GEOMETRIC_RUN
+    small = np.geomspace(first, last, count)
+    bulk = np.linspace(last, max(h_max, 0.4), _UNIFORM_RUN)[1:]
     return np.concatenate([[0.0], small, bulk])
 
 
@@ -341,10 +348,49 @@ def F_batch(p: ModelParams, xs, indices, record: dict | None = None) -> dict:
     return out
 
 
+# points per evaluation block: whole-array temporaries of an assembly's size
+# would be returned to the system and faulted in again on every call
+_EVAL_BLOCK = 8192
+
+
+def not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (4, len(x) - 1) piece coefficients, highest degree first, of the
+    not-a-knot cubic spline through (x, y), len(x) > 3.
+
+    The arithmetic is that of ``scipy.interpolate.CubicSpline``: the node
+    slopes from the same tridiagonal system and one ``solve_banded`` call,
+    the coefficients formed as ``CubicHermiteSpline`` forms them, so the two
+    agree bit for bit.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    A = np.zeros((3, n))
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b = np.empty(n)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    A[1, 0] = dx[1]
+    A[0, 1] = d
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    A[1, -1] = dx[-2]
+    A[-1, -2] = d
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), A, b.reshape(n, 1), overwrite_ab=True, overwrite_b=True,
+                     check_finite=False).reshape(n)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 class FTable:
     """Cubic-spline tabulation of F on [0, h_max] for vectorized kernel assembly.
 
-    The node set is ``table_nodes(h_max)``.  Accuracy is ~1e-9 relative
+    The node set is ``table_nodes(h_max)`` and the spline is the not-a-knot
+    cubic (``not_a_knot_coefficients``), evaluated as ``PPoly`` evaluates
+    it, in blocks of ``_EVAL_BLOCK`` points.  Accuracy is ~1e-9 relative
     (checked in the test suite against direct quadrature), far below every
     spectral tolerance that consumes it.  ``values``, F at those nodes, is
     taken as given when a batched pass (``F_batch``) already has them.
@@ -358,10 +404,64 @@ class FTable:
         self.h_max = nodes[-1]
         if values is None:
             values = F_batch(p, nodes, (idx,))[idx]
-        self._spline = CubicSpline(nodes, values)
+        self.nodes = nodes
+        self.coeffs = not_a_knot_coefficients(nodes, np.asarray(values, dtype=float))
+        first, last, count = _GEOMETRIC_RUN
+        # fractional node index per unit of log(h / first), and per unit of h
+        # past last
+        self._geometric_rate = (count - 1) / np.log(last / first)
+        self._uniform_rate = (_UNIFORM_RUN - 1) / (self.h_max - last)
 
     def __call__(self, h):
         h = np.asarray(h, dtype=float)
-        if np.any(h > self.h_max * (1 + 1e-12)):
+        if not np.all(h <= self.h_max * (1 + 1e-12)):  # NaN as well
             raise ValueError(f"F table built for h <= {self.h_max}, got {h.max()}")
-        return self._spline(np.clip(h, 0.0, self.h_max))
+        flat = np.clip(h, 0.0, self.h_max).ravel()
+        out = np.empty_like(flat)
+        for lo in range(0, len(flat), _EVAL_BLOCK):
+            self._evaluate(flat[lo:lo + _EVAL_BLOCK], out[lo:lo + _EVAL_BLOCK])
+        return out.reshape(h.shape)
+
+    def _evaluate(self, h: np.ndarray, v: np.ndarray) -> None:
+        """The spline at h in [0, h_max], into v: the piece x[i] <= h <
+        x[i+1] (the last piece closed), then c3 + c2 s + c1 s^2 + c0 s^3
+        summed in that order with s = h - x[i], as ``PPoly`` sums it."""
+        i = self._piece(h)
+        c0, c1, c2, c3 = self.coeffs
+        s = np.take(self.nodes, i)
+        np.subtract(h, s, out=s)
+        term = np.take(c3, i)
+        np.take(c2, i, out=v)
+        v *= s
+        v += term
+        z = s * s
+        np.take(c1, i, out=term)
+        term *= z
+        v += term
+        z *= s
+        np.take(c0, i, out=term)
+        term *= z
+        v += term
+
+    def _piece(self, h: np.ndarray) -> np.ndarray:
+        """searchsorted(x, h, "right") - 1 clipped to [0, len(x) - 2], for h
+        in [0, h_max]: the index read off the node layout lands within one
+        piece of it, and one step each way against the nodes corrects it."""
+        x = self.nodes
+        first, last, count = _GEOMETRIC_RUN
+        geometric = np.maximum(h, first)
+        geometric /= first
+        np.log(geometric, out=geometric)
+        geometric *= self._geometric_rate
+        geometric += 1
+        guess = h - last
+        guess *= self._uniform_rate
+        guess += count
+        np.copyto(guess, geometric, where=h < last)
+        # every guess is at least 1, so the cast floors it
+        i = guess.astype(np.intp)
+        np.minimum(i, len(x) - 2, out=i)
+        i -= np.take(x, i) > h
+        i += np.take(x[1:], i) <= h
+        np.minimum(i, len(x) - 2, out=i)
+        return i

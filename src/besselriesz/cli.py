@@ -24,6 +24,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .auxfn import AuxIndex, F, F_decomposed, G, f_zero
@@ -189,6 +190,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     pipeline = merged["pipeline"]
     if pipeline not in PIPELINES:
         raise ConfigError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
+    if pipeline in ("kernel", "verify"):
+        # QUADPACK, which only these pipelines call, loads with their config
+        import scipy.integrate  # noqa: F401
 
     window = _typed(merged["fit"]["window_exponents"], [float], "fit.window_exponents")
     if len(window) != 2 or not 0.0 < window[0] < window[1] < 1.0:
@@ -593,9 +597,12 @@ def _report(cfg: ExperimentConfig, timings, results, assertions, runtime=None) -
         timings=timings,
         results=results,
         assertions=assertions,
-        # the process's peak resident set so far; Linux reports it in KiB
+        # the process's peak resident set so far (Linux reports it in KiB)
+        # and the public scipy subpackages it has loaded
         runtime={**(runtime or {}),
-                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0},
+                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                 "scipy_modules": sorted(name for name in scipy.submodules
+                                         if f"scipy.{name}" in sys.modules)},
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as _gamma
 from scipy.special import ive, k0
 
@@ -171,6 +170,8 @@ def invsqrt_kernel_closed(p: ModelParams, x, y) -> float:
 
 def invsqrt_kernel_subordination(p: ModelParams, x, y, rel_tol: float = 1e-10) -> float:
     """(2/sqrt(pi)) * integral of the heat kernel over s in (0, inf), split at |x-y|."""
+    from scipy.integrate import quad
+
     x, y = _pts(x), _pts(y)
     _, r = _sep(x, y)
     s0 = float(r)
@@ -191,6 +192,8 @@ def spectral_kernel(p: ModelParams, g, x, y, rel_tol: float = 1e-8) -> float:
     cosine transform; the plane integral is done in polar coordinates with an
     envelope-certified radial truncation (|g(r)| <= C (1+r)^(-n-2) assumed).
     """
+    from scipy.integrate import quad
+
     if p.n != 1:
         raise NotImplementedError("spectral representation implemented for n = 1")
     x, y = _pts(x), _pts(y)
@@ -247,6 +250,8 @@ def spectral_kernel_inverse_radial(p: ModelParams, x, y, rel_tol: float = 1e-8) 
     exponentially damped oscillatory integral which is truncated with a
     certified tail bound.
     """
+    from scipy.integrate import quad
+
     if p.n != 1:
         raise NotImplementedError("spectral representation implemented for n = 1")
     x, y = _pts(x), _pts(y)

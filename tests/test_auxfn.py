@@ -3,16 +3,19 @@ import pytest
 from scipy.integrate import quad
 
 from besselriesz.auxfn import (
+    _EVAL_BLOCK,
     AuxDecomposition,
     AuxIndex,
     C_tail,
     F,
     F_decomposed,
+    F_batch,
     FTable,
     G,
     a_coeff,
     derivative_bound_probe,
     f_zero,
+    table_nodes,
 )
 from besselriesz.special import ModelParams, gamma
 
@@ -189,3 +192,27 @@ def test_f_table_rejects_out_of_range():
     table = FTable(IDX20, P11, h_max=1.0)
     with pytest.raises(ValueError):
         table(np.array([1.5]))
+
+
+@pytest.mark.parametrize("h_max", [0.3, 1.0, 3.0])
+def test_f_table_equals_scipy_cubic_spline(h_max):
+    # the package's not-a-knot cubic is CubicSpline's, bit for bit: the same
+    # coefficients, and the same values at random points, at every node and
+    # at each node's 1-ulp neighbours inside the table
+    from scipy.interpolate import CubicSpline
+
+    nodes = table_nodes(h_max)
+    values = F_batch(P11, nodes, (IDX20,))[IDX20]
+    table = FTable(IDX20, P11, h_max, values)
+    spline = CubicSpline(nodes, values)
+    assert np.array_equal(table.coeffs, spline.c)
+    rng = np.random.default_rng(7)
+    # longer than one evaluation block and not a multiple of it
+    hs = rng.uniform(0.0, nodes[-1], 2 * _EVAL_BLOCK + 123)
+    assert np.array_equal(table(hs), spline(hs))
+    ulp_below = np.nextafter(nodes[1:], -np.inf)
+    ulp_above = np.nextafter(nodes[:-1], np.inf)
+    for pts in (nodes, ulp_below, ulp_above, hs[:600].reshape(20, 30)):
+        got = table(pts)
+        assert got.shape == pts.shape
+        assert np.array_equal(got, spline(pts))

@@ -1,6 +1,9 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +174,9 @@ def test_spectrum_pipeline_artifacts(tmp_path):
     assert payload["passed"] is True
     assert set(payload["timings"]) == {"table", "assemble", "svd"}
     runtime = payload["runtime"]
-    assert set(runtime) == {"peak_rss_mb", "svd", "f_table"}
+    assert set(runtime) == {"peak_rss_mb", "scipy_modules", "svd", "f_table"}
+    assert {"linalg", "special"} <= set(runtime["scipy_modules"])
+    assert runtime["scipy_modules"] == sorted(runtime["scipy_modules"])
     # the F table's one batched pass: two integrals per node past 0, every
     # one converged at order 32
     assert runtime["f_table"] == {"nodes": 1720, "integrals": 3438, "max_order": 32}
@@ -320,7 +325,52 @@ def test_ratio_pipeline_double_symbol(tmp_path):
     assert report.passed
     # one F table and one assembly (one generator) serve both symbols
     assert set(report.timings) == {"table", "assemble", "svd_f", "svd_g"}
-    assert set(report.runtime) == {"peak_rss_mb", "svd_f", "svd_g", "f_table"}
+    assert set(report.runtime) == {"peak_rss_mb", "scipy_modules", "svd_f", "svd_g",
+                                   "f_table"}
+
+
+_FOOTPRINT_SCRIPT = """
+import json, sys
+from besselriesz import cli
+
+HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse")
+for name, data in json.loads(sys.argv[2]).items():
+    out = sys.argv[1] + "/" + name
+    cli.run(cli.parse_config(data), out_dir=out)
+    with open(out + "/report.json") as fh:
+        modules = json.load(fh)["runtime"]["scipy_modules"]
+    loaded = [m for m in HEAVY if m in sys.modules]
+    print(json.dumps({"pipeline": name, "report": modules, "loaded": loaded}))
+cli.parse_config({"pipeline": "kernel"})
+print(json.dumps({"kernel_parsed": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_spectrum_and_ratio_load_no_quadpack_or_interpolate(tmp_path):
+    # a fresh interpreter: this one already holds scipy.integrate
+    configs = {
+        "spectrum": {"pipeline": "spectrum", "box": {"points_per_dim": [32, 32]}},
+        "ratio": {
+            "pipeline": "ratio",
+            "box": {"bounds": [[0.0, 1.0], [0.5, 1.5]], "points_per_dim": [16, 16]},
+            "symbol": {"kind": "cosine-bump", "center": [0.5, 1.0], "width": [0.35, 0.35]},
+            "symbol2": {"kind": "cosine-bump", "center": [0.5, 1.0], "width": [0.3, 0.35]},
+        },
+    }
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path), json.dumps(configs)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    for line in lines[:-1]:
+        assert line["loaded"] == [], line
+        assert line["report"] == ["linalg", "special"], line
+    assert [line["pipeline"] for line in lines[:-1]] == ["spectrum", "ratio"]
+    # the kernel pipeline calls QUADPACK, which its config parse loads
+    assert lines[-1] == {"kernel_parsed": True}
 
 
 def test_ratio_pipeline_translated_symbol(tmp_path):
