@@ -11,7 +11,9 @@ It prints one line per change:
 - every ``timings`` entry that moved past the ``wall_s`` bound of
   ``BENCHMARK.json``;
 - ``runtime.peak_rss_mb``, when it moved past the ``peak_rss_mb`` bound;
-- any change to ``runtime.scipy_modules``.
+- any change to ``runtime.scipy_modules``, or to a Toeplitz generator's
+  record (``runtime.generator``, ``runtime.generator_L1``, ...: the lateral
+  offsets evaluated, their total and the parity signs).
 
 The bounds are relative and read from ``BENCHMARK.json`` at the root of the
 checkout.  The exit code is 1 when anything was printed, 0 otherwise.
@@ -84,10 +86,11 @@ def diff_reports(old: dict, new: dict, bounds: dict) -> list:
     runtime_old, runtime_new = old.get("runtime", {}), new.get("runtime", {})
     lines += _diff_values(runtime_old.get("peak_rss_mb"), runtime_new.get("peak_rss_mb"),
                           "runtime.peak_rss_mb", bounds["peak_rss_mb"])
-    modules_old, modules_new = (runtime_old.get("scipy_modules"),
-                                runtime_new.get("scipy_modules"))
-    if modules_old != modules_new:
-        lines.append(_change("runtime.scipy_modules", modules_old, modules_new))
+    generators = sorted(key for key in runtime_old.keys() | runtime_new.keys()
+                        if key.startswith("generator"))
+    for key in ["scipy_modules", *generators]:
+        if runtime_old.get(key) != runtime_new.get(key):
+            lines.append(_change(f"runtime.{key}", runtime_old.get(key), runtime_new.get(key)))
     return lines
 
 

@@ -380,6 +380,7 @@ def run_spectrum(cfg: ExperimentConfig, out: Path, refine: int = 0) -> RunReport
         t0 = time.perf_counter()
         A = commutator(p, cfg.symbol, grid, ftab)
         timings[f"assemble{tag}"] = time.perf_counter() - t0
+        runtime[f"generator{tag}"] = A.generator
         s, (lo, hi) = _spectrum_for(cfg, A, timings, runtime, tag)
         pw = float(p.n + 1)
         write_spectrum_csv(out / f"spectrum{tag}.csv", s, pw)
@@ -425,6 +426,7 @@ def run_ratio(cfg: ExperimentConfig, out: Path, refine: int = 0) -> RunReport:
         t0 = time.perf_counter()
         A1, A2 = commutator(p, (cfg.symbol, cfg.symbol2), grid, ftab)
         timings[f"assemble{tag}"] = time.perf_counter() - t0
+        runtime[f"generator{tag}"] = A1.generator
         s1, window = _spectrum_for(cfg, A1, timings, runtime, f"_f{tag}")
         del A1
         s2 = _spectrum_for(cfg, A2, timings, runtime, f"_g{tag}")[0]

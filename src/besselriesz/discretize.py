@@ -95,10 +95,12 @@ class OperatorMatrix:
     as a ``ProducedMatrix`` ``rows``.  A produced matrix builds ``entries``
     when they are first read and keeps them; ``row_blocks`` hands out its
     rows without building them.  ``mirror``, when given, is a callable
-    returning the matrix's mirror split (``mirror_blocks``)."""
+    returning the matrix's mirror split (``mirror_blocks``).  ``generator``
+    is the record of the Toeplitz generator a commutator is produced from
+    (``_toeplitz_generator``), None for a dense matrix."""
 
     def __init__(self, grid: BoxGrid, measure_exponent: float, diagonal_bias: float = 0.0,
-                 entries: np.ndarray | None = None, rows=None, mirror=None):
+                 entries: np.ndarray | None = None, rows=None, mirror=None, generator=None):
         if (entries is None) == (rows is None):
             raise ValueError("an operator matrix needs its entries or a row producer")
         N = len(grid.nodes)
@@ -110,6 +112,7 @@ class OperatorMatrix:
         self._entries = entries
         self._rows = rows
         self._mirror = mirror
+        self.generator = generator
 
     @property
     def shape(self) -> tuple:
@@ -191,12 +194,15 @@ def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
     ``kernel`` must depend on the lateral coordinates (all but the last) only
     through x' - y'.  On the midpoint grid the kernel matrix is then
     block-Toeplitz in the lateral index, so the kernel is evaluated only on
-    its generator, one block of vertical pairs per lateral offset
-    (prod(2 m_l - 1) m_v^2 entries instead of N^2).  The cells are uniform,
+    its generator, one block of vertical pairs per lateral offset, and only
+    at the offsets with every lateral component >= 0 where the kernel has a
+    parity along each lateral axis (``_toeplitz_generator``: prod(m_l) m_v^2
+    entries and the parity probes, instead of N^2).  The cells are uniform,
     so sqrt(w_i mu_i) depends on the vertical index only and is folded into
     the generator once, in place.  The matrix keeps that generator and the
     symbol values and produces its rows from them one lateral row block at
-    a time; the dense entries are built only when read.  Where the
+    a time; the dense entries are built only when read, and its
+    ``generator`` attribute holds the generator's record.  Where the
     generator has a parity under the lateral mirror of an axis and the
     symbol values equal their mirror image exactly, the matrix also carries
     its split into half-size blocks (``_mirror_symmetry``).  With a tuple of
@@ -227,7 +233,7 @@ def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
             bad = int(np.argmax(~np.isfinite(fv)))
             raise FloatingPointError(f"symbol not finite at node {bad}: x={nodes[bad]}")
         values.append(fv)
-    gen = _toeplitz_generator(kernel, grid)
+    gen, generator = _toeplitz_generator(kernel, grid)
     pair = _first_nonfinite_pair(gen, grid, zero_diagonal)
     if pair is not None:
         raise _nonfinite(nodes, *pair)
@@ -240,7 +246,7 @@ def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
     gen *= np.multiply.outer(vertical, vertical)
     matrices = []
     for sym, fv in zip(symbols, values):
-        signs = _mirror_symmetry(gen, fv, grid)
+        signs = _mirror_symmetry(gen, generator["signs"], fv, grid)
         mirror = partial(_mirror_split, gen, fv, grid, signs) if signs else None
 
         def probe(x, y, sym=sym):
@@ -248,7 +254,8 @@ def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
 
         matrices.append(OperatorMatrix(grid, 2.0 * lam,
                                        _diagonal_bias(probe, grid, norm, zero_diagonal),
-                                       rows=_toeplitz_rows(gen, fv, grid), mirror=mirror))
+                                       rows=_toeplitz_rows(gen, fv, grid), mirror=mirror,
+                                       generator=generator))
     return tuple(matrices) if isinstance(symbol, tuple) else matrices[0]
 
 
@@ -298,38 +305,109 @@ def _assemble_dense(kernel, nodes: np.ndarray) -> np.ndarray:
 
 
 # generator entries evaluated per kernel call: bounds the kernel's temporaries
-# (about 11 float64 arrays of the chunk's size for the tabulated Riesz kernel)
+# (a few float64 arrays of the chunk's size for the tabulated Riesz kernel)
 _GENERATOR_CHUNK = 2**15
 
 
-def _toeplitz_generator(kernel, grid: BoxGrid) -> np.ndarray:
-    """Kernel blocks of a laterally translation-invariant kernel, one per offset.
+def _toeplitz_generator(kernel, grid: BoxGrid) -> tuple:
+    """Kernel blocks of a laterally translation-invariant kernel, one per
+    offset, and the record of how they were found; returns (G, record).
 
-    Returns G of shape (2 m_1 - 1, ..., 2 m_n - 1, m_v, m_v) with
-    G[d + m - 1][a, b] = kernel(x, y) for any node pair whose lateral indices
-    differ by d and whose vertical indices are a and b.  Each offset is
-    evaluated at the node pair with lateral indices (max(d, 0), max(-d, 0)).
-    """
+    G has shape (2 m_1 - 1, ..., 2 m_n - 1, m_v, m_v), with
+    G[d + m - 1][a, b] = kernel(x, y) for any node pair whose lateral
+    indices differ by d and whose vertical indices are a and b.  Offset d is
+    evaluated at the node pair with lateral indices (max(d, 0), max(-d, 0)),
+    so the lateral difference at -d is exactly the negation of that at d.
+
+    Only the prod(m_l) offsets with every lateral component >= 0 are
+    evaluated first.  Along each lateral axis l with m_l >= 2 the kernel's
+    parity sign_l is then read off the mirrored offsets -1 and -(m_l - 1)
+    (the parity probes): sign_l = +1 when their finite entries equal those
+    at +1 and +(m_l - 1) bit for bit, -1 when they equal their negation, and
+    None otherwise.  For the Riesz kernel sign_l is -1 for k = l and +1
+    else, exactly: reversing d_l flips the sign of (x - y)_l and nothing
+    else.  The parity is taken to hold along the axis at every offset; an
+    axis without one has its negative offsets evaluated.  Every other
+    negative half is filled as sign_l times the reversed non-negative half.
+
+    ``record`` is {"offsets_evaluated", "offsets_total", "signs"}: the
+    offsets the kernel was evaluated at (probes included), the generator's
+    prod(2 m_l - 1) offsets, and sign_l per lateral axis."""
     *lateral, mv = grid.points_per_dim
     dim = grid.dim
     coords = [np.unique(grid.nodes[:, l]) for l in range(dim)]
-    offsets = list(itertools.product(*(range(1 - m, m) for m in lateral)))
-    D = len(offsets)
-    offsets = np.array(offsets, dtype=int).reshape(D, dim - 1)
-    x = np.empty((D, mv, 1, dim))
-    y = np.empty((D, 1, mv, dim))
-    for l in range(dim - 1):
-        x[..., l] = coords[l][np.maximum(offsets[:, l], 0)][:, None, None]
-        y[..., l] = coords[l][np.maximum(-offsets[:, l], 0)][:, None, None]
-    x[..., -1] = coords[-1][None, :, None]
-    y[..., -1] = coords[-1][None, None, :]
+    shape = tuple(2 * m - 1 for m in lateral)
+    centre = np.array(lateral, dtype=int) - 1
+    gen = np.empty((*shape, mv, mv))
+    blocks = gen.reshape(-1, mv, mv)  # a view: writes land in gen
+    evaluated = np.zeros(shape, dtype=bool)
 
-    gen = np.empty((D, mv, mv))
-    step = max(1, _GENERATOR_CHUNK // (mv * mv))
-    for lo in range(0, D, step):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gen[lo:lo + step] = kernel(x[lo:lo + step], y[lo:lo + step])
-    return gen.reshape(*(2 * m - 1 for m in lateral), mv, mv)
+    def evaluate(region):
+        """Evaluate the offsets in the boolean ``region`` not yet evaluated."""
+        where = np.argwhere(region & ~evaluated)
+        evaluated[region] = True
+        offsets = where - centre
+        D = len(offsets)
+        x = np.empty((D, mv, 1, dim))
+        y = np.empty((D, 1, mv, dim))
+        for l in range(dim - 1):
+            x[..., l] = coords[l][np.maximum(offsets[:, l], 0)][:, None, None]
+            y[..., l] = coords[l][np.maximum(-offsets[:, l], 0)][:, None, None]
+        x[..., -1] = coords[-1][None, :, None]
+        y[..., -1] = coords[-1][None, None, :]
+        flat = np.ravel_multi_index(tuple(where.T), shape)
+        step = max(1, _GENERATOR_CHUNK // (mv * mv))
+        for lo in range(0, D, step):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                blocks[flat[lo:lo + step]] = kernel(x[lo:lo + step], y[lo:lo + step])
+
+    def along(l, index):
+        """Offset index ``index`` along axis l, the zero offset elsewhere."""
+        return tuple(index if j == l else c for j, c in enumerate(centre))
+
+    nonnegative = np.zeros(shape, dtype=bool)
+    nonnegative[tuple(slice(c, None) for c in centre)] = True
+    evaluate(nonnegative)
+
+    signs = []
+    for l, m in enumerate(lateral):
+        sign = None
+        if m >= 2:
+            ds = np.array(sorted({1, m - 1}))
+            probes = np.zeros(shape, dtype=bool)
+            probes[along(l, m - 1 - ds)] = True
+            evaluate(probes)
+            mirrored, direct = gen[along(l, m - 1 - ds)], gen[along(l, m - 1 + ds)]
+            finite = np.isfinite(mirrored) & np.isfinite(direct)
+            if np.array_equal(mirrored[finite], direct[finite]):
+                sign = 1
+            elif np.array_equal(mirrored[finite], -direct[finite]):
+                sign = -1
+        signs.append(sign)
+
+    # the axes without a parity have their negative offsets evaluated
+    rest = np.ones(shape, dtype=bool)
+    for l, c in enumerate(centre):
+        if signs[l] is not None:
+            rest[(slice(None),) * l + (slice(None, c),)] = False
+    evaluate(rest)
+
+    for l, (c, sign) in enumerate(zip(centre, signs)):
+        if sign is None:
+            continue
+        # the axes after l hold their non-negative half so far, or every
+        # offset where they have no parity
+        later = tuple(slice(cj, None) if sj is not None else slice(None)
+                      for cj, sj in zip(centre[l + 1:], signs[l + 1:]))
+        source = np.flip(gen[(slice(None),) * l + (slice(c + 1, None),) + later], l)
+        target = gen[(slice(None),) * l + (slice(None, c),) + later]
+        if sign > 0:
+            target[...] = source
+        else:
+            np.negative(source, out=target)
+    record = {"offsets_evaluated": int(evaluated.sum()), "offsets_total": int(np.prod(shape)),
+              "signs": signs}
+    return gen, record
 
 
 def _first_nonfinite_pair(gen: np.ndarray, grid: BoxGrid, zero_diagonal: bool):
@@ -435,29 +513,30 @@ def _toeplitz_rows(gen: np.ndarray, fv: np.ndarray, grid: BoxGrid,
     return ProducedMatrix((len(row_nodes), len(col_nodes)), fill, mv)
 
 
-def _mirror_symmetry(gen: np.ndarray, fv: np.ndarray, grid: BoxGrid) -> dict:
+def _mirror_symmetry(gen: np.ndarray, parity: list, fv: np.ndarray, grid: BoxGrid) -> dict:
     """The lateral axes along which the commutator splits, as {axis: sign}.
 
-    The mirror J_l reverses lateral index l.  Axis l splits when the
-    generator reversed along l equals sign * gen exactly (sign = +-1), away
-    from its non-finite entries (the zero offset's diagonal, which the
-    reversal maps to itself), and the symbol values reversed along l equal
-    them exactly.  ``make_grid`` builds the lateral nodes as mirror pairs,
-    so a symbol centred on the mirror passes bit for bit; values an ulp off
-    it do not split, and their whole Gram matrix is solved instead."""
+    The mirror J_l reverses lateral index l.  ``parity`` holds the
+    generator's sign_l per axis from its build (``_toeplitz_generator``),
+    which fills the negative offsets along l as sign_l times the reversed
+    non-negative ones.  Axis l splits when sign_l is +-1, the symbol values
+    reversed along l equal them exactly, and, for sign_l = -1, the zero
+    offset along l, which the reversal maps to itself, is 0 away from its
+    non-finite entries (the zero offset's diagonal).  ``make_grid`` builds
+    the lateral nodes as mirror pairs, so a symbol centred on the mirror
+    passes bit for bit; values an ulp off it do not split, and their whole
+    Gram matrix is solved instead."""
     *lateral, mv = grid.points_per_dim
-    finite = np.isfinite(gen)
     values = fv.reshape(*lateral, mv)
     signs = {}
-    for l, m in enumerate(lateral):
-        if m < 2 or not np.array_equal(np.flip(values, l), values):
+    for l, (m, sign) in enumerate(zip(lateral, parity)):
+        if m < 2 or sign is None or not np.array_equal(np.flip(values, l), values):
             continue
-        mask = finite & np.flip(finite, l)
-        kept, mirrored_gen = gen[mask], np.flip(gen, l)[mask]
-        if np.array_equal(mirrored_gen, kept):
-            signs[l] = 1
-        elif np.array_equal(mirrored_gen, -kept):
-            signs[l] = -1
+        if sign < 0:
+            zero = gen[(slice(None),) * l + (m - 1,)]
+            if np.any(zero[np.isfinite(zero)] != 0.0):
+                continue
+        signs[l] = sign
     return signs
 
 

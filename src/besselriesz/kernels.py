@@ -63,15 +63,6 @@ def symbol_h(m: int, x, y):
     return d[..., m - 1] / r
 
 
-def symbol_K(m: int, x, y, lam: float):
-    """(x - y)_m / (|x - y|^(n+2) (x_last y_last)^lam); x != y."""
-    x, y = _pts(x), _pts(y)
-    d, r = _sep(x, y)
-    _reject_coincident(r)
-    n = x.shape[-1] - 1
-    return d[..., m - 1] / (r ** (n + 2) * (x[..., -1] * y[..., -1]) ** lam)
-
-
 def _reject_coincident(r):
     if np.ndim(r) == 0 and r == 0.0:
         raise ValueError("coincident points")
@@ -321,20 +312,34 @@ def riesz_kernel_classical(n: int, l: int, x, y):
 
 def riesz_kernel_bessel(p: ModelParams, x, y, f_eval=None):
     """Kernel of the k-th weighted Riesz transform (gradient of the inverse
-    square root), assembled from the symbol family and the F profiles."""
+    square root), assembled from the symbol family and the F profiles:
+
+        -kappa2 [F20(H) K_k + (a F11(H) - b h_(n+1) F21(H)) sum_l h_l K_l],
+
+    the bracket's second term for k = n + 1 only, with H, a, b, h_l and
+    K_l = (x - y)_l / (|x - y|^(n+2) (x_last y_last)^lam) the pointwise
+    symbols.  The separation x - y, |x - y| and the denominator of K_l are
+    computed once per call, and every expression keeps the order of the
+    ``symbol_*`` functions, so the entries equal their composition bit for
+    bit.  Scalar calls on coincident points raise."""
     if f_eval is None:
         f_eval = DirectF(p)
     x, y = _pts(x), _pts(y)
     c = model_constants(p)
-    H = symbol_H(x, y)
-    out = f_eval(IDX20, H) * symbol_K(p.k, x, y, p.lam)
+    d, r = _sep(x, y)
+    _reject_coincident(r)
+    xl, yl = x[..., -1], y[..., -1]
+    xy = xl * yl
+    H = r / np.sqrt(xy)
+    den = r ** (p.n + 2) * xy ** p.lam
+    out = f_eval(IDX20, H) * (d[..., p.k - 1] / den)
     if p.k == p.n + 1:
         s = 0.0
-        for l in range(1, p.n + 2):
-            s = s + symbol_h(l, x, y) * symbol_K(l, x, y, p.lam)
-        a = symbol_a(x, y)
-        b = symbol_b(x, y)
-        hn1 = symbol_h(p.n + 1, x, y)
+        for l in range(p.n + 1):
+            s = s + (d[..., l] / r) * (d[..., l] / den)
+        a = np.sqrt(np.minimum(xl, yl) / np.maximum(xl, yl))
+        b = (xl < yl).astype(float)
+        hn1 = d[..., p.n] / r
         out = out + a * f_eval(IDX11, H) * s - b * hn1 * f_eval(IDX21, H) * s
     return -c.kappa2 * out
 

@@ -174,7 +174,11 @@ def test_spectrum_pipeline_artifacts(tmp_path):
     assert payload["passed"] is True
     assert set(payload["timings"]) == {"table", "assemble", "svd"}
     runtime = payload["runtime"]
-    assert set(runtime) == {"peak_rss_mb", "scipy_modules", "svd", "f_table"}
+    assert set(runtime) == {"peak_rss_mb", "scipy_modules", "svd", "f_table", "generator"}
+    # the generator evaluates its 12 non-negative lateral offsets and the two
+    # parity probes; the vertical Riesz kernel (k = 2) is even laterally
+    assert runtime["generator"] == {"offsets_evaluated": 14, "offsets_total": 23,
+                                    "signs": [1]}
     assert {"linalg", "special"} <= set(runtime["scipy_modules"])
     assert runtime["scipy_modules"] == sorted(runtime["scipy_modules"])
     # the F table's one batched pass: two integrals per node past 0, every
@@ -326,7 +330,9 @@ def test_ratio_pipeline_double_symbol(tmp_path):
     # one F table and one assembly (one generator) serve both symbols
     assert set(report.timings) == {"table", "assemble", "svd_f", "svd_g"}
     assert set(report.runtime) == {"peak_rss_mb", "scipy_modules", "svd_f", "svd_g",
-                                   "f_table"}
+                                   "f_table", "generator"}
+    assert report.runtime["generator"] == {"offsets_evaluated": 18, "offsets_total": 31,
+                                           "signs": [1]}
 
 
 _FOOTPRINT_SCRIPT = """

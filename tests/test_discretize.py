@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from besselriesz import cli
+from besselriesz import cli, discretize
 from besselriesz.discretize import (
     assemble,
     load_matrix,
@@ -222,6 +224,110 @@ def test_gram_from_row_blocks_matches_dense(n, k, points):
     scale = np.max(np.abs(dense))
     assert np.max(np.abs(np.tril(gram) - np.tril(dense))) <= 1e-14 * scale
     assert np.all(np.triu(gram, 1) == 0.0)
+
+
+def parity_probes(lateral) -> int:
+    """The offsets -1 and -(m - 1) per lateral axis of m >= 2 points."""
+    return sum(len({1, m - 1}) for m in lateral if m >= 2)
+
+
+@TOEPLITZ_GRIDS
+def test_toeplitz_generator_evaluates_nonnegative_offsets(n, k, points):
+    # the Riesz kernel has an exact parity along every lateral axis, so only
+    # the offsets with every lateral component >= 0 and the parity probes
+    # are evaluated; the diagonal-bias probes add 4 entries per node
+    p = ModelParams(n=n, lam=1.0, k=k)
+    g = make_grid([(0.0, 1.0)] * n + [(0.5, 1.5)], points, halfspace=True)
+    base = riesz_base(g, p)
+    shapes = []
+
+    def counting(x, y):
+        shapes.append(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1]))
+        return base(x, y)
+
+    A = assemble(counting, g, p.lam, symbol=gaussian_bump([0.5] * n + [1.0], 0.15))
+    *lateral, mv = points
+    offsets = int(np.prod(lateral)) + parity_probes(lateral)
+    assert sum(int(np.prod(shape)) for shape in shapes) == offsets * mv**2 + 4 * len(g.nodes)
+    assert A.generator == {
+        "offsets_evaluated": offsets,
+        "offsets_total": int(np.prod([2 * m - 1 for m in lateral])),
+        "signs": [-1 if k == l + 1 else 1 for l in range(n)],
+    }
+
+
+def full_generator(kernel, grid):
+    """The kernel evaluated at every lateral offset d, at the node pair with
+    lateral indices (max(d, 0), max(-d, 0)): the generator's reference."""
+    *lateral, mv = grid.points_per_dim
+    coords = [np.unique(grid.nodes[:, l]) for l in range(grid.dim)]
+    offsets = np.array(list(itertools.product(*(range(1 - m, m) for m in lateral))))
+    x = np.empty((len(offsets), mv, 1, grid.dim))
+    y = np.empty((len(offsets), 1, mv, grid.dim))
+    for l in range(grid.dim - 1):
+        x[..., l] = coords[l][np.maximum(offsets[:, l], 0)][:, None, None]
+        y[..., l] = coords[l][np.maximum(-offsets[:, l], 0)][:, None, None]
+    x[..., -1] = coords[-1][None, :, None]
+    y[..., -1] = coords[-1][None, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gen = kernel(x, y)
+    return gen.reshape(*(2 * m - 1 for m in lateral), mv, mv)
+
+
+def no_lateral_parity(x, y):
+    # translation-invariant laterally, with no parity: the fallback
+    return np.exp(0.3 * (x[..., 0] - y[..., 0])) / (1.0 + x[..., -1] * y[..., -1])
+
+
+def even_then_no_parity(x, y):
+    # even along the first lateral axis, no parity along the second
+    return (np.exp(-(x[..., 0] - y[..., 0]) ** 2) * np.exp(0.3 * (x[..., 1] - y[..., 1]))
+            * x[..., -1] / y[..., -1])
+
+
+@pytest.mark.parametrize(
+    "n, k, points, kernel, signs",
+    [
+        *((1, k, (m, m), None, [-1 if k == 1 else 1]) for k in (1, 2) for m in (7, 16, 33)),
+        (2, 1, (6, 5, 7), None, [-1, 1]),
+        (2, 3, (6, 5, 7), None, [1, 1]),
+        (2, 1, (9, 2, 4), None, [-1, 1]),
+        (1, 2, (7, 6), no_lateral_parity, [None]),
+        (2, 3, (5, 6, 4), even_then_no_parity, [1, None]),
+    ],
+)
+def test_toeplitz_generator_matches_full_evaluation(n, k, points, kernel, signs):
+    # the filled negative halves equal a direct evaluation bit for bit, and
+    # an axis without a parity has its negative offsets evaluated
+    p = ModelParams(n=n, lam=1.0, k=k)
+    g = make_grid([(0.0, 1.0)] * n + [(0.5, 1.5)], points, halfspace=True)
+    kernel = kernel or riesz_base(g, p)
+    gen, record = discretize._toeplitz_generator(kernel, g)
+    assert gen.tobytes() == full_generator(kernel, g).tobytes()
+    *lateral, _ = points
+    assert record["signs"] == signs
+    evaluated = 1
+    for m, sign in zip(lateral, signs):
+        evaluated *= m if sign is not None else 2 * m - 1
+    # the probes along an axis without a parity are among its evaluated offsets
+    probes = parity_probes([m for m, sign in zip(lateral, signs) if sign is not None])
+    assert record["offsets_evaluated"] == evaluated + probes
+    assert record["offsets_total"] == int(np.prod([2 * m - 1 for m in lateral]))
+
+
+def test_odd_parity_needs_a_zero_offset_of_zeros():
+    # odd at every nonzero lateral offset but 1 at the zero offset: the
+    # probes give sign -1, and the mirror does not anticommute with the
+    # operator, so the commutator does not split
+    g = make_grid([(0.0, 1.0), (0.5, 1.5)], (8, 6), halfspace=True)
+
+    def base(x, y):
+        d = x[..., 0] - y[..., 0]
+        return np.where(d == 0.0, 1.0, d) * x[..., -1] * y[..., -1]
+
+    A = assemble(base, g, 1.0, symbol=gaussian_bump([0.5, 1.0], 0.15))
+    assert A.generator["signs"] == [-1]
+    assert A.mirror_blocks() == (A,)
 
 
 def test_certified_head_leaves_entries_unbuilt():

@@ -5,6 +5,7 @@ import pytest
 
 from besselriesz import auxfn, quadrature
 from besselriesz.auxfn import F, table_nodes
+from besselriesz.kernels import _reject_coincident, _sep
 from besselriesz.kernels import (
     IDX11,
     IDX20,
@@ -27,7 +28,6 @@ from besselriesz.kernels import (
     symbol_a,
     symbol_b,
     symbol_h,
-    symbol_K,
     taylor_local_check,
 )
 from besselriesz.quadrature import gauss_legendre_box, gegenbauer_integral
@@ -38,6 +38,53 @@ P1 = ModelParams(n=1, lam=1.0, k=1)
 P2 = ModelParams(n=1, lam=1.0, k=2)
 X = np.array([0.0, 1.0])
 Y = np.array([0.0, 2.0])
+
+
+def symbol_K(m: int, x, y, lam: float):
+    """(x - y)_m / (|x - y|^(n+2) (x_last y_last)^lam); x != y."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    d, r = _sep(x, y)
+    _reject_coincident(r)
+    n = x.shape[-1] - 1
+    return d[..., m - 1] / (r ** (n + 2) * (x[..., -1] * y[..., -1]) ** lam)
+
+
+def riesz_kernel_composed(p: ModelParams, x, y, f_eval):
+    """The Bessel Riesz kernel as the composition of the pointwise symbols,
+    one ``symbol_*`` call per factor."""
+    H = symbol_H(x, y)
+    out = f_eval(IDX20, H) * symbol_K(p.k, x, y, p.lam)
+    if p.k == p.n + 1:
+        s = 0.0
+        for l in range(1, p.n + 2):
+            s = s + symbol_h(l, x, y) * symbol_K(l, x, y, p.lam)
+        a = symbol_a(x, y)
+        b = symbol_b(x, y)
+        hn1 = symbol_h(p.n + 1, x, y)
+        out = out + a * f_eval(IDX11, H) * s - b * hn1 * f_eval(IDX21, H) * s
+    return -model_constants(p).kappa2 * out
+
+
+def synthetic_f(idx, h):
+    """A cheap stand-in for the F profiles, distinct per index pair."""
+    return np.exp(-(idx.k + idx.l) * h) * np.cos(h + idx.l)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 1), (2, 3)])
+def test_riesz_kernel_bessel_equals_symbol_composition(n, k):
+    # the fused evaluation computes x - y, |x - y| and K_l's denominator once
+    # and keeps every expression's order, so its bits are the composition's
+    p = ModelParams(n=n, lam=1.0, k=k)
+    rng = np.random.default_rng(19 + 10 * n + k)
+    x = np.concatenate([rng.uniform(-1, 1, (40, n)), rng.uniform(0.2, 2, (40, 1))], axis=1)
+    y = np.concatenate([rng.uniform(-1, 1, (40, n)), rng.uniform(0.2, 2, (40, 1))], axis=1)
+    for a, b in ((x, y), (x[:, None, :], y[None, :, :]), (x[0], y[0])):
+        fused = np.asarray(riesz_kernel_bessel(p, a, b, synthetic_f))
+        composed = np.asarray(riesz_kernel_composed(p, a, b, synthetic_f))
+        assert fused.shape == composed.shape
+        assert fused.tobytes() == composed.tobytes()
+    with pytest.raises(ValueError, match="coincident"):
+        riesz_kernel_bessel(p, x[0], x[0], synthetic_f)
 
 
 def test_symbol_examples():

@@ -31,14 +31,17 @@ def test_script_runs(script, args, line, tmp_path, monkeypatch, capsys):
         assert detail in out
 
 
-def _report(exponent, measured, assemble, rss, modules):
+GENERATOR = {"offsets_evaluated": 50, "offsets_total": 95, "signs": [1]}
+
+
+def _report(exponent, measured, assemble, rss, modules, generator=GENERATOR):
     return {
         "results": {"level0": {"fit": {"exponent": exponent, "residual": 0.25},
                                "points_per_dim": [48, 48]}},
         "assertions": [{"name": "ratio", "passed": True, "tolerance": 0.15,
                         "measured": measured}],
         "timings": {"table": 0.1, "assemble": assemble},
-        "runtime": {"peak_rss_mb": rss, "scipy_modules": modules},
+        "runtime": {"peak_rss_mb": rss, "scipy_modules": modules, "generator": generator},
     }
 
 
@@ -60,8 +63,10 @@ def test_report_diff_prints_what_moved(tmp_path, monkeypatch, capsys):
     quiet = _report(-0.5 * (1 + 1e-12), 0.0125, 1.1, 104.0, ["linalg", "special"])
     assert _report_diff(tmp_path, monkeypatch, capsys, old, quiet) == (0, [])
 
+    # a kernel without a parity evaluates every offset of its generator
     new = _report(-0.5 * (1 + 1e-9), 0.0126, 1.3, 106.0,
-                  ["integrate", "linalg", "special"])
+                  ["integrate", "linalg", "special"],
+                  {"offsets_evaluated": 95, "offsets_total": 95, "signs": [None]})
     code, lines = _report_diff(tmp_path, monkeypatch, capsys, old, new)
     assert code == 1
     assert [line.split(":")[0] for line in lines] == [
@@ -70,5 +75,7 @@ def test_report_diff_prints_what_moved(tmp_path, monkeypatch, capsys):
         "timings.assemble",
         "runtime.peak_rss_mb",
         "runtime.scipy_modules",
+        "runtime.generator",
     ]
-    assert "['linalg', 'special'] -> ['integrate', 'linalg', 'special']" in lines[-1]
+    assert "['linalg', 'special'] -> ['integrate', 'linalg', 'special']" in lines[-2]
+    assert "'signs': [1]} -> {" in lines[-1] and "'signs': [None]}" in lines[-1]
