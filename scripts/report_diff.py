@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Print what moved between two ``report.json`` files.
+"""Print what moved between two ``report.json`` files, or between two
+benchmark results.
 
     python3 scripts/report_diff.py old/report.json new/report.json
+    python3 scripts/report_diff.py BENCH_old.json BENCH_new.json
 
-It prints one line per change:
+For two reports it prints one line per change:
 
 - every numeric value under ``results``, and every assertion's ``measured``,
   that moved by more than 1e-10 relative (a non-numeric value that changed,
@@ -15,8 +17,19 @@ It prints one line per change:
   record (``runtime.generator``, ``runtime.generator_L1``, ...: the lateral
   offsets evaluated, their total and the parity signs).
 
+For two results written by ``perfbench/run.py --out`` it prints one line per
+change:
+
+- every end-to-end metric of ``BENCHMARK.json`` that both results carry and
+  that moved past its bound (a traced result carries the per-layer metrics
+  instead);
+- any change in the runs ``failed`` or ``attempted``;
+
+and, for each result with traced runs, the least ``trace.span_coverage`` of
+those runs, which is not a change.
+
 The bounds are relative and read from ``BENCHMARK.json`` at the root of the
-checkout.  The exit code is 1 when anything was printed, 0 otherwise.
+checkout.  The exit code is 1 when a change was printed, 0 otherwise.
 """
 
 import json
@@ -94,13 +107,47 @@ def diff_reports(old: dict, new: dict, bounds: dict) -> list:
     return lines
 
 
+def _is_bench_result(data: dict) -> bool:
+    return "metrics" in data and "children" in data
+
+
+def diff_bench_results(old: dict, new: dict, bounds: dict) -> list:
+    """The lines of change from benchmark result ``old`` to result ``new``."""
+    lines = []
+    for name, bound in bounds.items():
+        if name in old["metrics"] and name in new["metrics"]:
+            a, b = old["metrics"][name]["value"], new["metrics"][name]["value"]
+            if _moved(a, b, bound):
+                lines.append(_change(f"metrics.{name}", a, b))
+    for key in ("failed", "attempted"):
+        if old[key] != new[key]:
+            lines.append(_change(key, old[key], new[key]))
+    return lines
+
+
+def least_coverage(result: dict):
+    """The least ``trace.span_coverage`` over a result's traced runs, or None."""
+    values = [child["layers"]["trace.span_coverage"] for child in result["children"]
+              if child.get("layers")]
+    return min(values) if values else None
+
+
 def main(argv) -> int:
     if len(argv) != 2:
-        print("usage: report_diff.py OLD_REPORT NEW_REPORT", file=sys.stderr)
+        print("usage: report_diff.py OLD NEW (two report.json files or two benchmark results)",
+              file=sys.stderr)
         return 2
     old, new = (json.loads(Path(path).read_text()) for path in argv)
-    lines = diff_reports(old, new, benchmark_bounds())
-    for line in lines:
+    if _is_bench_result(old) != _is_bench_result(new):
+        print("report_diff.py: one report.json and one benchmark result", file=sys.stderr)
+        return 2
+    if _is_bench_result(old):
+        lines = diff_bench_results(old, new, benchmark_bounds())
+        notes = [f"least trace.span_coverage of {path}: {least_coverage(result):.4f}"
+                 for path, result in zip(argv, (old, new)) if least_coverage(result) is not None]
+    else:
+        lines, notes = diff_reports(old, new, benchmark_bounds()), []
+    for line in lines + notes:
         print(line)
     return 1 if lines else 0
 

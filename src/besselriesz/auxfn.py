@@ -105,50 +105,87 @@ def _taylor_remainder(lam: float, order: int, u: np.ndarray) -> np.ndarray:
     return total
 
 
-def A_part(idx: AuxIndex, p: ModelParams, x: float) -> float:
-    """Smooth component: the t-integral restricted to [1/2, 2]."""
+def _by_breaks(keys: np.ndarray):
+    """(key, indices of ``keys`` equal to it) for each distinct key, ascending:
+    the x values whose panel breaks, a function of the key, coincide."""
+    for key in np.unique(keys):
+        yield float(key), np.flatnonzero(keys == key)
+
+
+def _A_integrals(p: ModelParams, xs: np.ndarray, ls) -> np.ndarray:
+    """The smooth component: the t-integral restricted to [1/2, 2], for every
+    l of ``ls`` (rows) and x of ``xs`` (columns).  Its rule does not depend
+    on x, so this is one batched quadrature."""
     n, lam = p.n, p.lam
     power = -lam - n / 2 - 1.0
+    x2 = xs * xs
 
     def g(t):
-        return (x * x + 2.0 * t) ** power * t ** (lam + idx.l - 1.0)
+        base = (x2 + 2.0 * t[:, None]) ** power
+        out = np.stack([base * t[:, None] ** (lam + l - 1.0) for l in ls], axis=1)
+        return out.reshape(len(t), -1)
 
-    return panel_integral(g, (0.5, 2.0), beta=lam - 1.0)
+    return panel_integral(g, (0.5, 2.0), beta=lam - 1.0).reshape(len(ls), len(xs))
 
 
-def B_part(idx: AuxIndex, p: ModelParams, x: float) -> float:
-    """Regularized near component on [0, 1/2] (Taylor remainder of (1-t/2)^(lam-1))."""
+def _B_integrals(p: ModelParams, xs: np.ndarray, ls) -> np.ndarray:
+    """The regularized near component on [0, 1/2] (Taylor remainder of
+    (1-t/2)^(lam-1)), times x^n, for every l of ``ls`` (rows) and x >= 0 of
+    ``xs`` (columns): one batched quadrature per distinct panel layout, which
+    depends on x only through min(max(x^2, 1e-12), 1/2)."""
     n, lam = p.n, p.lam
     power = -lam - n / 2 - 1.0
+    out = np.empty((len(ls), len(xs)))
+    for start, group in _by_breaks(np.minimum(np.maximum(xs * xs, 1e-12), 0.5)):
+        x2 = xs[group] * xs[group]
 
-    def g(t):
-        rem = _taylor_remainder(lam, n + 2, -0.5 * t)
-        return (x * x + 2.0 * t) ** power * 2.0 ** (lam - 1.0) * rem * t**idx.l
+        def g(t):
+            rem = _taylor_remainder(lam, n + 2, -0.5 * t)
+            base = (x2 + 2.0 * t[:, None]) ** power * 2.0 ** (lam - 1.0) * rem[:, None]
+            vals = np.stack([base * t[:, None] ** l for l in ls], axis=1)
+            return vals.reshape(len(t), -1)
 
-    breaks = geometric_breaks(min(max(x * x, 1e-12), 0.5), 0.5)
-    return x**n * panel_integral(g, breaks, alpha=lam - 1.0)
+        vals = panel_integral(g, geometric_breaks(start, 0.5), alpha=lam - 1.0)
+        out[:, group] = xs[group] ** n * vals.reshape(len(ls), len(group))
+    return out
+
+
+@lru_cache(maxsize=64)
+def _far_tail(n: int, lam: float, l: int, j: int) -> float:
+    """Integral over (0, 1) of (1+u)^(-lam-n/2-1) u^(lam+j+l-1): the part of
+    C_tail that does not depend on x."""
+    power = -lam - n / 2 - 1.0
+    return panel_integral(lambda u: (1.0 + u) ** power, (0.0, 1.0), alpha=lam + j + l - 1.0)
+
+
+def _tail_integrals(p: ModelParams, xs: np.ndarray, ls, js) -> np.ndarray:
+    """``C_tail`` for every l of ``ls``, j of ``js`` and 0 < x <= 1 of ``xs``,
+    shape (len(ls), len(js), len(xs)).  The near integrals over (x^2, 1) of
+    every (l, j) share one batched quadrature per distinct x^2 < 1, and the
+    far integral over (0, 1) is computed once per (n, lam, l, j)."""
+    n, lam = p.n, p.lam
+    power = -lam - n / 2 - 1.0
+    exps = [n / 2 - j - l for l in ls for j in js]
+    near = np.zeros((len(ls) * len(js), len(xs)))
+    x2 = xs * xs
+
+    def g(s):
+        base = (s + 1.0) ** power
+        return np.stack([base * s**e for e in exps], axis=1)
+
+    for start, group in _by_breaks(x2):
+        if start < 1.0:
+            near[:, group] = panel_integral(g, geometric_breaks(start, 1.0)[1:])[:, None]
+    far = np.array([_far_tail(n, lam, l, j) for l in ls for j in js])
+    total = near + far[:, None]
+    return np.array([xs ** (2 * j) for j in js]) * total.reshape(len(ls), len(js), len(xs))
 
 
 def C_tail(p: ModelParams, l: int, j: int, x: float) -> float:
     """x^(2j) * integral over (x^2, inf) of (s+1)^(-lam-n/2-1) s^(n/2-j-l) ds."""
     if not 0 < x <= 1:
         raise ValueError("C_tail requires 0 < x <= 1")
-    n, lam = p.n, p.lam
-    power = -lam - n / 2 - 1.0
-    s_exp = n / 2 - j - l
-
-    def g_near(s):
-        return (s + 1.0) ** power * s**s_exp
-
-    near = 0.0
-    if x * x < 1.0:
-        near = panel_integral(g_near, geometric_breaks(x * x, 1.0)[1:])
-
-    def g_far(u):
-        return (1.0 + u) ** power
-
-    far = panel_integral(g_far, (0.0, 1.0), alpha=lam + j + l - 1.0)
-    return x ** (2 * j) * (near + far)
+    return float(_tail_integrals(p, np.array([float(x)]), (l,), (j,))[0, 0, 0])
 
 
 def a_coeff(l: int, j: int, p: ModelParams) -> float:
@@ -184,27 +221,40 @@ class AuxDecomposition:
             coeffs[(k + 2 * l - 2) + 2 * j] += cj * self.a_coeffs[j]
         self.P_log = Polynomial(coeffs)
 
-    def A(self, x: float) -> float:
-        return A_part(self.idx, self.params, x)
 
-    def B(self, x: float) -> float:
-        return B_part(self.idx, self.params, x)
+def F_decomposed_batch(p: ModelParams, xs, indices) -> dict:
+    """{idx: F_idx(x) at every 0 < x <= 1 of ``xs``} through the three-part
+    decomposition
 
-    def __call__(self, x: float) -> float:
-        p, idx = self.params, self.idx
-        tail = sum(cj * C_tail(p, idx.l, j, x) for j, cj in self.C_coeffs)
-        return (
-            x ** (p.n + idx.k) * self.A(x)
-            + x**idx.k * self.B(x)
-            + x ** (idx.k + 2 * idx.l - 2) * tail
-        )
+        F = x^(n+k) A + x^k B + x^(k+2l-2) sum_j c_j C_tail(l, j, x).
+
+    A, B and the tails depend on the index only through l, so every part is
+    computed once per l for all of ``xs`` together: one batched quadrature
+    for A, one for B per distinct panel layout, one for the near tails of
+    every (l, j) per distinct x^2 < 1, and the far tails once per (n, lam,
+    l, j)."""
+    xs = np.asarray(xs, dtype=float)
+    if not np.all((xs > 0) & (xs <= 1)):
+        raise ValueError("F_decomposed requires 0 < x <= 1")
+    n = p.n
+    ls = sorted({idx.l for idx in indices})
+    js = range(n + 3)
+    A = _A_integrals(p, xs, ls)
+    B = _B_integrals(p, xs, ls)
+    tails = _tail_integrals(p, xs, ls, js)
+    out = {}
+    for idx in indices:
+        k, row = idx.k, ls.index(idx.l)
+        tail = sum(c_coeff(p, idx.l, j) * tails[row, j] for j in js)
+        out[idx] = (xs ** (n + k) * A[row] + xs**k * B[row]
+                    + xs ** (k + 2 * idx.l - 2) * tail)
+    return out
 
 
 def F_decomposed(idx: AuxIndex, p: ModelParams, x: float) -> float:
-    """Evaluate F on (0, 1] through the three-part decomposition."""
-    if not 0 < x <= 1:
-        raise ValueError("F_decomposed requires 0 < x <= 1")
-    return AuxDecomposition(idx, p)(x)
+    """F at 0 < x <= 1 through the three-part decomposition
+    (``F_decomposed_batch`` at one x)."""
+    return float(F_decomposed_batch(p, [x], (idx,))[idx][0])
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .auxfn import AuxIndex, F, F_decomposed, G, f_zero
+from .auxfn import AuxIndex, F, F_decomposed_batch, f_zero
 from .discretize import BoxGrid, OperatorMatrix, assemble, make_grid, save_matrix
 from .kernels import (
     TabulatedF,
@@ -461,17 +461,19 @@ def run_auxfn(cfg: ExperimentConfig, out: Path) -> RunReport:
     p = cfg.params
     t0 = time.perf_counter()
     xs = np.concatenate([np.geomspace(1e-3, 0.1, 7), np.linspace(0.15, 1.0, 18)])
+    indices = [AuxIndex(k, l) for k, l in ((2, 0), (1, 1), (2, 1))]
+    decomposed = F_decomposed_batch(p, xs, indices)
     rows = []
     worst = 0.0
-    for x in xs:
+    for i, x in enumerate(xs):
         row = {"x": x}
-        for k, l in ((2, 0), (1, 1), (2, 1)):
-            idx = AuxIndex(k, l)
+        for idx in indices:
+            # G's own expression, (F(x) - F(0)) / x, from the F value at hand
             fv = F(idx, p, float(x))
-            row[f"F{k}{l}"] = fv
-            row[f"G{k}{l}"] = G(idx, p, float(x))
-            resid = abs(fv - F_decomposed(idx, p, float(x))) if x <= 1 else np.nan
-            row[f"dec_resid{k}{l}"] = resid
+            row[f"F{idx.k}{idx.l}"] = fv
+            row[f"G{idx.k}{idx.l}"] = (fv - f_zero(idx, p)) / float(x)
+            resid = abs(fv - decomposed[idx][i])
+            row[f"dec_resid{idx.k}{idx.l}"] = resid
             worst = max(worst, resid)
         rows.append(row)
     cols = list(rows[0])

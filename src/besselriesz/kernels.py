@@ -111,37 +111,47 @@ class TabulatedF:
 
 
 def heat_kernel(p: ModelParams, s: float, x, y) -> float:
-    """Kernel of the heat semigroup at time s^2 (weighted measure convention)."""
+    """Kernel of the heat semigroup at time s^2 (weighted measure convention):
+    the pair's ``_heat_profile`` evaluated once, at s > 0."""
     if not s > 0:
         raise ValueError("heat_kernel requires s > 0")
-    c = model_constants(p)
     x, y = _pts(x), _pts(y)
     _, r = _sep(x, y)
-    expo = float(r * r) / (4.0 * s * s)
-    if expo > 700.0:
-        return 0.0
-    beta = float(x[-1] * y[-1]) / (2.0 * s * s)
-    angular = _angular(p.lam, beta)
-    return c.kappa_lambda * s ** (-2.0 * p.lam - 1.0 - p.n) * np.exp(-expo) * angular
+    return _heat_profile(p, float(r * r), float(x[-1] * y[-1]))(s)
 
 
-def _angular(lam: float, beta: float) -> float:
-    """Integral of exp(-beta t) (2t - t^2)^(lam - 1) over t in (0, 2).
+def _heat_profile(p: ModelParams, r2: float, xy: float):
+    """s -> the heat kernel at time s^2 of a pair with |x - y|^2 = r2 and
+    x_last y_last = xy, for s > 0.
 
-    The modified-Bessel form sqrt(pi) Gamma(lam) (beta/2)^(-nu) e^(-beta)
-    I_nu(beta) with nu = lam - 1/2; below beta = 1e-4 the ascending series of
-    (beta/2)^(-nu) I_nu(beta) replaces the two factors, whose product would
-    reach inf * 0 as beta -> 0.
+    Everything that does not depend on s is computed here, once per pair:
+    kappa_lambda, the power of s, and the constant factor sqrt(pi) Gamma(lam)
+    of the angular integral of exp(-beta t) against (2t - t^2)^(lam - 1),
+    beta = xy / (2 s^2).  That integral has the modified-Bessel form
+    sqrt(pi) Gamma(lam) (beta/2)^(-nu) e^(-beta) I_nu(beta), nu = lam - 1/2;
+    below beta = 1e-4 the ascending series of (beta/2)^(-nu) I_nu(beta)
+    replaces the two factors, whose product would reach inf * 0 as
+    beta -> 0.  Past |x - y|^2 / (4 s^2) = 700 the kernel is 0.
     """
-    nu = lam - 0.5
-    if beta < 1e-4:
-        q = 0.25 * beta * beta
-        scaled = np.exp(-beta) * (
-            1.0 / _gamma(nu + 1.0) + q / _gamma(nu + 2.0) + 0.5 * q * q / _gamma(nu + 3.0)
-        )
-    else:
-        scaled = (0.5 * beta) ** (-nu) * ive(nu, beta)
-    return np.sqrt(np.pi) * _gamma(lam) * scaled
+    kappa = model_constants(p).kappa_lambda
+    power = -2.0 * p.lam - 1.0 - p.n
+    nu = p.lam - 0.5
+    front = np.sqrt(np.pi) * _gamma(p.lam)
+    g1, g2, g3 = _gamma(nu + 1.0), _gamma(nu + 2.0), _gamma(nu + 3.0)
+
+    def profile(s):
+        expo = r2 / (4.0 * s * s)
+        if expo > 700.0:
+            return 0.0
+        beta = xy / (2.0 * s * s)
+        if beta < 1e-4:
+            q = 0.25 * beta * beta
+            scaled = np.exp(-beta) * (1.0 / g1 + q / g2 + 0.5 * q * q / g3)
+        else:
+            scaled = (0.5 * beta) ** (-nu) * ive(nu, beta)
+        return kappa * s ** power * np.exp(-expo) * (front * scaled)
+
+    return profile
 
 
 def invsqrt_kernel_closed(p: ModelParams, x, y) -> float:
@@ -160,16 +170,18 @@ def invsqrt_kernel_closed(p: ModelParams, x, y) -> float:
 
 
 def invsqrt_kernel_subordination(p: ModelParams, x, y, rel_tol: float = 1e-10) -> float:
-    """(2/sqrt(pi)) * integral of the heat kernel over s in (0, inf), split at |x-y|."""
+    """(2/sqrt(pi)) * integral of the heat kernel over s in (0, inf), split at |x-y|.
+
+    The integrand is the pair's ``_heat_profile``, built once per pair, so
+    QUADPACK's calls do only the s-dependent arithmetic; each call returns
+    what ``heat_kernel(p, s, x, y)`` returns, bit for bit."""
     from scipy.integrate import quad
 
     x, y = _pts(x), _pts(y)
     _, r = _sep(x, y)
     s0 = float(r)
     _reject_coincident(s0)
-
-    def integrand(s):
-        return heat_kernel(p, s, x, y)
+    integrand = _heat_profile(p, float(r * r), float(x[-1] * y[-1]))
 
     near, _ = quad(integrand, 0.0, s0, epsabs=0.0, epsrel=rel_tol, limit=200)
     far, _ = quad(integrand, s0, np.inf, epsabs=0.0, epsrel=rel_tol, limit=200)

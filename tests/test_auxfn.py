@@ -4,19 +4,24 @@ from scipy.integrate import quad
 
 from besselriesz.auxfn import (
     _EVAL_BLOCK,
+    _B_integrals,
     AuxDecomposition,
     AuxIndex,
     C_tail,
     F,
-    F_decomposed,
     F_batch,
+    F_decomposed,
+    F_decomposed_batch,
     FTable,
     G,
+    _taylor_remainder,
     a_coeff,
+    c_coeff,
     derivative_bound_probe,
     f_zero,
     table_nodes,
 )
+from besselriesz.quadrature import geometric_breaks, panel_integral
 from besselriesz.special import ModelParams, gamma
 
 P11 = ModelParams(n=1, lam=1.0, k=1)
@@ -102,14 +107,63 @@ def test_decomposition_matches_direct():
                     assert abs(F(idx, p, x) - F_decomposed(idx, p, x)) <= 1e-8
 
 
+def _decomposition_per_index(idx, p, x):
+    # the per-index composition that the batched route replaced: A, B and
+    # every C_tail of one index at one x, each its own quadrature
+    n, lam, k, l = p.n, p.lam, idx.k, idx.l
+    power = -lam - n / 2 - 1.0
+    A = panel_integral(lambda t: (x * x + 2.0 * t) ** power * t ** (lam + l - 1.0),
+                       (0.5, 2.0), beta=lam - 1.0)
+
+    def g_B(t):
+        rem = _taylor_remainder(lam, n + 2, -0.5 * t)
+        return (x * x + 2.0 * t) ** power * 2.0 ** (lam - 1.0) * rem * t**l
+
+    B = x**n * panel_integral(g_B, geometric_breaks(min(max(x * x, 1e-12), 0.5), 0.5),
+                              alpha=lam - 1.0)
+    tail = 0.0
+    for j in range(n + 3):
+        e = n / 2 - j - l
+        near = 0.0
+        if x * x < 1.0:
+            near = panel_integral(lambda s: (s + 1.0) ** power * s**e,
+                                  geometric_breaks(x * x, 1.0)[1:])
+        far = panel_integral(lambda u: (1.0 + u) ** power, (0.0, 1.0),
+                             alpha=lam + j + l - 1.0)
+        tail += c_coeff(p, l, j) * (x ** (2 * j) * (near + far))
+    return x ** (n + k) * A + x**k * B + x ** (k + 2 * l - 2) * tail
+
+
+def test_batched_decomposition_matches_per_index_composition():
+    # a repeated x and the x >= 1/sqrt(2) that share B's panel layout
+    # exercise the grouping by breaks
+    xs = [1e-3, 0.05, 0.3, 0.3, 0.5, 0.75, 0.9, 1.0]
+    for n in (1, 2):
+        for lam in (0.5, 1.0, 1.5):
+            p = ModelParams(n=n, lam=lam, k=1)
+            got = F_decomposed_batch(p, xs, (IDX20, IDX11, IDX21))
+            for idx in (IDX20, IDX11, IDX21):
+                for x, v in zip(xs, got[idx]):
+                    want = _decomposition_per_index(idx, p, x)
+                    assert v == pytest.approx(want, rel=1e-14, abs=0), (n, lam, idx, x)
+                    assert F_decomposed(idx, p, x) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_decomposition_rejects_x_outside_unit_interval():
+    for x in (0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            F_decomposed(IDX20, P11, x)
+    with pytest.raises(ValueError):
+        F_decomposed_batch(P11, [0.5, 1.5], (IDX20,))
+
+
 def test_c_tail_oracle():
     ref, _ = quad(lambda s: (s + 1) ** -2.5 * s**0.5, 1.0, np.inf)
     assert C_tail(P11, 0, 0, 1.0) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_b_part_finite_at_zero():
-    dec = AuxDecomposition(IDX20, P11)
-    assert np.isfinite(dec.B(0.0))
+    assert np.all(np.isfinite(_B_integrals(P11, np.array([0.0]), (0, 1))))
 
 
 def test_a_coeff_odd_dimension_vanishes():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -550,7 +551,7 @@ def _benchmark_references(workload):
 
 
 @pytest.mark.parametrize("label, pipeline, seed",
-                         [("kernel.s0", "kernel", 0), ("kernel.s5", "kernel", 5),
+                         [*((f"kernel.s{s}", "kernel", s) for s in range(24)),
                           ("auxfn", "auxfn", 0)])
 def test_pointwise_outputs_match_benchmark_references(tmp_path, label, pipeline, seed):
     # the benchmark rejects a run whose CSV values leave its recorded
@@ -565,6 +566,26 @@ def test_pointwise_outputs_match_benchmark_references(tmp_path, label, pipeline,
     for key, ref in want.items():
         floor = 1.0 if key.split(".")[1].startswith(("rel_", "dec_resid")) else 0.0
         assert abs(got[key] - ref) <= 1e-10 * max(abs(ref), floor), key
+
+
+def test_auxfn_batches_the_decomposition_quadrature(tmp_path, monkeypatch):
+    # the per-index route made 738 panel_integral calls per auxfn run: A, B
+    # and four near and far tails per index and x.  Batched, there is at most
+    # one A, one B and one near-tail quadrature per x, and one far tail per
+    # (l, j) with the far tails' cache cold
+    calls = []
+    integral = auxfn.panel_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return integral(*args, **kwargs)
+
+    monkeypatch.setattr(auxfn, "panel_integral", counting)
+    monkeypatch.setattr(auxfn, "_far_tail", lru_cache(maxsize=64)(auxfn._far_tail.__wrapped__))
+    run(parse_config({"pipeline": "auxfn"}), out_dir=tmp_path)
+    xs = 25
+    assert len(calls) <= 1 + 2 * xs + 2 * 4
+    assert sum(tuple(breaks) == (0.0, 1.0) for breaks in calls) == 2 * 4
 
 
 def _check_pipeline_references(tmp_path, workload, pipeline, points):

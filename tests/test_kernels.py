@@ -2,10 +2,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.special import ive
 
 from besselriesz import auxfn, quadrature
 from besselriesz.auxfn import F, table_nodes
-from besselriesz.kernels import _reject_coincident, _sep
+from besselriesz.kernels import _heat_profile, _reject_coincident, _sep
 from besselriesz.kernels import (
     IDX11,
     IDX20,
@@ -31,7 +32,7 @@ from besselriesz.kernels import (
     taylor_local_check,
 )
 from besselriesz.quadrature import gauss_legendre_box, gegenbauer_integral
-from besselriesz.special import ModelParams, model_constants
+from besselriesz.special import ModelParams, gamma, model_constants
 from besselriesz.symbols import constant_symbol, gaussian_bump
 
 P1 = ModelParams(n=1, lam=1.0, k=1)
@@ -170,6 +171,55 @@ def test_heat_kernel_far_field_zero():
         assert heat_kernel(ModelParams(n=1, lam=lam, k=1), 1e-3, X, Y) == 0.0
     with pytest.raises(ValueError):
         heat_kernel(P1, 0.0, X, Y)
+
+
+def _heat_kernel_per_call(p, s, x, y):
+    # the per-call formula that the pair-built profile replaced: every
+    # s-independent factor recomputed at each s
+    c = model_constants(p)
+    d = x - y
+    r = np.sqrt(np.sum(d * d, axis=-1))
+    expo = float(r * r) / (4.0 * s * s)
+    if expo > 700.0:
+        return 0.0
+    beta = float(x[-1] * y[-1]) / (2.0 * s * s)
+    nu = p.lam - 0.5
+    if beta < 1e-4:
+        q = 0.25 * beta * beta
+        scaled = np.exp(-beta) * (
+            1.0 / gamma(nu + 1.0) + q / gamma(nu + 2.0) + 0.5 * q * q / gamma(nu + 3.0)
+        )
+    else:
+        scaled = (0.5 * beta) ** (-nu) * ive(nu, beta)
+    angular = np.sqrt(np.pi) * gamma(p.lam) * scaled
+    return c.kappa_lambda * s ** (-2.0 * p.lam - 1.0 - p.n) * np.exp(-expo) * angular
+
+
+def test_pair_heat_profile_equals_heat_kernel_bitwise():
+    # the subordination route's integrand is built once per pair; at every s
+    # it returns heat_kernel's value, and the per-call formula's, bit for bit,
+    # from the far-field zero (|x-y|^2 / (4 s^2) > 700) through the closed
+    # form to the series branch (beta < 1e-4)
+    rng = np.random.default_rng(22)
+    branches = {"zero": 0, "series": 0, "closed": 0}
+    for lam in (0.3, 0.5, 1.0, 1.7):
+        p = ModelParams(n=1, lam=lam, k=1)
+        for _ in range(3):
+            x = np.array([rng.uniform(-1, 1), rng.uniform(0.5, 2.0)])
+            y = np.array([rng.uniform(-1, 1), rng.uniform(0.5, 2.0)])
+            _, r = _sep(x, y)
+            xy = float(x[-1] * y[-1])
+            profile = _heat_profile(p, float(r * r), xy)
+            for s in np.exp(rng.uniform(np.log(1e-4), np.log(1e4), 200)).tolist():
+                v = profile(s)
+                assert v == heat_kernel(p, s, x, y) == _heat_kernel_per_call(p, s, x, y)
+                if v == 0.0:
+                    branches["zero"] += 1
+                elif xy / (2.0 * s * s) < 1e-4:
+                    branches["series"] += 1
+                else:
+                    branches["closed"] += 1
+    assert min(branches.values()) > 0, branches
 
 
 def test_heat_kernel_mass_conservation():

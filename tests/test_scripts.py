@@ -79,3 +79,41 @@ def test_report_diff_prints_what_moved(tmp_path, monkeypatch, capsys):
     ]
     assert "['linalg', 'special'] -> ['integrate', 'linalg', 'special']" in lines[-2]
     assert "'signs': [1]} -> {" in lines[-1] and "'signs': [None]}" in lines[-1]
+
+
+def _bench(wall, rss, attempted, failed, coverages=()):
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "setup_s": {"value": 0.5, "unit": "s"},
+               "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    children = [{"traced": False, "wall_s": wall, "problems": [], "layers": None}]
+    children += [{"traced": True, "wall_s": wall, "problems": [],
+                  "layers": {"trace.span_coverage": c}} for c in coverages]
+    return {"correct": failed == 0, "attempted": attempted, "failed": failed,
+            "metrics": metrics, "children": children}
+
+
+def test_report_diff_compares_benchmark_results(tmp_path, monkeypatch, capsys):
+    old = _bench(1.0, 100.0, 20, 0)
+    # -20% wall (bound 0.25) and +4% peak (bound 0.05) are within bounds
+    assert _report_diff(tmp_path, monkeypatch, capsys, old, _bench(0.8, 104.0, 20, 0)) == (0, [])
+
+    new = _bench(0.6, 106.0, 30, 1)
+    code, lines = _report_diff(tmp_path, monkeypatch, capsys, old, new)
+    assert code == 1
+    assert [line.split(":")[0] for line in lines] == [
+        "metrics.wall_s", "metrics.peak_rss_mb", "failed", "attempted"]
+    assert "1.0 -> 0.6 (relative -4.000e-01)" in lines[0]
+
+    # a traced result: per-layer metrics only, and its least span coverage
+    traced = _bench(1.0, 100.0, 20, 0, coverages=(0.93, 0.91, 0.95))
+    traced["metrics"] = {"cli.self_s": {"value": 0.1, "unit": "s"}}
+    code, lines = _report_diff(tmp_path, monkeypatch, capsys, traced, traced)
+    assert code == 0
+    assert lines == [f"least trace.span_coverage of {tmp_path / name}: 0.9100"
+                     for name in ("old.json", "new.json")]
+
+    (tmp_path / "report.json").write_text(json.dumps(_report(-0.5, 0.0125, 1.0, 100.0, [])))
+    monkeypatch.setattr("sys.argv", ["report_diff.py", str(tmp_path / "report.json"),
+                                     str(tmp_path / "new.json")])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / "report_diff.py"), run_name="__main__")
+    assert exit_info.value.code == 2
