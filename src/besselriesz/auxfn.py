@@ -9,6 +9,7 @@ log term present in even dimensions).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -105,13 +106,6 @@ def _taylor_remainder(lam: float, order: int, u: np.ndarray) -> np.ndarray:
     return total
 
 
-def _by_breaks(keys: np.ndarray):
-    """(key, indices of ``keys`` equal to it) for each distinct key, ascending:
-    the x values whose panel breaks, a function of the key, coincide."""
-    for key in np.unique(keys):
-        yield float(key), np.flatnonzero(keys == key)
-
-
 def _A_integrals(p: ModelParams, xs: np.ndarray, ls) -> np.ndarray:
     """The smooth component: the t-integral restricted to [1/2, 2], for every
     l of ``ls`` (rows) and x of ``xs`` (columns).  Its rule does not depend
@@ -131,23 +125,21 @@ def _A_integrals(p: ModelParams, xs: np.ndarray, ls) -> np.ndarray:
 def _B_integrals(p: ModelParams, xs: np.ndarray, ls) -> np.ndarray:
     """The regularized near component on [0, 1/2] (Taylor remainder of
     (1-t/2)^(lam-1)), times x^n, for every l of ``ls`` (rows) and x >= 0 of
-    ``xs`` (columns): one batched quadrature per distinct panel layout, which
-    depends on x only through min(max(x^2, 1e-12), 1/2)."""
+    ``xs`` (columns): one batched quadrature on panels graded from the least
+    min(max(x^2, 1e-12), 1/2), which is fine enough for every larger x."""
     n, lam = p.n, p.lam
     power = -lam - n / 2 - 1.0
-    out = np.empty((len(ls), len(xs)))
-    for start, group in _by_breaks(np.minimum(np.maximum(xs * xs, 1e-12), 0.5)):
-        x2 = xs[group] * xs[group]
+    x2 = xs * xs
 
-        def g(t):
-            rem = _taylor_remainder(lam, n + 2, -0.5 * t)
-            base = (x2 + 2.0 * t[:, None]) ** power * 2.0 ** (lam - 1.0) * rem[:, None]
-            vals = np.stack([base * t[:, None] ** l for l in ls], axis=1)
-            return vals.reshape(len(t), -1)
+    def g(t):
+        rem = _taylor_remainder(lam, n + 2, -0.5 * t)
+        base = (x2 + 2.0 * t[:, None]) ** power * 2.0 ** (lam - 1.0) * rem[:, None]
+        vals = np.stack([base * t[:, None] ** l for l in ls], axis=1)
+        return vals.reshape(len(t), -1)
 
-        vals = panel_integral(g, geometric_breaks(start, 0.5), alpha=lam - 1.0)
-        out[:, group] = xs[group] ** n * vals.reshape(len(ls), len(group))
-    return out
+    start = min(max(float(x2.min()), 1e-12), 0.5)
+    vals = panel_integral(g, geometric_breaks(start, 0.5), alpha=lam - 1.0)
+    return xs**n * vals.reshape(len(ls), len(xs))
 
 
 @lru_cache(maxsize=64)
@@ -160,22 +152,24 @@ def _far_tail(n: int, lam: float, l: int, j: int) -> float:
 
 def _tail_integrals(p: ModelParams, xs: np.ndarray, ls, js) -> np.ndarray:
     """``C_tail`` for every l of ``ls``, j of ``js`` and 0 < x <= 1 of ``xs``,
-    shape (len(ls), len(js), len(xs)).  The near integrals over (x^2, 1) of
-    every (l, j) share one batched quadrature per distinct x^2 < 1, and the
-    far integral over (0, 1) is computed once per (n, lam, l, j)."""
+    shape (len(ls), len(js), len(xs)).  The near integral over (x^2, 1) is
+    taken in u = ln s / ln x^2, so every x and (l, j) share one batched
+    quadrature on [0, 1]: its uniform panels are at most ln 4 wide in ln s,
+    the geometric grading of (x^2, 1) by 4 at the least x.  The far integral
+    over (0, 1) is computed once per (n, lam, l, j)."""
     n, lam = p.n, p.lam
     power = -lam - n / 2 - 1.0
-    exps = [n / 2 - j - l for l in ls for j in js]
-    near = np.zeros((len(ls) * len(js), len(xs)))
-    x2 = xs * xs
+    # s^e ds = -ln(x^2) s^(e + 1) du
+    exps = np.array([n / 2 - j - l + 1.0 for l in ls for j in js])[:, None, None]
+    logs = -np.log(xs * xs)
 
-    def g(s):
-        base = (s + 1.0) ** power
-        return np.stack([base * s**e for e in exps], axis=1)
+    def g(u):
+        s = np.exp(-u[:, None] * logs)
+        base = (s + 1.0) ** power * logs
+        return np.moveaxis(base * s**exps, 1, 0).reshape(len(u), -1)
 
-    for start, group in _by_breaks(x2):
-        if start < 1.0:
-            near[:, group] = panel_integral(g, geometric_breaks(start, 1.0)[1:])[:, None]
+    panels = max(1, math.ceil(float(logs.max()) / math.log(4.0)))
+    near = panel_integral(g, np.linspace(0.0, 1.0, panels + 1)).reshape(len(exps), len(xs))
     far = np.array([_far_tail(n, lam, l, j) for l in ls for j in js])
     total = near + far[:, None]
     return np.array([xs ** (2 * j) for j in js]) * total.reshape(len(ls), len(js), len(xs))
@@ -230,9 +224,8 @@ def F_decomposed_batch(p: ModelParams, xs, indices) -> dict:
 
     A, B and the tails depend on the index only through l, so every part is
     computed once per l for all of ``xs`` together: one batched quadrature
-    for A, one for B per distinct panel layout, one for the near tails of
-    every (l, j) per distinct x^2 < 1, and the far tails once per (n, lam,
-    l, j)."""
+    each for A, for B (one panel layout for every x) and for the near tails
+    of every (l, j) and x, and the far tails once per (n, lam, l, j)."""
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs > 0) & (xs <= 1)):
         raise ValueError("F_decomposed requires 0 < x <= 1")

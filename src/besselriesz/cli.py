@@ -134,6 +134,7 @@ class ExperimentConfig:
     save_matrix: bool
     seed: int
     raw: dict = field(repr=False, default_factory=dict)
+    config_sha256: str = field(repr=False, default="")
 
     @property
     def symbol(self) -> Symbol:
@@ -218,6 +219,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     elif cfg.symbol2_spec is not None:
         # unused here, but echoed into report.json, which takes finite numbers only
         _type_symbol_fields(cfg.symbol2_spec, "symbol2")
+    cfg.config_sha256 = hashlib.sha256(json.dumps(merged, sort_keys=True).encode()).hexdigest()
     return cfg
 
 
@@ -270,15 +272,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_spectrum_csv(path, s: np.ndarray, p: float) -> None:
+def _write_csv(path, header: str, rows) -> None:
+    """The header and one line of comma-joined fields per row, in one write."""
     with open(path, "w", newline="") as fh:
-        fh.write("index,mu,weighted_mu\n")
-        for k, mu in enumerate(s):
-            fh.write(f"{k},{_fmt(mu)},{_fmt((k + 1) ** (1.0 / p) * mu)}\n")
+        fh.write("".join([header + "\n", *(",".join(row) + "\n" for row in rows)]))
 
 
-def _config_hash(raw: dict) -> str:
-    return hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
+def write_spectrum_csv(path, s: np.ndarray, p: float) -> None:
+    _write_csv(path, "index,mu,weighted_mu",
+               ((str(k), _fmt(mu), _fmt((k + 1) ** (1.0 / p) * mu))
+                for k, mu in enumerate(s.tolist())))
 
 
 @dataclass
@@ -297,7 +300,7 @@ class RunReport:
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(
+            fh.write(json.dumps(
                 {
                     "config": self.config,
                     "config_sha256": self.config_sha256,
@@ -308,12 +311,10 @@ class RunReport:
                     "passed": self.passed,
                     "runtime": self.runtime,
                 },
-                fh,
                 indent=2,
                 sort_keys=True,
                 allow_nan=False,
-            )
-            fh.write("\n")
+            ) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +478,7 @@ def run_auxfn(cfg: ExperimentConfig, out: Path) -> RunReport:
             worst = max(worst, resid)
         rows.append(row)
     cols = list(rows[0])
-    with open(out / "auxfn.csv", "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+    _write_csv(out / "auxfn.csv", ",".join(cols), ([_fmt(row[c]) for c in cols] for row in rows))
     timings = {"tabulate": time.perf_counter() - t0}
     results = {
         "rows": len(rows),
@@ -500,6 +498,10 @@ def run_auxfn(cfg: ExperimentConfig, out: Path) -> RunReport:
     return _report(cfg, timings, results, assertions)
 
 
+_SAMPLE_LOW = np.array([-1.0, 0.5, -1.0, 0.5])
+_SAMPLE_SPAN = np.array([2.0, 1.5, 2.0, 1.5])
+
+
 def run_kernel(cfg: ExperimentConfig, out: Path, seed: int) -> RunReport:
     p = cfg.params
     if p.n != 1:
@@ -508,26 +510,24 @@ def run_kernel(cfg: ExperimentConfig, out: Path, seed: int) -> RunReport:
     t0 = time.perf_counter()
     rows = []
     worst = 0.0
-    count = 0
-    while count < 12:
-        x = np.array([rng.uniform(-1, 1), rng.uniform(0.5, 2.0)])
-        y = np.array([rng.uniform(-1, 1), rng.uniform(0.5, 2.0)])
-        if np.linalg.norm(x - y) < 0.1 * min(x[-1], y[-1]) or abs(x[0] - y[0]) < 0.3:
+    while len(rows) < 12:
+        # x = (x1, x2), y = (y1, y2) with lateral coordinates in [-1, 1) and
+        # heights in [0.5, 2): low + span * u is what four rng.uniform draws
+        # return, bit for bit
+        x1, x2, y1, y2 = (_SAMPLE_LOW + _SAMPLE_SPAN * rng.random(4)).tolist()
+        d1, d2 = x1 - y1, x2 - y2
+        if math.sqrt(d1 * d1 + d2 * d2) < 0.1 * min(x2, y2) or abs(d1) < 0.3:
             continue
-        count += 1
-        a = invsqrt_kernel_closed(p, x, y)
-        b = invsqrt_kernel_subordination(p, x, y)
-        c = spectral_kernel_inverse_radial(p, x, y)
+        x, y = (x1, x2), (y1, y2)
+        a = float(invsqrt_kernel_closed(p, x, y))
+        b = float(invsqrt_kernel_subordination(p, x, y))
+        c = float(spectral_kernel_inverse_radial(p, x, y))
         errs = (abs(a - b) / abs(a), abs(a - c) / abs(a), abs(b - c) / abs(a))
         worst = max(worst, *errs)
-        rows.append((x, y, a, b, c, errs))
-    with open(out / "kernel.csv", "w", newline="") as fh:
-        fh.write(
-            "x1,x2,y1,y2,closed,subordination,spectral,"
-            "rel_closed_sub,rel_closed_spec,rel_sub_spec\n"
-        )
-        for x, y, a, b, c, errs in rows:
-            fh.write(",".join(_fmt(v) for v in (*x, *y, a, b, c, *errs)) + "\n")
+        rows.append([_fmt(v) for v in (x1, x2, y1, y2, a, b, c, *errs)])
+    _write_csv(out / "kernel.csv",
+               "x1,x2,y1,y2,closed,subordination,spectral,"
+               "rel_closed_sub,rel_closed_spec,rel_sub_spec", rows)
     timings = {"pairs": time.perf_counter() - t0}
     results = {"pairs": len(rows), "max_pairwise_rel": worst}
     assertions = [
@@ -596,7 +596,7 @@ def run_verify(cfg: ExperimentConfig, out: Path) -> RunReport:
 def _report(cfg: ExperimentConfig, timings, results, assertions, runtime=None) -> RunReport:
     return RunReport(
         config=cfg.raw,
-        config_sha256=_config_hash(cfg.raw),
+        config_sha256=cfg.config_sha256,
         version=__version__,
         timings=timings,
         results=results,

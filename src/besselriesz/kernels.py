@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import cython_special as _cs
 from scipy.special import gamma as _gamma
-from scipy.special import ive, k0
+from scipy.special import ive
 
 from .auxfn import AuxIndex, F, F_batch, FTable, f_zero, table_nodes
 from .quadrature import QuadratureError, gauss_legendre_box, gegenbauer_integral
@@ -251,7 +252,9 @@ def spectral_kernel_inverse_radial(p: ModelParams, x, y, rel_tol: float = 1e-8) 
 
     The lateral integral of cos(z1 d)/|z| is a Macdonald function, leaving one
     exponentially damped oscillatory integral which is truncated with a
-    certified tail bound.
+    certified tail bound.  The integrand takes K_0 of a float from
+    ``cython_special.k0``, the C routine of the ``k0`` ufunc without its
+    dispatch, so its values are the ufunc's bit for bit.
     """
     from scipy.integrate import quad
 
@@ -265,7 +268,7 @@ def spectral_kernel_inverse_radial(p: ModelParams, x, y, rel_tol: float = 1e-8) 
     bound = psi_bound(p.lam)
 
     def integrand(u):
-        return psi_lambda(p.lam, xl * u) * psi_lambda(p.lam, yl * u) * k0(u * d)
+        return psi_lambda(p.lam, xl * u) * psi_lambda(p.lam, yl * u) * _cs.k0(u * d)
 
     target = max(40.0 / d, 10.0)
     value = 0.0

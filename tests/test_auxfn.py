@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from besselriesz import auxfn
 from besselriesz.auxfn import (
     _EVAL_BLOCK,
     _B_integrals,
@@ -147,6 +148,33 @@ def test_batched_decomposition_matches_per_index_composition():
                     want = _decomposition_per_index(idx, p, x)
                     assert v == pytest.approx(want, rel=1e-14, abs=0), (n, lam, idx, x)
                     assert F_decomposed(idx, p, x) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_decomposition_shares_panel_layouts(monkeypatch):
+    # the auxfn pipeline's x: B on one panel layout and the near tails on
+    # one more, instead of a layout per distinct x (115 rule builds cold);
+    # the values stay the per-layout composition's to rounding
+    from functools import lru_cache
+
+    from besselriesz import quadrature
+
+    built = []
+    rule = quadrature._panel_rule.__wrapped__
+
+    def counting(*args):
+        built.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(quadrature, "_panel_rule", lru_cache(maxsize=256)(counting))
+    monkeypatch.setattr(auxfn, "_far_tail", lru_cache(maxsize=64)(auxfn._far_tail.__wrapped__))
+    p = ModelParams(n=1, lam=1.0, k=2)
+    xs = np.concatenate([np.geomspace(1e-3, 0.1, 7), np.linspace(0.15, 1.0, 18)])
+    got = F_decomposed_batch(p, xs, (IDX20, IDX11, IDX21))
+    assert len(built) <= 20
+    assert len({args[0] for args in built}) == 1 + 1 + 1 + 1  # A, B, near, far (0, 1)
+    for idx in (IDX20, IDX11, IDX21):
+        for x, v in zip(xs, got[idx]):
+            assert v == pytest.approx(_decomposition_per_index(idx, p, x), rel=0, abs=1e-15)
 
 
 def test_decomposition_rejects_x_outside_unit_interval():

@@ -431,6 +431,33 @@ def test_kernel_pipeline(tmp_path):
     assert len(lines) == 13
 
 
+def test_kernel_sampler_draws_the_reference_pairs(tmp_path, monkeypatch):
+    # run_kernel draws a candidate's four coordinates with one rng.random(4)
+    # as low + span * u, which is what four rng.uniform calls return
+    for seed in (0, 7, 23):
+        one, four = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2000):
+            got = (cli._SAMPLE_LOW + cli._SAMPLE_SPAN * one.random(4)).tolist()
+            want = [four.uniform(-1, 1), four.uniform(0.5, 2.0),
+                    four.uniform(-1, 1), four.uniform(0.5, 2.0)]
+            assert got == want
+    # so every pool seed accepts the pairs the benchmark recorded: with the
+    # kernels stubbed out, the x and y columns equal its references exactly
+    for name in ("invsqrt_kernel_closed", "invsqrt_kernel_subordination",
+                 "spectral_kernel_inverse_radial"):
+        monkeypatch.setattr(cli, name, lambda p, x, y: 1.0)
+    references = _benchmark_references("pointwise")
+    for seed in range(24):
+        run(parse_config({"pipeline": "kernel"}), out_dir=tmp_path, seed=seed)
+        with open(tmp_path / "kernel.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        want = references[f"kernel.s{seed}"]
+        assert len(rows) == 12 and "r12.x1" not in want
+        for i, row in enumerate(rows):
+            for col in ("x1", "x2", "y1", "y2"):
+                assert float(row[col]) == want[f"r{i}.{col}"], (seed, i, col)
+
+
 def test_refine_levels(tmp_path, monkeypatch):
     built = []
 
@@ -570,8 +597,8 @@ def test_pointwise_outputs_match_benchmark_references(tmp_path, label, pipeline,
 
 def test_auxfn_batches_the_decomposition_quadrature(tmp_path, monkeypatch):
     # the per-index route made 738 panel_integral calls per auxfn run: A, B
-    # and four near and far tails per index and x.  Batched, there is at most
-    # one A, one B and one near-tail quadrature per x, and one far tail per
+    # and four near and far tails per index and x.  Batched, there is one A,
+    # one B and one near-tail quadrature for every x, and one far tail per
     # (l, j) with the far tails' cache cold
     calls = []
     integral = auxfn.panel_integral
@@ -583,8 +610,7 @@ def test_auxfn_batches_the_decomposition_quadrature(tmp_path, monkeypatch):
     monkeypatch.setattr(auxfn, "panel_integral", counting)
     monkeypatch.setattr(auxfn, "_far_tail", lru_cache(maxsize=64)(auxfn._far_tail.__wrapped__))
     run(parse_config({"pipeline": "auxfn"}), out_dir=tmp_path)
-    xs = 25
-    assert len(calls) <= 1 + 2 * xs + 2 * 4
+    assert len(calls) == 3 + 2 * 4
     assert sum(tuple(breaks) == (0.0, 1.0) for breaks in calls) == 2 * 4
 
 

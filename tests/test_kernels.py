@@ -288,6 +288,17 @@ def test_spectral_kernel_diagonal_formula():
     assert gaussian_profile_kernel(P1, xx, xx) == pytest.approx(diag, rel=1e-12, abs=0)
 
 
+def test_scalar_k0_is_the_ufunc_bit_for_bit():
+    # the spectral route's integrand takes K_0 of one float per call from
+    # cython_special; it must be the k0 ufunc's value to the bit over the
+    # arguments u * d that quad reaches, K_0's underflow included
+    from scipy.special import cython_special, k0
+
+    z = np.concatenate([[0.0], np.geomspace(1e-8, 750.0, 20001)])
+    got = np.array([cython_special.k0(v) for v in z.tolist()])
+    assert got.tobytes() == k0(z).tobytes()
+
+
 def test_spectral_inverse_radial_requires_lateral_separation():
     with pytest.raises(ValueError):
         spectral_kernel_inverse_radial(P1, X, Y)  # x' == y'

@@ -62,15 +62,17 @@ def test_psi_phi_relation():
 
 
 def test_psi_lambda_scalar_path_matches_array_path():
-    # a float argument takes the scalar path; its value must be the array
-    # path's to the bit, on both sides of the t < 1e-4 series branch
-    for lam in (0.3, 0.5, 1.0, 1.7):
-        for t in (0.0, 1e-7, 9.9e-5, 1e-4, 0.3, 40.0, 1e4):
-            want = psi_lambda(lam, np.array([t]))[0]
+    # a float argument takes the scalar path (cython_special.jv past 1e-4);
+    # its value must be the array path's (the jv ufunc) to the bit, on both
+    # sides of the t < 1e-4 series branch
+    ts = (0.0, 1e-7, 9.9e-5, *np.geomspace(1e-4, 1e4, 801).tolist(), 0.3, 40.0)
+    for lam in (0.3, 0.5, 1.0, 1.7, 2.5):
+        want = psi_lambda(lam, np.array(ts))
+        for t, w in zip(ts, want):
             for scalar in (t, np.float64(t)):
                 got = psi_lambda(lam, scalar)
                 assert type(got) is float
-                assert np.float64(got).tobytes() == want.tobytes()
+                assert np.float64(got).tobytes() == w.tobytes(), (lam, t)
     with pytest.raises(ValueError):
         psi_lambda(1.0, -0.5)
     with pytest.raises(ValueError):
