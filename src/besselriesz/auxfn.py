@@ -143,11 +143,18 @@ def _B_integrals(p: ModelParams, xs: np.ndarray, ls) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _far_tail(n: int, lam: float, l: int, j: int) -> float:
-    """Integral over (0, 1) of (1+u)^(-lam-n/2-1) u^(lam+j+l-1): the part of
-    C_tail that does not depend on x."""
+def _far_tails(n: int, lam: float, top: int) -> np.ndarray:
+    """Integral over (0, 1) of (1+u)^(-lam-n/2-1) u^(lam+m-1) for m = 0 ..
+    ``top``: the part of C_tail(l, j) with j + l = m that does not depend on
+    x.  m = 0 has its own Jacobi rule; every m >= 1 shares the weight u^lam,
+    with u^(m-1) in the integrand."""
     power = -lam - n / 2 - 1.0
-    return panel_integral(lambda u: (1.0 + u) ** power, (0.0, 1.0), alpha=lam + j + l - 1.0)
+    first = panel_integral(lambda u: (1.0 + u) ** power, (0.0, 1.0), alpha=lam - 1.0)
+    rest = panel_integral(lambda u: (1.0 + u[:, None]) ** power * u[:, None] ** np.arange(top),
+                          (0.0, 1.0), alpha=lam)
+    out = np.concatenate([[first], rest])
+    out.flags.writeable = False
+    return out
 
 
 def _tail_integrals(p: ModelParams, xs: np.ndarray, ls, js) -> np.ndarray:
@@ -155,8 +162,8 @@ def _tail_integrals(p: ModelParams, xs: np.ndarray, ls, js) -> np.ndarray:
     shape (len(ls), len(js), len(xs)).  The near integral over (x^2, 1) is
     taken in u = ln s / ln x^2, so every x and (l, j) share one batched
     quadrature on [0, 1]: its uniform panels are at most ln 4 wide in ln s,
-    the geometric grading of (x^2, 1) by 4 at the least x.  The far integral
-    over (0, 1) is computed once per (n, lam, l, j)."""
+    the geometric grading of (x^2, 1) by 4 at the least x.  The far
+    integrals over (0, 1) come from ``_far_tails``."""
     n, lam = p.n, p.lam
     power = -lam - n / 2 - 1.0
     # s^e ds = -ln(x^2) s^(e + 1) du
@@ -170,7 +177,7 @@ def _tail_integrals(p: ModelParams, xs: np.ndarray, ls, js) -> np.ndarray:
 
     panels = max(1, math.ceil(float(logs.max()) / math.log(4.0)))
     near = panel_integral(g, np.linspace(0.0, 1.0, panels + 1)).reshape(len(exps), len(xs))
-    far = np.array([_far_tail(n, lam, l, j) for l in ls for j in js])
+    far = _far_tails(n, lam, max(ls) + max(js))[[l + j for l in ls for j in js]]
     total = near + far[:, None]
     return np.array([xs ** (2 * j) for j in js]) * total.reshape(len(ls), len(js), len(xs))
 
@@ -225,7 +232,7 @@ def F_decomposed_batch(p: ModelParams, xs, indices) -> dict:
     A, B and the tails depend on the index only through l, so every part is
     computed once per l for all of ``xs`` together: one batched quadrature
     each for A, for B (one panel layout for every x) and for the near tails
-    of every (l, j) and x, and the far tails once per (n, lam, l, j)."""
+    of every (l, j) and x, and two for the far tails, once per (n, lam)."""
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs > 0) & (xs <= 1)):
         raise ValueError("F_decomposed requires 0 < x <= 1")

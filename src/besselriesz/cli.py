@@ -268,20 +268,20 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _write_csv(path, header: str, rows) -> None:
-    """The header and one line of comma-joined fields per row, in one write."""
+def _write_csv(path, header: str, line: str, rows) -> None:
+    """The header and ``line % row`` for each row, in one write.  Floats
+    are printed as ``%.17g``: 17 significant digits read back exactly."""
     with open(path, "w", newline="") as fh:
-        fh.write("".join([header + "\n", *(",".join(row) + "\n" for row in rows)]))
+        fh.write("".join([header + "\n", *(line % tuple(row) + "\n" for row in rows)]))
+
+
+def _floats(count: int) -> str:
+    return ",".join(["%.17g"] * count)
 
 
 def write_spectrum_csv(path, s: np.ndarray, p: float) -> None:
-    _write_csv(path, "index,mu,weighted_mu",
-               ((str(k), _fmt(mu), _fmt((k + 1) ** (1.0 / p) * mu))
-                for k, mu in enumerate(s.tolist())))
+    _write_csv(path, "index,mu,weighted_mu", "%d," + _floats(2),
+               ((k, mu, (k + 1) ** (1.0 / p) * mu) for k, mu in enumerate(s.tolist())))
 
 
 @dataclass
@@ -478,7 +478,8 @@ def run_auxfn(cfg: ExperimentConfig, out: Path) -> RunReport:
             worst = max(worst, resid)
         rows.append(row)
     cols = list(rows[0])
-    _write_csv(out / "auxfn.csv", ",".join(cols), ([_fmt(row[c]) for c in cols] for row in rows))
+    _write_csv(out / "auxfn.csv", ",".join(cols), _floats(len(cols)),
+               ([row[c] for c in cols] for row in rows))
     timings = {"tabulate": time.perf_counter() - t0}
     results = {
         "rows": len(rows),
@@ -519,15 +520,15 @@ def run_kernel(cfg: ExperimentConfig, out: Path, seed: int) -> RunReport:
         if math.sqrt(d1 * d1 + d2 * d2) < 0.1 * min(x2, y2) or abs(d1) < 0.3:
             continue
         x, y = (x1, x2), (y1, y2)
-        a = float(invsqrt_kernel_closed(p, x, y))
-        b = float(invsqrt_kernel_subordination(p, x, y))
-        c = float(spectral_kernel_inverse_radial(p, x, y))
+        a = invsqrt_kernel_closed(p, x, y)
+        b = invsqrt_kernel_subordination(p, x, y)
+        c = spectral_kernel_inverse_radial(p, x, y)
         errs = (abs(a - b) / abs(a), abs(a - c) / abs(a), abs(b - c) / abs(a))
         worst = max(worst, *errs)
-        rows.append([_fmt(v) for v in (x1, x2, y1, y2, a, b, c, *errs)])
+        rows.append((x1, x2, y1, y2, a, b, c, *errs))
     _write_csv(out / "kernel.csv",
                "x1,x2,y1,y2,closed,subordination,spectral,"
-               "rel_closed_sub,rel_closed_spec,rel_sub_spec", rows)
+               "rel_closed_sub,rel_closed_spec,rel_sub_spec", _floats(10), rows)
     timings = {"pairs": time.perf_counter() - t0}
     results = {"pairs": len(rows), "max_pairwise_rel": worst}
     assertions = [

@@ -166,11 +166,11 @@ def test_decomposition_shares_panel_layouts(monkeypatch):
         return rule(*args)
 
     monkeypatch.setattr(quadrature, "_panel_rule", lru_cache(maxsize=256)(counting))
-    monkeypatch.setattr(auxfn, "_far_tail", lru_cache(maxsize=64)(auxfn._far_tail.__wrapped__))
+    monkeypatch.setattr(auxfn, "_far_tails", lru_cache(maxsize=64)(auxfn._far_tails.__wrapped__))
     p = ModelParams(n=1, lam=1.0, k=2)
     xs = np.concatenate([np.geomspace(1e-3, 0.1, 7), np.linspace(0.15, 1.0, 18)])
     got = F_decomposed_batch(p, xs, (IDX20, IDX11, IDX21))
-    assert len(built) <= 20
+    assert len(built) <= 12
     assert len({args[0] for args in built}) == 1 + 1 + 1 + 1  # A, B, near, far (0, 1)
     for idx in (IDX20, IDX11, IDX21):
         for x, v in zip(xs, got[idx]):

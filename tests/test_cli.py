@@ -598,8 +598,8 @@ def test_pointwise_outputs_match_benchmark_references(tmp_path, label, pipeline,
 def test_auxfn_batches_the_decomposition_quadrature(tmp_path, monkeypatch):
     # the per-index route made 738 panel_integral calls per auxfn run: A, B
     # and four near and far tails per index and x.  Batched, there is one A,
-    # one B and one near-tail quadrature for every x, and one far tail per
-    # (l, j) with the far tails' cache cold
+    # one B and one near-tail quadrature for every x, and two far-tail
+    # quadratures (j + l = 0, and every j + l >= 1) with their cache cold
     calls = []
     integral = auxfn.panel_integral
 
@@ -608,10 +608,10 @@ def test_auxfn_batches_the_decomposition_quadrature(tmp_path, monkeypatch):
         return integral(*args, **kwargs)
 
     monkeypatch.setattr(auxfn, "panel_integral", counting)
-    monkeypatch.setattr(auxfn, "_far_tail", lru_cache(maxsize=64)(auxfn._far_tail.__wrapped__))
+    monkeypatch.setattr(auxfn, "_far_tails", lru_cache(maxsize=64)(auxfn._far_tails.__wrapped__))
     run(parse_config({"pipeline": "auxfn"}), out_dir=tmp_path)
-    assert len(calls) == 3 + 2 * 4
-    assert sum(tuple(breaks) == (0.0, 1.0) for breaks in calls) == 2 * 4
+    assert len(calls) == 3 + 2
+    assert sum(tuple(breaks) == (0.0, 1.0) for breaks in calls) == 2
 
 
 def _check_pipeline_references(tmp_path, workload, pipeline, points):
