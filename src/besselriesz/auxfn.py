@@ -232,7 +232,7 @@ def F_decomposed_batch(p: ModelParams, xs, indices) -> dict:
     A, B and the tails depend on the index only through l, so every part is
     computed once per l for all of ``xs`` together: one batched quadrature
     each for A, for B (one panel layout for every x) and for the near tails
-    of every (l, j) and x, and two for the far tails, once per (n, lam)."""
+    of every (l, j) and x, and two for the far tails (``_far_tails``)."""
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs > 0) & (xs <= 1)):
         raise ValueError("F_decomposed requires 0 < x <= 1")
