@@ -191,6 +191,10 @@ def parse_config(data: dict) -> ExperimentConfig:
     pipeline = merged["pipeline"]
     if pipeline not in PIPELINES:
         raise ConfigError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
+    if pipeline == "auxfn" and params.lam < 0.5:
+        # the decomposition's j + l = 0 far tail is one Jacobi(0, lam - 1)
+        # panel, and its quadrature does not converge below lam = 1/2
+        raise ConfigError(f"the auxfn pipeline needs params.lam >= 0.5, got {params.lam!r}")
     if pipeline in ("kernel", "verify"):
         # QUADPACK, which only these pipelines call, loads with their config
         import scipy.integrate  # noqa: F401

@@ -172,59 +172,36 @@ class ProducedMatrix:
 _BLOCK_LATERAL_ROWS = 8
 
 
-def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
-             symbol=None):
-    """Symmetric Nystrom matrix A_ij = kernel(x_i, x_j) sqrt(w_i mu_i w_j mu_j)
-    on L2(x_last^(2 lam) dx), with mu_i = x_last^(2 lam) at node i; ``lam=0``
-    is Lebesgue measure.
+def assemble(kernel, grid: BoxGrid, lam: float, symbol):
+    """The commutator matrix
+    A_ij = kernel(x_i, x_j) (f(x_j) - f(x_i)) sqrt(w_i mu_i w_j mu_j) of the
+    symbol f on L2(x_last^(2 lam) dx), with mu_i = x_last^(2 lam) at node i;
+    ``lam=0`` is Lebesgue measure.
 
-    The kernel must broadcast over point arrays of shape (..., dim).  Diagonal
-    entries, where a singular kernel has no value, are zeroed by default;
-    pass ``zero_diagonal=False`` for kernels that are smooth across the
-    diagonal.  Zeroing is not unbiased: for a commutator the Riesz kernel and
+    ``kernel`` must broadcast over point arrays of shape (..., dim) and
+    depend on the lateral coordinates (all but the last) only through
+    x' - y'.  It is evaluated only on its lateral block-Toeplitz generator,
+    with the Nystrom weights folded in (``nystrom_generator``).  The matrix
+    keeps that generator and the symbol values and produces its rows from
+    them one lateral row block at a time; the dense entries are built only
+    when read, and its ``generator`` attribute holds the generator's record.
+    Where the generator has a parity under the lateral mirror of an axis and
+    the symbol values equal their mirror image exactly, the matrix also
+    carries its split into half-size blocks (``_mirror_symmetry``).  With a
+    tuple of symbols the result is the tuple of their commutator matrices,
+    which share one generator.
+
+    The diagonal, where f(x_j) - f(x_i) = 0 and a singular kernel has no
+    value, is zeroed.  Zeroing is not unbiased: the Riesz kernel and
     f(y) - f(x) are both odd in x - y, so their product is even and the
     omitted self-cell integral is O(h), not zero.  ``diagonal_bias``
     measures the size of the omitted entries, and nothing corrects for it:
     the largest over nodes (at most 1024 of them) of w_i mu_i times the
-    mean |kernel| at the points a quarter of the smallest cell width off the
-    node, both ways along each of the first two axes.
-
-    With ``symbol=f`` the result is the commutator matrix
-    A_ij = kernel(x_i, x_j) (f(x_j) - f(x_i)) sqrt(w_i mu_i w_j mu_j), and
-    ``kernel`` must depend on the lateral coordinates (all but the last) only
-    through x' - y'.  On the midpoint grid the kernel matrix is then
-    block-Toeplitz in the lateral index, so the kernel is evaluated only on
-    its generator, one block of vertical pairs per lateral offset, and only
-    at the offsets with every lateral component >= 0 where the kernel has a
-    parity along each lateral axis (``_toeplitz_generator``: prod(m_l) m_v^2
-    entries and the parity probes, instead of N^2).  The cells are uniform,
-    so sqrt(w_i mu_i) depends on the vertical index only and is folded into
-    the generator once, in place.  The matrix keeps that generator and the
-    symbol values and produces its rows from them one lateral row block at
-    a time; the dense entries are built only when read, and its
-    ``generator`` attribute holds the generator's record.  Where the
-    generator has a parity under the lateral mirror of an axis and the
-    symbol values equal their mirror image exactly, the matrix also carries
-    its split into half-size blocks (``_mirror_symmetry``).  With a tuple of
-    symbols the result is the tuple of their commutator matrices, which
-    share one generator.  The diagonal-bias probes evaluate the kernel and
-    the symbol pointwise.
+    mean |kernel(x, y) (f(y) - f(x))| at the points a quarter of the
+    smallest cell width off the node, both ways along each of the first two
+    axes.  These probes evaluate the kernel and the symbol pointwise.
     """
     nodes = grid.nodes
-    N = len(nodes)
-    norm = np.sqrt(grid.cell_weights * nodes[:, -1] ** (2.0 * lam))
-    idx = np.arange(N)
-    if symbol is None:
-        entries = _assemble_dense(kernel, nodes)
-        if zero_diagonal:
-            entries[idx, idx] = 0.0
-        if not np.all(np.isfinite(entries)):
-            raise _nonfinite(nodes, *np.argwhere(~np.isfinite(entries))[0])
-        entries *= norm[:, None]
-        entries *= norm[None, :]
-        return OperatorMatrix(grid, 2.0 * lam, _diagonal_bias(kernel, grid, norm, zero_diagonal),
-                              entries=entries)
-
     symbols = symbol if isinstance(symbol, tuple) else (symbol,)
     values = []
     for sym in symbols:
@@ -233,17 +210,7 @@ def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
             bad = int(np.argmax(~np.isfinite(fv)))
             raise FloatingPointError(f"symbol not finite at node {bad}: x={nodes[bad]}")
         values.append(fv)
-    gen, generator = _toeplitz_generator(kernel, grid)
-    pair = _first_nonfinite_pair(gen, grid, zero_diagonal)
-    if pair is not None:
-        raise _nonfinite(nodes, *pair)
-    # the cells are uniform laterally, so norm_i depends on the vertical
-    # index a only, and norm_a norm_b folds into every generator block
-    mv = grid.points_per_dim[-1]
-    vertical = norm[:mv]
-    if not np.array_equal(norm.reshape(-1, mv), np.broadcast_to(vertical, (N // mv, mv))):
-        raise ValueError("the Toeplitz generator needs Nystrom weights that are uniform laterally")
-    gen *= np.multiply.outer(vertical, vertical)
+    gen, generator, norm = nystrom_generator(kernel, grid, lam)
     matrices = []
     for sym, fv in zip(symbols, values):
         signs = _mirror_symmetry(gen, generator["signs"], fv, grid)
@@ -252,20 +219,45 @@ def assemble(kernel, grid: BoxGrid, lam: float, zero_diagonal: bool = True,
         def probe(x, y, sym=sym):
             return kernel(x, y) * (sym(y) - sym(x))
 
-        matrices.append(OperatorMatrix(grid, 2.0 * lam,
-                                       _diagonal_bias(probe, grid, norm, zero_diagonal),
+        matrices.append(OperatorMatrix(grid, 2.0 * lam, _diagonal_bias(probe, grid, norm),
                                        rows=_toeplitz_rows(gen, fv, grid), mirror=mirror,
                                        generator=generator))
     return tuple(matrices) if isinstance(symbol, tuple) else matrices[0]
 
 
-def _diagonal_bias(probe, grid: BoxGrid, norm: np.ndarray, zero_diagonal: bool) -> float:
+def nystrom_generator(kernel, grid: BoxGrid, lam: float) -> tuple:
+    """The lateral Toeplitz generator of the Nystrom matrix
+    kernel(x_i, x_j) norm_i norm_j, with norm_i = sqrt(w_i mu_i) and
+    mu_i = x_last^(2 lam) at node i; returns (G, record, norm).
+
+    G and record are ``_toeplitz_generator``'s, so ``kernel`` must depend on
+    the lateral coordinates only through x' - y'.  The cells are uniform
+    laterally, so norm_i depends on the vertical index a only, and
+    norm_a norm_b is folded into every block of G once, in place:
+    G[I - J + m - 1][a, b] is the matrix entry at node pair (i, j) with
+    lateral indices I, J and vertical indices a, b.  Every entry must be
+    finite except the zero offset's diagonal a = b, where a singular kernel
+    has no value (``_first_nonfinite_pair``)."""
+    nodes = grid.nodes
+    norm = np.sqrt(grid.cell_weights * nodes[:, -1] ** (2.0 * lam))
+    gen, record = _toeplitz_generator(kernel, grid)
+    pair = _first_nonfinite_pair(gen, grid)
+    if pair is not None:
+        i, j = (int(k) for k in pair)
+        raise FloatingPointError(
+            f"kernel evaluation not finite at node pair {(i, j)}: x={nodes[i]}, y={nodes[j]}")
+    mv = grid.points_per_dim[-1]
+    vertical = norm[:mv]
+    if not np.array_equal(norm.reshape(-1, mv), np.broadcast_to(vertical, (len(nodes) // mv, mv))):
+        raise ValueError("the Toeplitz generator needs Nystrom weights that are uniform laterally")
+    gen *= np.multiply.outer(vertical, vertical)
+    return gen, record, norm
+
+
+def _diagonal_bias(probe, grid: BoxGrid, norm: np.ndarray) -> float:
     """The largest over nodes (at most 1024 of them) of norm_i^2 times the
     mean |probe| at the points a quarter of the smallest cell width off the
-    node, both ways along each of the first two axes; 0 when the diagonal is
-    kept."""
-    if not zero_diagonal:
-        return 0.0
+    node, both ways along each of the first two axes."""
     nodes = grid.nodes
     N = len(nodes)
     sample = np.arange(N) if N <= 1024 else np.arange(N)[:: max(1, N // 1024)]
@@ -280,28 +272,6 @@ def _diagonal_bias(probe, grid: BoxGrid, norm: np.ndarray, zero_diagonal: bool) 
         vals += np.abs(probe(nodes[sample], nodes[sample] + e))
     vals /= len(probes)
     return float(np.max(vals * norm[sample] ** 2))
-
-
-def _nonfinite(nodes: np.ndarray, i, j) -> FloatingPointError:
-    i, j = int(i), int(j)
-    return FloatingPointError(
-        f"kernel evaluation not finite at node pair {(i, j)}: x={nodes[i]}, y={nodes[j]}"
-    )
-
-
-# rows per kernel call in the plain path: bounds the kernel's temporaries
-_ROW_BLOCK = 256
-
-
-def _assemble_dense(kernel, nodes: np.ndarray) -> np.ndarray:
-    """kernel(x_i, x_j) on all N^2 node pairs, _ROW_BLOCK rows at a time."""
-    N = len(nodes)
-    out = np.empty((N, N))
-    for lo in range(0, N, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[rows, :] = kernel(nodes[rows, None, :], nodes[None, :, :])
-    return out
 
 
 # generator entries evaluated per kernel call: bounds the kernel's temporaries
@@ -410,17 +380,17 @@ def _toeplitz_generator(kernel, grid: BoxGrid) -> tuple:
     return gen, record
 
 
-def _first_nonfinite_pair(gen: np.ndarray, grid: BoxGrid, zero_diagonal: bool):
+def _first_nonfinite_pair(gen: np.ndarray, grid: BoxGrid):
     """The first node pair (i, j), in row-major order, whose generator entry
     is not finite, or None.  Pair (i, j) with lateral indices I, J and
     vertical indices a, b reads gen[I - J + m - 1][a, b], and an offset d's
-    first such pair has I = max(d, 0), J = max(-d, 0).  A zeroed diagonal
-    skips the zero offset's diagonal a = b, where a singular kernel has no
-    value; with finite symbol values these are the entries that can fail."""
+    first such pair has I = max(d, 0), J = max(-d, 0).  The zero offset's
+    diagonal a = b, where a singular kernel has no value and a commutator
+    is zeroed, is skipped; with finite symbol values the other entries are
+    the ones that can fail."""
     *lateral, mv = grid.points_per_dim
     bad = ~np.isfinite(gen)
-    if zero_diagonal:
-        bad[tuple(m - 1 for m in lateral)][np.arange(mv), np.arange(mv)] = False
+    bad[tuple(m - 1 for m in lateral)][np.arange(mv), np.arange(mv)] = False
     if not bad.any():
         return None
     where = np.argwhere(bad)
@@ -435,7 +405,8 @@ def _toeplitz_rows(gen: np.ndarray, fv: np.ndarray, grid: BoxGrid,
                    signs: dict | None = None, parity: dict | None = None) -> ProducedMatrix:
     """kernel(x_i, x_j) (f(x_j) - f(x_i)) norm_i norm_j, produced one
     lateral row block (m_v rows) at a time from the lateral Toeplitz
-    generator ``gen``, into which ``assemble`` has folded norm_a norm_b.
+    generator ``gen``, into which ``nystrom_generator`` has folded
+    norm_a norm_b.
     Lateral column J of row I sits at generator offset I - J, which runs
     down as J runs up: a reversed slice per axis.  The diagonal, where
     f(x_j) - f(x_i) = 0 and a singular kernel has no value, is set to 0.

@@ -292,8 +292,9 @@ def gaussian_profile_kernel(p: ModelParams, x, y):
     """Closed form of the spectral kernel with g(r) = exp(-r^2), n = 1, vectorized.
 
     Obtained by factorizing the Gaussian over the lateral/vertical variables;
-    validated against ``spectral_kernel`` in the test suite.  Used where the
-    kernel must be evaluated on full Nystrom grids.
+    validated against ``spectral_kernel`` in the test suite.  It depends on
+    the lateral coordinates only through x' - y', so criterion 8 evaluates it
+    on the lateral Toeplitz generator of a Nystrom grid.
     """
     if p.n != 1:
         raise NotImplementedError("closed form implemented for n = 1")

@@ -11,13 +11,15 @@ import hashlib
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cli
 from .auxfn import AuxIndex, F, F_decomposed_batch, derivative_bound_probe, f_zero
-from .discretize import assemble, make_grid
+from .discretize import assemble, make_grid, nystrom_generator
 from .kernels import (
     DirectF,
     IDX11,
@@ -220,14 +222,33 @@ def check_schur_identity() -> CheckResult:
     )
 
 
+def multiplier_frobenius_sq(kernel, symbol, grid, lam: float) -> float:
+    """|M_f K|_F^2 for the Nystrom matrix f(x_i) kernel(x_i, x_j) norm_i norm_j
+    of a laterally translation-invariant ``kernel``, read from its generator
+    G (``nystrom_generator``, which folds in norm_a norm_b) without forming
+    the matrix: the sum over nodes i = (I, a) of f(x_i)^2 times
+    sum_{J, b} G[I - J][a, b]^2.  Along each lateral axis row I reads the
+    m consecutive offsets I - J, so that inner sum is a sum of the squared
+    generator rows over a window of m offsets, taken one axis at a time.
+    A diagonal the kernel cannot evaluate makes the sum NaN."""
+    gen, _, _ = nystrom_generator(kernel, grid, lam)
+    *lateral, _ = grid.points_per_dim
+    rows = np.sum(gen**2, axis=-1)  # (2 m_1 - 1, ..., 2 m_n - 1, m_v)
+    for axis, m in enumerate(lateral):
+        # row I reads offsets I - J + m - 1 = I, ..., I + m - 1 along the axis
+        rows = sliding_window_view(rows, m, axis=axis).sum(axis=-1)
+    return float(np.dot(symbol(grid.nodes) ** 2, rows.ravel()))
+
+
 def check_hilbert_schmidt_identity() -> CheckResult:
-    """8: Frobenius norm of the assembled multiplier matrix vs the trace quadrature."""
+    """8: Frobenius norm of the Nystrom multiplier matrix M_f K vs the trace
+    quadrature.  The norm is read from the lateral Toeplitz generator that
+    every commutator assembly builds (``multiplier_frobenius_sq``), so the
+    criterion tests the Nystrom weights and measure density of that path."""
     t0 = time.perf_counter()
     p = ModelParams(n=1, lam=1.0, k=1)
     f = gaussian_bump([0.0, 4.5], 0.5)
-
-    def kern(x, y):
-        return f(x) * gaussian_profile_kernel(p, x, y)
+    kern = partial(gaussian_profile_kernel, p)
 
     xr = gauss_legendre_box([(-3.0, 3.0), (1.5, 7.5)], 60)
     ur = gauss_legendre_box([(0.0, 5.0)], 200)
@@ -243,8 +264,7 @@ def check_hilbert_schmidt_identity() -> CheckResult:
     errs = []
     for m in (32, 64):
         grid = make_grid([(-7.0, 7.0), (0.1, 11.0)], (m, m), halfspace=True)
-        A = assemble(kern, grid, p.lam, zero_diagonal=False)
-        fro2 = float(np.sum(A.entries**2))
+        fro2 = multiplier_frobenius_sq(kern, f, grid, p.lam)
         errs.append(abs(fro2 - trace) / trace)
     passed = errs[0] <= 0.02 and errs[1] < errs[0]
     return _result(

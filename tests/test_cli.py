@@ -668,3 +668,20 @@ def test_cli_main_entrypoint(tmp_path, capsys):
     code = main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert code == 0
     assert (tmp_path / "o" / "report.json").exists()
+
+
+def test_auxfn_refuses_lam_below_half(tmp_path, monkeypatch):
+    # the decomposition's far-tail quadrature does not converge below 1/2
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("F_decomposed_batch reached")
+
+    monkeypatch.setattr(cli, "F_decomposed_batch", no_decomposition)
+    with pytest.raises(ConfigError, match=r"params\.lam >= 0\.5"):
+        run(parse_config({"pipeline": "auxfn", "params": {"lam": 0.3}}), out_dir=tmp_path)
+    # a config written for another pipeline is checked again for auxfn
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "spectrum", "params": {"lam": 0.3}}))
+    assert load_config(cfg_path).params.lam == 0.3
+    with pytest.raises(ConfigError, match=r"params\.lam >= 0\.5"):
+        cli.main(["auxfn", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from besselriesz.discretize import (
 )
 from besselriesz.kernels import (
     commutator_kernel,
+    gaussian_profile_kernel,
     symbol_a,
     symbol_b,
     symbol_h,
@@ -21,6 +23,7 @@ from besselriesz.quadrature import gauss_legendre_box
 from besselriesz.special import ModelParams
 from besselriesz.spectra import default_window, gram_lower, singular_values
 from besselriesz.symbols import Symbol, constant_symbol, gaussian_bump
+from besselriesz.verify import multiplier_frobenius_sq
 
 P2 = ModelParams(n=1, lam=1.0, k=2)
 
@@ -43,6 +46,32 @@ def commutator(grid, sym=None):
 def brute_force_commutator(base, sym):
     """The commutator kernel on every node pair: the reference for ``symbol=``."""
     return lambda x, y: commutator_kernel(base, sym, x, y)
+
+
+def nystrom_norm(grid, lam):
+    """sqrt(w_i mu_i) at each node, with mu_i = x_last^(2 lam)."""
+    return np.sqrt(grid.cell_weights * grid.nodes[:, -1] ** (2.0 * lam))
+
+
+def dense_reference(kernel, grid, lam):
+    """kernel(x_i, x_j) sqrt(w_i mu_i w_j mu_j) on every node pair, by brute
+    force: the reference for the generator path.  The diagonal is left as
+    the kernel gives it."""
+    x = grid.nodes
+    norm = nystrom_norm(grid, lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return kernel(x[:, None, :], x[None, :, :]) * np.outer(norm, norm)
+
+
+def reference_diagonal_bias(kernel, grid, lam):
+    """The largest over nodes of norm_i^2 times the mean |kernel| a quarter
+    of the smallest cell width off node i, both ways along the first two
+    axes (every node: the reference grids have at most 1024)."""
+    x = grid.nodes
+    h = 0.25 * grid.cell_widths.min()
+    offsets = [s * h * e for e in np.eye(grid.dim)[:2] for s in (1.0, -1.0)]
+    mean = np.mean([np.abs(kernel(x, x + e)) for e in offsets], axis=0)
+    return float(np.max(mean * nystrom_norm(grid, lam) ** 2))
 
 
 def test_grid_1d_midpoints():
@@ -99,8 +128,9 @@ def test_grid_validation():
 def test_assemble_zero_kernel():
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (6, 6), halfspace=True)
     A = assemble(lambda x, y: np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])),
-                 g, 1.0)
+                 g, 1.0, symbol=gaussian_bump([0.5, 1.0], 0.15))
     assert np.all(A.entries == 0.0)
+    assert A.diagonal_bias == 0.0
 
 
 def test_assemble_constant_symbol_commutator_is_zero():
@@ -110,7 +140,9 @@ def test_assemble_constant_symbol_commutator_is_zero():
 
 
 def test_hilbert_schmidt_consistency_smooth_kernel():
-    # Frobenius norm^2 against an independent 4-d Gauss-Legendre quadrature
+    # Frobenius norm^2 against an independent 4-d Gauss-Legendre quadrature;
+    # the kernel is laterally translation-invariant, so the norm is read
+    # from its Toeplitz generator
     lam = 0.8
     bounds = [(0.0, 1.0), (0.5, 1.5)]
     ref_rule = gauss_legendre_box(bounds + bounds, 24)
@@ -122,8 +154,7 @@ def test_hilbert_schmidt_consistency_smooth_kernel():
     errs = []
     for m in (16, 32):
         g = make_grid(bounds, (m, m), halfspace=True)
-        A = assemble(smooth_kernel, g, lam, zero_diagonal=False)
-        fro2 = float(np.sum(A.entries**2))
+        fro2 = multiplier_frobenius_sq(smooth_kernel, constant_symbol(1.0), g, lam)
         errs.append(abs(fro2 - ref) / ref)
     assert errs[1] <= 0.02
     assert errs[1] < errs[0]
@@ -170,13 +201,14 @@ def test_schur_direction_symbol_norm_ratio_bounded_under_refinement():
 
 
 def test_frobenius_domination():
-    # |K2| <= K1 entrywise implies Frobenius domination of the assemblies
+    # |K2| <= K1 entrywise implies Frobenius domination of the commutators
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (10, 10), halfspace=True)
+    sym = gaussian_bump([0.5, 1.0], 0.15)
     K1 = lambda x, y: smooth_kernel(x, y) + 0.1
-    K2 = lambda x, y: (smooth_kernel(x, y) + 0.1) * np.sin(3 * x[..., 0] * y[..., -1])
-    A1 = assemble(K1, g, 0.7)
-    A2 = assemble(K2, g, 0.7)
-    assert np.linalg.norm(A2.entries) <= np.linalg.norm(A1.entries)
+    K2 = lambda x, y: K1(x, y) * np.sin(3 * (x[..., 0] - y[..., 0]) * y[..., -1])
+    A1 = assemble(K1, g, 0.7, symbol=sym)
+    A2 = assemble(K2, g, 0.7, symbol=sym)
+    assert 0.0 < np.linalg.norm(A2.entries) <= np.linalg.norm(A1.entries)
 
 
 TOEPLITZ_GRIDS = pytest.mark.parametrize(
@@ -204,12 +236,13 @@ def toeplitz_commutator(n, k, points):
 @TOEPLITZ_GRIDS
 def test_toeplitz_commutator_matches_brute_force(n, k, points):
     g, base, sym, A = toeplitz_commutator(n, k, points)
-    p = ModelParams(n=n, lam=1.0, k=k)
-    B = assemble(brute_force_commutator(base, sym), g, p.lam)
-    scale = np.max(np.abs(B.entries))
+    brute = brute_force_commutator(base, sym)
+    B = dense_reference(brute, g, 1.0)
+    np.fill_diagonal(B, 0.0)
+    scale = np.max(np.abs(B))
     assert scale > 0.0
-    assert np.max(np.abs(A.entries - B.entries)) <= 1e-13 * scale
-    assert A.diagonal_bias == B.diagonal_bias
+    assert np.max(np.abs(A.entries - B)) <= 1e-13 * scale
+    assert A.diagonal_bias == reference_diagonal_bias(brute, g, 1.0)
 
 
 @TOEPLITZ_GRIDS
@@ -313,6 +346,29 @@ def test_toeplitz_generator_matches_full_evaluation(n, k, points, kernel, signs)
     probes = parity_probes([m for m, sign in zip(lateral, signs) if sign is not None])
     assert record["offsets_evaluated"] == evaluated + probes
     assert record["offsets_total"] == int(np.prod([2 * m - 1 for m in lateral]))
+
+
+@pytest.mark.parametrize(
+    "kernel, bounds, points, lam, center, width",
+    [
+        (smooth_kernel, [(0.0, 1.0), (0.5, 1.5)], (16, 16), 0.8, [0.5, 1.0], 0.15),
+        (smooth_kernel, [(0.0, 1.0), (0.5, 1.5)], (15, 16), 0.8, [0.5, 1.0], 0.15),
+        (no_lateral_parity, [(0.0, 1.0), (0.5, 1.5)], (15, 16), 0.8, [0.4, 1.0], 0.15),
+        (smooth_kernel, [(0.0, 1.0), (0.0, 1.0), (0.5, 1.5)], (5, 6, 4), 0.8,
+         [0.5, 0.4, 1.0], 0.2),
+        # criterion 8's kernel, symbol and box
+        (partial(gaussian_profile_kernel, ModelParams(n=1, lam=1.0, k=1)),
+         [(-7.0, 7.0), (0.1, 11.0)], (32, 32), 1.0, [0.0, 4.5], 0.5),
+    ],
+    ids=["16x16", "15x16", "15x16-no-parity", "5x6x4", "criterion-8-32x32"],
+)
+def test_multiplier_frobenius_matches_brute_force(kernel, bounds, points, lam, center, width):
+    # the generator's windowed sum of squares against the dense matrix
+    g = make_grid(bounds, points, halfspace=True)
+    f = gaussian_bump(center, width)
+    brute = float(np.sum((f(g.nodes)[:, None] * dense_reference(kernel, g, lam)) ** 2))
+    fro2 = multiplier_frobenius_sq(kernel, f, g, lam)
+    assert fro2 == pytest.approx(brute, rel=1e-13, abs=0)
 
 
 def test_odd_parity_needs_a_zero_offset_of_zeros():
@@ -441,7 +497,8 @@ def test_weighted_assembly_requires_lambda():
 
 def test_matrix_roundtrip(tmp_path):
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (6, 6), halfspace=True)
-    A = assemble(smooth_kernel, g, 0.5, zero_diagonal=False)
+    sym = gaussian_bump([0.5, 1.0], 0.15)
+    A = assemble(smooth_kernel, g, 0.5, symbol=sym)
     path = tmp_path / "matrix.bin"
     save_matrix(A, path)
     entries, tag = load_matrix(path)
@@ -450,7 +507,7 @@ def test_matrix_roundtrip(tmp_path):
     meta = (tmp_path / "matrix.bin.meta.csv").read_text()
     assert "space_tag,weighted" in meta
     # lam = 0 is Lebesgue measure: tag byte 0 and the "unweighted" meta row
-    save_matrix(assemble(smooth_kernel, g, 0.0, zero_diagonal=False), path)
+    save_matrix(assemble(smooth_kernel, g, 0.0, symbol=sym), path)
     assert load_matrix(path)[1] == "unweighted"
     assert "space_tag,unweighted" in (tmp_path / "matrix.bin.meta.csv").read_text()
 
