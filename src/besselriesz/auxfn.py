@@ -158,12 +158,13 @@ def _far_tails(n: int, lam: float, top: int) -> np.ndarray:
 
 
 def _tail_integrals(p: ModelParams, xs: np.ndarray, ls, js) -> np.ndarray:
-    """``C_tail`` for every l of ``ls``, j of ``js`` and 0 < x <= 1 of ``xs``,
-    shape (len(ls), len(js), len(xs)).  The near integral over (x^2, 1) is
-    taken in u = ln s / ln x^2, so every x and (l, j) share one batched
-    quadrature on [0, 1]: its uniform panels are at most ln 4 wide in ln s,
-    the geometric grading of (x^2, 1) by 4 at the least x.  The far
-    integrals over (0, 1) come from ``_far_tails``."""
+    """C_tail(l, j, x) = x^(2j) * integral over (x^2, inf) of
+    (s+1)^(-lam-n/2-1) s^(n/2-j-l) ds for every l of ``ls``, j of ``js``
+    and 0 < x <= 1 of ``xs``, shape (len(ls), len(js), len(xs)).  The near
+    integral over (x^2, 1) is taken in u = ln s / ln x^2, so every x and
+    (l, j) share one batched quadrature on [0, 1]: its uniform panels are at
+    most ln 4 wide in ln s, the geometric grading of (x^2, 1) by 4 at the
+    least x.  The far integrals over (0, 1) come from ``_far_tails``."""
     n, lam = p.n, p.lam
     power = -lam - n / 2 - 1.0
     # s^e ds = -ln(x^2) s^(e + 1) du
@@ -180,13 +181,6 @@ def _tail_integrals(p: ModelParams, xs: np.ndarray, ls, js) -> np.ndarray:
     far = _far_tails(n, lam, max(ls) + max(js))[[l + j for l in ls for j in js]]
     total = near + far[:, None]
     return np.array([xs ** (2 * j) for j in js]) * total.reshape(len(ls), len(js), len(xs))
-
-
-def C_tail(p: ModelParams, l: int, j: int, x: float) -> float:
-    """x^(2j) * integral over (x^2, inf) of (s+1)^(-lam-n/2-1) s^(n/2-j-l) ds."""
-    if not 0 < x <= 1:
-        raise ValueError("C_tail requires 0 < x <= 1")
-    return float(_tail_integrals(p, np.array([float(x)]), (l,), (j,))[0, 0, 0])
 
 
 def a_coeff(l: int, j: int, p: ModelParams) -> float:
@@ -235,7 +229,7 @@ def F_decomposed_batch(p: ModelParams, xs, indices) -> dict:
     of every (l, j) and x, and two for the far tails (``_far_tails``)."""
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs > 0) & (xs <= 1)):
-        raise ValueError("F_decomposed requires 0 < x <= 1")
+        raise ValueError("F_decomposed_batch requires 0 < x <= 1")
     n = p.n
     ls = sorted({idx.l for idx in indices})
     js = range(n + 3)
@@ -249,12 +243,6 @@ def F_decomposed_batch(p: ModelParams, xs, indices) -> dict:
         out[idx] = (xs ** (n + k) * A[row] + xs**k * B[row]
                     + xs ** (k + 2 * idx.l - 2) * tail)
     return out
-
-
-def F_decomposed(idx: AuxIndex, p: ModelParams, x: float) -> float:
-    """F at 0 < x <= 1 through the three-part decomposition
-    (``F_decomposed_batch`` at one x)."""
-    return float(F_decomposed_batch(p, [x], (idx,))[idx][0])
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +430,15 @@ class FTable:
     cubic (``not_a_knot_coefficients``), evaluated as ``PPoly`` evaluates
     it, in blocks of ``_EVAL_BLOCK`` points.  Accuracy is ~1e-9 relative
     (checked in the test suite against direct quadrature), far below every
-    spectral tolerance that consumes it.  ``values``, F at those nodes, is
-    taken as given when a batched pass (``F_batch``) already has them.
+    spectral tolerance that consumes it.  ``values`` is F at those nodes,
+    from a batched pass (``F_batch``).
     """
 
-    def __init__(self, idx: AuxIndex, p: ModelParams, h_max: float,
-                 values: np.ndarray | None = None):
+    def __init__(self, idx: AuxIndex, p: ModelParams, h_max: float, values: np.ndarray):
         nodes = table_nodes(h_max)
         self.idx = idx
         self.params = p
         self.h_max = nodes[-1]
-        if values is None:
-            values = F_batch(p, nodes, (idx,))[idx]
         self.nodes = nodes
         self.coeffs = not_a_knot_coefficients(nodes, np.asarray(values, dtype=float))
         first, last, count = _GEOMETRIC_RUN

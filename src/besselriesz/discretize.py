@@ -1,9 +1,12 @@
-"""Midpoint tensor grids and symmetric Nystrom assembly of two-point kernels.
+"""Midpoint tensor grids and symmetric Nystrom assembly of commutators.
 
-Matrices carry their grid and measure exponent with them: a matrix assembled
-with ``lam`` lives on L2(x_last^(2 lam) dx), and ``lam=0`` is Lebesgue
-measure.  The symmetric sqrt(cell * density) normalization makes matrix
-singular values direct approximations of operator singular values there.
+A commutator matrix is held in one form: the row producer of its lateral
+block-Toeplitz generator (``OperatorMatrix``, built by ``assemble``), whose
+dense entries are built only when read.  Matrices carry their grid and
+measure exponent with them: a matrix assembled with ``lam`` lives on
+L2(x_last^(2 lam) dx), and ``lam=0`` is Lebesgue measure.  The symmetric
+sqrt(cell * density) normalization makes matrix singular values direct
+approximations of operator singular values there.
 """
 
 from __future__ import annotations
@@ -37,10 +40,6 @@ class BoxGrid:
     @property
     def cell_widths(self) -> np.ndarray:
         return np.array([(b - a) / m for (a, b), m in zip(self.bounds, self.points_per_dim)])
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod([b - a for a, b in self.bounds]))
 
 
 def make_grid(bounds, points_per_dim, halfspace: bool = False) -> BoxGrid:
@@ -91,25 +90,21 @@ def make_grid(bounds, points_per_dim, halfspace: bool = False) -> BoxGrid:
 
 
 class OperatorMatrix:
-    """An N x N Nystrom matrix on ``grid``, held as its dense ``entries`` or
-    as a ``ProducedMatrix`` ``rows``.  A produced matrix builds ``entries``
-    when they are first read and keeps them; ``row_blocks`` hands out its
-    rows without building them.  ``mirror``, when given, is a callable
-    returning the matrix's mirror split (``mirror_blocks``).  ``generator``
-    is the record of the Toeplitz generator a commutator is produced from
-    (``_toeplitz_generator``), None for a dense matrix."""
+    """An N x N Nystrom commutator matrix on ``grid``, held as the row
+    producer ``rows`` (a ``ProducedMatrix``) of its lateral Toeplitz
+    generator; ``assemble`` builds it.  ``row_blocks`` hands out its rows
+    without building the matrix, and ``entries``, the dense matrix, is
+    built when first read and kept.  ``mirror``, when not None, is a
+    callable returning the matrix's mirror split (``mirror_blocks``).
+    ``generator`` is the record of the generator it is produced from
+    (``_toeplitz_generator``)."""
 
-    def __init__(self, grid: BoxGrid, measure_exponent: float, diagonal_bias: float = 0.0,
-                 entries: np.ndarray | None = None, rows=None, mirror=None, generator=None):
-        if (entries is None) == (rows is None):
-            raise ValueError("an operator matrix needs its entries or a row producer")
-        N = len(grid.nodes)
-        if (entries if rows is None else rows).shape != (N, N):
-            raise ValueError("matrix shape does not match the grid")
+    def __init__(self, grid: BoxGrid, measure_exponent: float, diagonal_bias: float,
+                 rows, mirror, generator):
         self.grid = grid
         self.measure_exponent = measure_exponent  # 2*lam: the measure is x_last^(2 lam) dx
         self.diagonal_bias = diagonal_bias
-        self._entries = entries
+        self._entries = None
         self._rows = rows
         self._mirror = mirror
         self.generator = generator
@@ -126,13 +121,9 @@ class OperatorMatrix:
         return self._entries
 
     def row_blocks(self):
-        """The matrix's rows in order, as C-ordered (rows, N) blocks: the
-        dense entries as one block once they exist, otherwise the produced
-        blocks of ``ProducedMatrix.row_blocks``."""
-        if self._entries is not None:
-            yield self._entries
-            return
-        yield from self._rows.row_blocks()
+        """The matrix's rows in order, as C-ordered (rows, N) blocks
+        (``ProducedMatrix.row_blocks``)."""
+        return self._rows.row_blocks()
 
     def mirror_blocks(self) -> tuple:
         """Matrices whose singular values together are exactly this
@@ -196,10 +187,11 @@ def assemble(kernel, grid: BoxGrid, lam: float, symbol):
     f(y) - f(x) are both odd in x - y, so their product is even and the
     omitted self-cell integral is O(h), not zero.  ``diagonal_bias``
     measures the size of the omitted entries, and nothing corrects for it:
-    the largest over nodes (at most 1024 of them) of w_i mu_i times the
-    mean |kernel(x, y) (f(y) - f(x))| at the points a quarter of the
-    smallest cell width off the node, both ways along each of the first two
-    axes.  These probes evaluate the kernel and the symbol pointwise.
+    the largest over nodes (every node up to N = 1024, else every
+    (N // 1024)-th node) of w_i mu_i times the mean
+    |kernel(x, y) (f(y) - f(x))| at the points a quarter of the smallest
+    cell width off the node, both ways along each of the first two axes.
+    These probes evaluate the kernel and the symbol pointwise.
     """
     nodes = grid.nodes
     symbols = symbol if isinstance(symbol, tuple) else (symbol,)
@@ -220,8 +212,7 @@ def assemble(kernel, grid: BoxGrid, lam: float, symbol):
             return kernel(x, y) * (sym(y) - sym(x))
 
         matrices.append(OperatorMatrix(grid, 2.0 * lam, _diagonal_bias(probe, grid, norm),
-                                       rows=_toeplitz_rows(gen, fv, grid), mirror=mirror,
-                                       generator=generator))
+                                       _toeplitz_rows(gen, fv, grid), mirror, generator))
     return tuple(matrices) if isinstance(symbol, tuple) else matrices[0]
 
 
@@ -255,12 +246,13 @@ def nystrom_generator(kernel, grid: BoxGrid, lam: float) -> tuple:
 
 
 def _diagonal_bias(probe, grid: BoxGrid, norm: np.ndarray) -> float:
-    """The largest over nodes (at most 1024 of them) of norm_i^2 times the
-    mean |probe| at the points a quarter of the smallest cell width off the
-    node, both ways along each of the first two axes."""
+    """The largest over nodes (every node up to N = 1024, else every
+    (N // 1024)-th node) of norm_i^2 times the mean |probe| at the points a
+    quarter of the smallest cell width off the node, both ways along each
+    of the first two axes."""
     nodes = grid.nodes
     N = len(nodes)
-    sample = np.arange(N) if N <= 1024 else np.arange(N)[:: max(1, N // 1024)]
+    sample = np.arange(N)[:: max(1, N // 1024)]
     h = grid.cell_widths.min()
     probes = []
     for axis in range(min(grid.dim, 2)):
@@ -522,17 +514,6 @@ def _mirror_split(gen: np.ndarray, fv: np.ndarray, grid: BoxGrid, signs: dict) -
     commutator's."""
     return tuple(_toeplitz_rows(gen, fv, grid, signs, dict(zip(signs, parity)))
                  for parity in itertools.product((1, -1), repeat=len(signs)))
-
-
-def schur_apply(symbol, A: OperatorMatrix) -> OperatorMatrix:
-    """Entrywise product B_ij = symbol(x_i, x_j) * A_ij; Nystrom weights untouched."""
-    nodes = A.grid.nodes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        M = symbol(nodes[:, None, :], nodes[None, :, :])
-    M = np.asarray(M, dtype=float)
-    idx = np.arange(len(nodes))
-    M[idx, idx] = np.nan_to_num(M[idx, idx])
-    return OperatorMatrix(A.grid, A.measure_exponent, A.diagonal_bias, entries=A.entries * M)
 
 
 def save_matrix(A: OperatorMatrix, path) -> None:

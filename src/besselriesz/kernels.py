@@ -14,8 +14,8 @@ from scipy.special import cython_special as _cs
 from scipy.special import gamma as _gamma
 from scipy.special import ive
 
-from .auxfn import AuxIndex, F, F_batch, FTable, f_zero, table_nodes
-from .quadrature import QuadratureError, gauss_legendre_box, gegenbauer_integral
+from .auxfn import AuxIndex, F, F_batch, FTable, table_nodes
+from .quadrature import QuadratureError, gegenbauer_integral
 from .special import ModelParams, model_constants, psi_bound, psi_lambda
 
 IDX20 = AuxIndex(2, 0)
@@ -189,64 +189,6 @@ def invsqrt_kernel_subordination(p: ModelParams, x, y, rel_tol: float = 1e-10) -
     return 2.0 / np.sqrt(np.pi) * (near + far)
 
 
-def spectral_kernel(p: ModelParams, g, x, y, rel_tol: float = 1e-8) -> float:
-    """Kernel of g(sqrt of the weighted Laplacian) for a decaying radial profile g.
-
-    Implemented for n = 1, where the lateral Fourier integral reduces to a
-    cosine transform; the plane integral is done in polar coordinates with an
-    envelope-certified radial truncation (|g(r)| <= C (1+r)^(-n-2) assumed).
-    """
-    from scipy.integrate import quad
-
-    if p.n != 1:
-        raise NotImplementedError("spectral representation implemented for n = 1")
-    x, y = _pts(x), _pts(y)
-    d = float(x[0] - y[0])
-    xl, yl = float(x[-1]), float(y[-1])
-    bound = psi_bound(p.lam)
-    freq = abs(d) + xl + yl
-
-    def alpha_integral(r_nodes):
-        vals = np.empty_like(r_nodes)
-        for i, r in enumerate(r_nodes):
-            order = int(min(400, max(48, 2.0 * r * freq)))
-            rule = gauss_legendre_box([(0.0, np.pi / 2)], order)
-            al = rule.nodes[:, 0]
-            sa = np.sin(al)
-            integrand = (
-                np.cos(r * d * np.cos(al))
-                * psi_lambda(p.lam, xl * r * sa)
-                * psi_lambda(p.lam, yl * r * sa)
-            )
-            vals[i] = np.dot(rule.weights, integrand)
-        return vals
-
-    def shell(a, b):
-        panels = max(4, int((b - a) * freq / 2.0) + 2)
-        total = 0.0
-        for lo, hi in zip(np.linspace(a, b, panels + 1)[:-1], np.linspace(a, b, panels + 1)[1:]):
-            rule = gauss_legendre_box([(lo, hi)], 24)
-            r_nodes = rule.nodes[:, 0]
-            total += np.dot(rule.weights, r_nodes * np.asarray(g(r_nodes)) * alpha_integral(r_nodes))
-        return total
-
-    radius = 10.0
-    total = shell(0.0, radius)
-    for _ in range(8):
-        # certified tail: |alpha integral| <= (pi/2) B^2, so the remainder is
-        # bounded by (pi/2) B^2 * int_R^inf r |g(r)| dr
-        tail_int, _ = quad(lambda r: r * abs(g(np.array([r]))[0]), radius, np.inf, limit=200)
-        tail = 0.5 * np.pi * bound**2 * abs(tail_int)
-        if tail < rel_tol * max(abs(total), 1e-300):
-            return (xl * yl) ** (-p.lam) / np.pi * total
-        total += shell(radius, 2.0 * radius)
-        radius *= 2.0
-    raise QuadratureError(
-        "spectral_kernel truncation did not certify",
-        (xl * yl) ** (-p.lam) / np.pi * total, tail,
-    )
-
-
 def spectral_kernel_inverse_radial(p: ModelParams, x, y, rel_tol: float = 1e-8) -> float:
     """Spectral representation with profile g(r) = 1/r (n = 1, x' != y').
 
@@ -292,7 +234,7 @@ def gaussian_profile_kernel(p: ModelParams, x, y):
     """Closed form of the spectral kernel with g(r) = exp(-r^2), n = 1, vectorized.
 
     Obtained by factorizing the Gaussian over the lateral/vertical variables;
-    validated against ``spectral_kernel`` in the test suite.  It depends on
+    validated against the test suite's ``spectral_kernel``.  It depends on
     the lateral coordinates only through x' - y', so criterion 8 evaluates it
     on the lateral Toeplitz generator of a Nystrom grid.
     """
@@ -450,129 +392,3 @@ def ratio_bound_check(samples: int, n: int = 1, seed: int = 0) -> RatioBoundRepo
         accepted=accepted, violations=violations,
         ratio_min=rmin, ratio_max=rmax, bound_lo=lo, bound_hi=hi, worst_pair=worst,
     )
-
-
-@dataclass
-class TaylorReport:
-    separations: np.ndarray
-    leading: np.ndarray
-    residual: np.ndarray
-    residual_exponent: float
-    leading_ratio: float
-    expected_ratio: float
-
-
-def taylor_local_check(
-    p: ModelParams,
-    f,
-    center,
-    direction=None,
-    m_range=range(3, 11),
-) -> TaylorReport:
-    """Near-diagonal expansion check of the weighted commutator kernel.
-
-    Compares the conjugated (Lebesgue-measure) commutator kernel against
-    kappa3 * F20(0) times the classical commutator kernel on pairs approaching
-    the diagonal; the residual must vanish one order faster than the leading
-    |x-y|^(-n) singularity.
-    """
-    center = np.asarray(center, dtype=float)
-    if direction is None:
-        direction = np.ones_like(center)
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-    c = model_constants(p)
-    f20_0 = f_zero(IDX20, p)
-    expected = c.kappa3 * f20_0
-    f_eval = DirectF(p)
-
-    seps, leads, resids = [], [], []
-    for m in m_range:
-        delta = 2.0**-m
-        x = center
-        y = center + delta * direction
-        weighted = (
-            (x[-1] * y[-1]) ** p.lam
-            * commutator_kernel(lambda a, b: riesz_kernel_bessel(p, a, b, f_eval), f, x, y)
-        )
-        classical = commutator_kernel(
-            lambda a, b: riesz_kernel_classical(p.n, p.k, a, b), f, x, y
-        )
-        seps.append(delta)
-        leads.append(weighted)
-        resids.append(weighted - expected * classical)
-    seps = np.array(seps)
-    leads = np.array(leads)
-    resids = np.array(resids)
-
-    mask = np.abs(resids) > 0
-    if mask.sum() >= 2:
-        slope = np.polyfit(np.log(seps[mask]), np.log(np.abs(resids[mask])), 1)[0]
-    else:
-        slope = np.inf  # residual identically zero (constant f)
-    classical_last = commutator_kernel(
-        lambda a, b: riesz_kernel_classical(p.n, p.k, a, b), f,
-        center, center + seps[-1] * direction,
-    )
-    ratio = leads[-1] / classical_last if classical_last != 0 else np.nan
-    return TaylorReport(
-        separations=seps, leading=leads, residual=resids,
-        residual_exponent=float(slope), leading_ratio=float(ratio),
-        expected_ratio=float(expected),
-    )
-
-
-# ---------------------------------------------------------------------------
-# classical Riesz normalization oracle
-# ---------------------------------------------------------------------------
-
-
-def riesz_gaussian_check(n: int = 1, l: int = 1, point=None, cells: int = 361):
-    """Apply the classical Riesz kernel to a Gaussian two ways (n = 1).
-
-    Returns (kernel_route, multiplier_route) at ``point``: the discretized
-    principal-value integral with the omega_n normalization versus the Fourier
-    multiplier i xi_l / |xi| evaluated by quadrature.  Used to pin down
-    omega_n numerically before it enters kappa3.
-    """
-    if n != 1:
-        raise NotImplementedError("Gaussian oracle implemented for n = 1")
-    if point is None:
-        point = np.zeros(n + 1)
-        point[0] = 0.7
-    point = np.asarray(point, dtype=float)
-    dim = n + 1
-
-    # spatial route: midpoint grid, principal value by symmetric cancellation
-    half_width = 9.0
-    axes = [np.linspace(-half_width, half_width, cells + 1) for _ in range(dim)]
-    mids = [0.5 * (a[1:] + a[:-1]) for a in axes]
-    h = mids[0][1] - mids[0][0]
-    # snap to the nearest cell midpoint: the odd-kernel principal value needs
-    # the evaluation point centered in its cell for symmetric cancellation
-    point = np.array([mids[i][np.argmin(np.abs(mids[i] - point[i]))] for i in range(dim)])
-    grids = np.meshgrid(*mids, indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    shift = nodes - point  # y - x
-    r = np.sqrt(np.sum(shift**2, axis=-1))
-    near = r < 0.5 * h
-    gauss = np.exp(-0.5 * np.sum(nodes**2, axis=-1))
-    from .special import riesz_constant
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(near, 0.0, riesz_constant(n) * shift[..., l - 1] / np.maximum(r, 1e-300) ** (n + 2))
-    spatial = float(np.sum(vals * gauss) * h**dim)
-    # excluded self-cell: the kernel against the gradient part of the Gaussian
-    # contributes omega_n * d_l G(x) * h * 2 asinh(1) at first order
-    grad_l = -point[l - 1] * np.exp(-0.5 * np.sum(point**2))
-    spatial += riesz_constant(n) * grad_l * h * 2.0 * np.arcsinh(1.0)
-
-    # multiplier route: odd part of the inverse Fourier integral
-    rule = gauss_legendre_box([(-8.0, 8.0)] * dim, 80)
-    xi = rule.nodes
-    xi_norm = np.sqrt(np.sum(xi**2, axis=-1))
-    ghat = np.exp(-0.5 * xi_norm**2)
-    phase = xi @ point
-    integrand = -(xi[:, l - 1] / np.maximum(xi_norm, 1e-300)) * ghat * np.sin(phase)
-    multiplier = float((2 * np.pi) ** (-dim / 2) * np.dot(rule.weights, integrand))
-    return spatial, multiplier

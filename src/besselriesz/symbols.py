@@ -37,21 +37,6 @@ def constant_symbol(value: float) -> Symbol:
     )
 
 
-def scale_symbol(f: Symbol, c: float) -> Symbol:
-    return Symbol(func=lambda x: c * f.func(x), gradient=lambda x: c * f.gradient(x),
-                  support=f.support)
-
-
-def translate_symbol(f: Symbol, shift) -> Symbol:
-    """Translate by ``shift`` (f_new(x) = f(x - shift))."""
-    shift = np.asarray(shift, dtype=float)
-    support = None
-    if f.support is not None:
-        support = tuple((a + s, b + s) for (a, b), s in zip(f.support, shift))
-    return Symbol(func=lambda x: f.func(x - shift), gradient=lambda x: f.gradient(x - shift),
-                  support=support)
-
-
 def gaussian_bump(center, width: float, amplitude: float = 1.0) -> Symbol:
     """amplitude * exp(-|x - center|^2 / (2 width^2))."""
     center = np.asarray(center, dtype=float)
@@ -126,17 +111,6 @@ def coordinate_window(axis: int, center, width, amplitude: float = 1.0) -> Symbo
     support = tuple((c - r_axis, c + r_axis) if i == axis else box
                     for i, (c, box) in enumerate(zip(center, g.support)))
     return Symbol(func=func, gradient=gradient, support=support)
-
-
-def coordinate_symbol(axis: int, dim: int) -> Symbol:
-    """The unbounded coordinate function x_axis (for analytic test cases)."""
-
-    def gradient(x):
-        out = np.zeros(x.shape)
-        out[..., axis] = 1.0
-        return out
-
-    return Symbol(func=lambda x: x[..., axis], gradient=gradient)
 
 
 def build_symbol(spec: dict) -> Symbol:

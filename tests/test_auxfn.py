@@ -8,13 +8,12 @@ from besselriesz.auxfn import (
     _B_integrals,
     AuxDecomposition,
     AuxIndex,
-    C_tail,
     F,
     F_batch,
-    F_decomposed,
     F_decomposed_batch,
     FTable,
     G,
+    _tail_integrals,
     _taylor_remainder,
     a_coeff,
     c_coeff,
@@ -105,7 +104,8 @@ def test_decomposition_matches_direct():
             p = ModelParams(n=n, lam=lam, k=1)
             for idx in (IDX20, IDX11, IDX21):
                 for x in (0.1, 0.5, 1.0):
-                    assert abs(F(idx, p, x) - F_decomposed(idx, p, x)) <= 1e-8
+                    decomposed = F_decomposed_batch(p, [x], (idx,))[idx][0]
+                    assert abs(F(idx, p, x) - decomposed) <= 1e-8
 
 
 def _decomposition_per_index(idx, p, x):
@@ -147,7 +147,8 @@ def test_batched_decomposition_matches_per_index_composition():
                 for x, v in zip(xs, got[idx]):
                     want = _decomposition_per_index(idx, p, x)
                     assert v == pytest.approx(want, rel=1e-14, abs=0), (n, lam, idx, x)
-                    assert F_decomposed(idx, p, x) == pytest.approx(want, rel=1e-14, abs=0)
+                    alone = F_decomposed_batch(p, [x], (idx,))[idx][0]
+                    assert alone == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_decomposition_shares_panel_layouts(monkeypatch):
@@ -180,14 +181,15 @@ def test_decomposition_shares_panel_layouts(monkeypatch):
 def test_decomposition_rejects_x_outside_unit_interval():
     for x in (0.0, 1.5, float("nan")):
         with pytest.raises(ValueError):
-            F_decomposed(IDX20, P11, x)
+            F_decomposed_batch(P11, [x], (IDX20,))
     with pytest.raises(ValueError):
         F_decomposed_batch(P11, [0.5, 1.5], (IDX20,))
 
 
 def test_c_tail_oracle():
     ref, _ = quad(lambda s: (s + 1) ** -2.5 * s**0.5, 1.0, np.inf)
-    assert C_tail(P11, 0, 0, 1.0) == pytest.approx(ref, rel=1e-12, abs=0)
+    tail = _tail_integrals(P11, np.array([1.0]), (0,), (0,))[0, 0, 0]
+    assert tail == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_b_part_finite_at_zero():
@@ -263,7 +265,7 @@ def test_envelope_probe_mid_range_first_derivative():
 
 
 def test_f_table_accuracy():
-    table = FTable(IDX20, P11, h_max=3.0)
+    table = FTable(IDX20, P11, 3.0, F_batch(P11, table_nodes(3.0), (IDX20,))[IDX20])
     rng = np.random.default_rng(0)
     hs = np.concatenate([rng.uniform(0, 0.2, 40), rng.uniform(0.2, 3.0, 40)])
     direct = np.array([F(IDX20, P11, h) for h in hs])
@@ -271,7 +273,7 @@ def test_f_table_accuracy():
 
 
 def test_f_table_rejects_out_of_range():
-    table = FTable(IDX20, P11, h_max=1.0)
+    table = FTable(IDX20, P11, 1.0, F_batch(P11, table_nodes(1.0), (IDX20,))[IDX20])
     with pytest.raises(ValueError):
         table(np.array([1.5]))
 

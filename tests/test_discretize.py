@@ -10,13 +10,10 @@ from besselriesz.discretize import (
     load_matrix,
     make_grid,
     save_matrix,
-    schur_apply,
 )
 from besselriesz.kernels import (
     commutator_kernel,
     gaussian_profile_kernel,
-    symbol_a,
-    symbol_b,
     symbol_h,
 )
 from besselriesz.quadrature import gauss_legendre_box
@@ -63,15 +60,15 @@ def dense_reference(kernel, grid, lam):
         return kernel(x[:, None, :], x[None, :, :]) * np.outer(norm, norm)
 
 
-def reference_diagonal_bias(kernel, grid, lam):
-    """The largest over nodes of norm_i^2 times the mean |kernel| a quarter
-    of the smallest cell width off node i, both ways along the first two
-    axes (every node: the reference grids have at most 1024)."""
-    x = grid.nodes
+def reference_diagonal_bias(kernel, grid, lam, stride=1):
+    """The largest over every ``stride``-th node i of norm_i^2 times the
+    mean |kernel| a quarter of the smallest cell width off node i, both ways
+    along the first two axes."""
+    x = grid.nodes[::stride]
     h = 0.25 * grid.cell_widths.min()
     offsets = [s * h * e for e in np.eye(grid.dim)[:2] for s in (1.0, -1.0)]
     mean = np.mean([np.abs(kernel(x, x + e)) for e in offsets], axis=0)
-    return float(np.max(mean * nystrom_norm(grid, lam) ** 2))
+    return float(np.max(mean * nystrom_norm(grid, lam)[::stride] ** 2))
 
 
 def test_grid_1d_midpoints():
@@ -104,7 +101,8 @@ def test_grid_2d():
     g = make_grid([(0.0, 1.0), (1.0, 2.0)], (2, 2))
     assert len(g.nodes) == 4
     assert np.allclose(g.cell_weights, 0.25)
-    assert abs(g.cell_weights.sum() - g.volume) <= 1e-12 * g.volume
+    volume = np.prod([b - a for a, b in g.bounds])
+    assert abs(g.cell_weights.sum() - volume) <= 1e-12 * volume
 
 
 def test_grid_validation():
@@ -175,16 +173,6 @@ def test_conjugation_preserves_singular_values():
     assert np.max(np.abs(s1 - s2)) <= 1e-12 * s1[0]
 
 
-def test_schur_apply_identity_and_commutativity():
-    g = make_grid([(0.0, 1.0), (0.5, 1.5)], (8, 8), halfspace=True)
-    A = commutator(g)
-    same = schur_apply(lambda x, y: np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])), A)
-    assert np.array_equal(same.entries, A.entries)
-    ab = schur_apply(symbol_a, schur_apply(symbol_b, A))
-    ba = schur_apply(symbol_b, schur_apply(symbol_a, A))
-    assert np.array_equal(ab.entries, ba.entries)
-
-
 def test_schur_direction_symbol_norm_ratio_bounded_under_refinement():
     # the directional Schur multiplier is bounded with a constant: record the
     # operator-norm ratio across refinements and require it to stay bounded
@@ -192,7 +180,12 @@ def test_schur_direction_symbol_norm_ratio_bounded_under_refinement():
     for m in (8, 12, 16):
         g = make_grid([(0.0, 1.0), (0.5, 1.5)], (m, m), halfspace=True)
         A = commutator(g)
-        S = schur_apply(lambda x, y: symbol_h(1, x, y), A)
+        # the entrywise (Schur) product with h_1(x_i, x_j), 0 on the diagonal
+        x = g.nodes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h1 = symbol_h(1, x[:, None, :], x[None, :, :])
+        np.fill_diagonal(h1, 0.0)
+        S = A.entries * h1
         s0 = singular_values(A)[0]
         s1 = singular_values(S)[0]
         ratios.append(s1 / s0)
@@ -516,3 +509,14 @@ def test_diagonal_bias_reported():
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (8, 8), halfspace=True)
     A = commutator(g)
     assert A.diagonal_bias > 0.0
+
+
+def test_diagonal_bias_subsamples_past_1024_nodes():
+    # at 48^2 (N = 2304) the bias probes visit every (N // 1024)-th = 2nd
+    # node, and the largest over every node would be another value
+    g = make_grid([(0.0, 1.0), (0.5, 1.5)], (48, 48), halfspace=True)
+    sym = gaussian_bump([0.5, 1.0], 0.15)
+    A = assemble(smooth_kernel, g, 0.8, symbol=sym)
+    brute = brute_force_commutator(smooth_kernel, sym)
+    assert A.diagonal_bias == reference_diagonal_bias(brute, g, 0.8, stride=2)
+    assert A.diagonal_bias != reference_diagonal_bias(brute, g, 0.8)
