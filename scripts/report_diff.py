@@ -13,9 +13,13 @@ For two reports it prints one line per change:
 - every ``timings`` entry that moved past the ``wall_s`` bound of
   ``BENCHMARK.json``;
 - ``runtime.peak_rss_mb``, when it moved past the ``peak_rss_mb`` bound;
-- any change to ``runtime.scipy_modules``, or to a Toeplitz generator's
-  record (``runtime.generator``, ``runtime.generator_L1``, ...: the lateral
-  offsets evaluated, their total and the parity signs).
+- any change to ``runtime.scipy_modules``, to the F table's quadrature
+  record (``runtime.f_table``), or to a Toeplitz generator's record
+  (``runtime.generator``, ``runtime.generator_L1``, ...: the lateral
+  offsets evaluated, their total and the parity signs);
+- any change in a spectrum solve's ``solver``, ``count`` or ``blocks``
+  (``runtime.svd``, ``runtime.svd_f``, ``runtime.svd_L1``, ...), so a Gram
+  head that fell back to the dense SVD shows as more than a timing.
 
 For two results written by ``perfbench/run.py --out`` it prints one line per
 change:
@@ -99,11 +103,16 @@ def diff_reports(old: dict, new: dict, bounds: dict) -> list:
     runtime_old, runtime_new = old.get("runtime", {}), new.get("runtime", {})
     lines += _diff_values(runtime_old.get("peak_rss_mb"), runtime_new.get("peak_rss_mb"),
                           "runtime.peak_rss_mb", bounds["peak_rss_mb"])
-    generators = sorted(key for key in runtime_old.keys() | runtime_new.keys()
-                        if key.startswith("generator"))
-    for key in ["scipy_modules", *generators]:
+    keys = sorted(runtime_old.keys() | runtime_new.keys())
+    for key in ["scipy_modules", "f_table", *(k for k in keys if k.startswith("generator"))]:
         if runtime_old.get(key) != runtime_new.get(key):
             lines.append(_change(f"runtime.{key}", runtime_old.get(key), runtime_new.get(key)))
+    for key in (k for k in keys if k.startswith("svd")):
+        solve_old, solve_new = runtime_old.get(key) or {}, runtime_new.get(key) or {}
+        for field in ("solver", "count", "blocks"):
+            if solve_old.get(field) != solve_new.get(field):
+                lines.append(_change(f"runtime.{key}.{field}", solve_old.get(field),
+                                     solve_new.get(field)))
     return lines
 
 

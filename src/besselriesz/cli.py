@@ -217,6 +217,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         seed=_typed(merged["seed"], int, "seed"),
         raw=merged,
     )
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     _validate_symbol_support(grid, cfg.symbol_spec, "symbol")
     if pipeline == "ratio":
         _validate_symbol_support(grid, cfg.symbol2_spec, "symbol2")
@@ -368,7 +370,9 @@ def _levels(cfg: ExperimentConfig, refine: int, timings: dict, runtime: dict):
     Every level's grid is built before the F table, so a level past the node
     cap fails before any work; refinement keeps the box, so one F table
     serves every level.  The table's quadrature record lands in
-    ``runtime["f_table"]``."""
+    ``runtime["f_table"]``.  A negative ``refine`` is refused."""
+    if refine < 0:
+        raise ConfigError(f"refine must be >= 0, got {refine}")
     grids = [cfg.grid(tuple(m * 2**i for m in cfg.points_per_dim)) for i in range(refine + 1)]
     t0 = time.perf_counter()
     ftab = f_table(cfg.params, cfg.bounds)
@@ -656,6 +660,10 @@ def main(argv=None) -> int:
         sp.add_argument("--seed", type=int, default=None, help="sampling seed")
         sp.add_argument("--refine", type=int, default=0, help="grid-doubling levels")
     args = parser.parse_args(argv)
+    for name in ("seed", "refine"):
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            parser.error(f"--{name} must be >= 0, got {value}")
 
     if args.config is not None:
         cfg = load_config(args.config)

@@ -1,8 +1,9 @@
 """Midpoint tensor grids and symmetric Nystrom assembly of commutators.
 
 A commutator matrix is held in one form: the row producer of its lateral
-block-Toeplitz generator (``OperatorMatrix``, built by ``assemble``), whose
-dense entries are built only when read.  Matrices carry their grid and
+block-Toeplitz generator (``OperatorMatrix``, a ``ProducedMatrix`` built by
+``assemble``, with the row producers of its mirror blocks), whose dense
+entries are built only when read.  Matrices carry their grid and
 measure exponent with them: a matrix assembled with ``lam`` lives on
 L2(x_last^(2 lam) dx), and ``lam=0`` is Lebesgue measure.  The symmetric
 sqrt(cell * density) normalization makes matrix singular values direct
@@ -16,7 +17,6 @@ import itertools
 import numbers
 import struct
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -89,60 +89,24 @@ def make_grid(bounds, points_per_dim, halfspace: bool = False) -> BoxGrid:
     return BoxGrid(bounds=bounds, points_per_dim=points_per_dim, nodes=nodes, cell_weights=weights)
 
 
-class OperatorMatrix:
-    """An N x N Nystrom commutator matrix on ``grid``, held as the row
-    producer ``rows`` (a ``ProducedMatrix``) of its lateral Toeplitz
-    generator; ``assemble`` builds it.  ``row_blocks`` hands out its rows
-    without building the matrix, and ``entries``, the dense matrix, is
-    built when first read and kept.  ``mirror``, when not None, is a
-    callable returning the matrix's mirror split (``mirror_blocks``).
-    ``generator`` is the record of the generator it is produced from
-    (``_toeplitz_generator``)."""
-
-    def __init__(self, grid: BoxGrid, measure_exponent: float, diagonal_bias: float,
-                 rows, mirror, generator):
-        self.grid = grid
-        self.measure_exponent = measure_exponent  # 2*lam: the measure is x_last^(2 lam) dx
-        self.diagonal_bias = diagonal_bias
-        self._entries = None
-        self._rows = rows
-        self._mirror = mirror
-        self.generator = generator
-
-    @property
-    def shape(self) -> tuple:
-        return (len(self.grid.nodes),) * 2
-
-    @property
-    def entries(self) -> np.ndarray:
-        if self._entries is None:
-            self._entries = np.empty(self.shape)
-            self._rows.fill(0, self._entries)
-        return self._entries
-
-    def row_blocks(self):
-        """The matrix's rows in order, as C-ordered (rows, N) blocks
-        (``ProducedMatrix.row_blocks``)."""
-        return self._rows.row_blocks()
-
-    def mirror_blocks(self) -> tuple:
-        """Matrices whose singular values together are exactly this
-        matrix's: the blocks of its mirror split, or the matrix itself when
-        it has none.  Each block has a ``shape`` and ``row_blocks``."""
-        if self._mirror is None:
-            return (self,)
-        return self._mirror()
-
-
 class ProducedMatrix:
-    """A (rows, cols) matrix held only as its row producer: ``fill(lo,
-    out)`` writes its rows lo, lo + 1, ... into the C-ordered ``out``, with
-    ``lo`` and ``len(out)`` multiples of ``mv``."""
+    """A (rows, cols) matrix held as its row producer: ``fill(lo, out)``
+    writes its rows lo, lo + 1, ... into the C-ordered ``out``, with ``lo``
+    and ``len(out)`` multiples of ``mv``.  ``entries``, the dense matrix, is
+    built when first read and kept."""
 
     def __init__(self, shape: tuple, fill, mv: int):
         self.shape = shape
         self.fill = fill
         self._mv = mv
+        self._entries = None
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            self._entries = np.empty(self.shape)
+            self.fill(0, self._entries)
+        return self._entries
 
     def row_blocks(self):
         """The rows in order, as C-ordered blocks of up to
@@ -156,6 +120,33 @@ class ProducedMatrix:
             block = buf[: min(step, nrows - lo)]
             self.fill(lo, block)
             yield block
+
+    def mirror_blocks(self) -> tuple:
+        """Matrices whose singular values together are exactly this
+        matrix's: here the matrix itself."""
+        return (self,)
+
+
+class OperatorMatrix(ProducedMatrix):
+    """An N x N Nystrom commutator matrix on ``grid``, produced from its
+    lateral Toeplitz generator; ``assemble`` builds it.  ``mirror`` is the
+    tuple of the blocks of its mirror split (``_mirror_split``), empty when
+    it has none.  ``generator`` is the record of the generator it is
+    produced from (``_toeplitz_generator``)."""
+
+    def __init__(self, fill, grid: BoxGrid, measure_exponent: float, diagonal_bias: float,
+                 generator: dict, mirror: tuple = ()):
+        super().__init__((len(grid.nodes),) * 2, fill, grid.points_per_dim[-1])
+        self.grid = grid
+        self.measure_exponent = measure_exponent  # 2*lam: the measure is x_last^(2 lam) dx
+        self.diagonal_bias = diagonal_bias
+        self.generator = generator
+        self.mirror = mirror
+
+    def mirror_blocks(self) -> tuple:
+        """The blocks of the mirror split, or the matrix itself when it has
+        none."""
+        return self.mirror or super().mirror_blocks()
 
 
 # lateral row blocks (m_v rows each) per block of ``row_blocks``: bounds the
@@ -171,14 +162,20 @@ def assemble(kernel, grid: BoxGrid, lam: float, symbol):
 
     ``kernel`` must broadcast over point arrays of shape (..., dim) and
     depend on the lateral coordinates (all but the last) only through
-    x' - y'.  It is evaluated only on its lateral block-Toeplitz generator,
-    with the Nystrom weights folded in (``nystrom_generator``).  The matrix
-    keeps that generator and the symbol values and produces its rows from
-    them one lateral row block at a time; the dense entries are built only
-    when read, and its ``generator`` attribute holds the generator's record.
+    x' - y'.  Along each lateral axis its parity under x'_l - y'_l ->
+    -(x'_l - y'_l) must hold at every offset or at none: the generator reads
+    the parity off the offsets +-1 and +-(m_l - 1) only and fills every
+    negative offset from it (``_toeplitz_generator``), so a kernel that is
+    even or odd at those offsets alone gets a wrong matrix, unchecked.  It
+    is evaluated only on its lateral block-Toeplitz generator, with the
+    Nystrom weights folded in (``nystrom_generator``).  The matrix keeps
+    that generator and the symbol values and produces its rows from them
+    one lateral row block at a time; the dense entries are built only when
+    read, and its ``generator`` attribute holds the generator's record.
     Where the generator has a parity under the lateral mirror of an axis and
-    the symbol values equal their mirror image exactly, the matrix also
-    carries its split into half-size blocks (``_mirror_symmetry``).  With a
+    the symbol values equal their mirror image exactly (``_mirror_symmetry``),
+    the matrix also carries its split into half-size blocks
+    (``_mirror_split``), built with it.  With a
     tuple of symbols the result is the tuple of their commutator matrices,
     which share one generator.
 
@@ -206,13 +203,13 @@ def assemble(kernel, grid: BoxGrid, lam: float, symbol):
     matrices = []
     for sym, fv in zip(symbols, values):
         signs = _mirror_symmetry(gen, generator["signs"], fv, grid)
-        mirror = partial(_mirror_split, gen, fv, grid, signs) if signs else None
 
         def probe(x, y, sym=sym):
             return kernel(x, y) * (sym(y) - sym(x))
 
-        matrices.append(OperatorMatrix(grid, 2.0 * lam, _diagonal_bias(probe, grid, norm),
-                                       _toeplitz_rows(gen, fv, grid), mirror, generator))
+        matrices.append(OperatorMatrix(_toeplitz_rows(gen, fv, grid).fill, grid, 2.0 * lam,
+                                       _diagonal_bias(probe, grid, norm), generator,
+                                       _mirror_split(gen, fv, grid, signs)))
     return tuple(matrices) if isinstance(symbol, tuple) else matrices[0]
 
 
@@ -222,7 +219,8 @@ def nystrom_generator(kernel, grid: BoxGrid, lam: float) -> tuple:
     mu_i = x_last^(2 lam) at node i; returns (G, record, norm).
 
     G and record are ``_toeplitz_generator``'s, so ``kernel`` must depend on
-    the lateral coordinates only through x' - y'.  The cells are uniform
+    the lateral coordinates only through x' - y', with a parity along each
+    lateral axis that holds at every offset or at none.  The cells are uniform
     laterally, so norm_i depends on the vertical index a only, and
     norm_a norm_b is folded into every block of G once, in place:
     G[I - J + m - 1][a, b] is the matrix entry at node pair (i, j) with
@@ -288,9 +286,12 @@ def _toeplitz_generator(kernel, grid: BoxGrid) -> tuple:
     at +1 and +(m_l - 1) bit for bit, -1 when they equal their negation, and
     None otherwise.  For the Riesz kernel sign_l is -1 for k = l and +1
     else, exactly: reversing d_l flips the sign of (x - y)_l and nothing
-    else.  The parity is taken to hold along the axis at every offset; an
-    axis without one has its negative offsets evaluated.  Every other
-    negative half is filled as sign_l times the reversed non-negative half.
+    else.  The parity is taken to hold along the axis at every offset, not
+    checked: the kernel must have it at every offset or at none, since one
+    that has it at the probes alone gets every negative offset filled
+    wrongly.  An axis without one has its negative offsets evaluated.
+    Every other negative half is filled as sign_l times the reversed
+    non-negative half.
 
     ``record`` is {"offsets_evaluated", "offsets_total", "signs"}: the
     offsets the kernel was evaluated at (probes included), the generator's
@@ -509,9 +510,11 @@ def _mirror_split(gen: np.ndarray, fv: np.ndarray, grid: BoxGrid, signs: dict) -
     The symbol values are mirror-even, so the commutator commutes (sign +1)
     or anticommutes (sign -1) with each mirror, and in the basis
     (e_I +- e_{J I}) / sqrt(2) it falls into one block per choice of column
-    parities (``_toeplitz_rows``): 2 blocks for one axis, 4 for two.  The
-    split is exact: the blocks' singular values together are the
-    commutator's."""
+    parities (``_toeplitz_rows``): 2 blocks for one axis, 4 for two, none
+    without a mirror.  The split is exact: the blocks' singular values
+    together are the commutator's."""
+    if not signs:
+        return ()
     return tuple(_toeplitz_rows(gen, fv, grid, signs, dict(zip(signs, parity)))
                  for parity in itertools.product((1, -1), repeat=len(signs)))
 
@@ -540,7 +543,9 @@ def save_matrix(A: OperatorMatrix, path) -> None:
 
 
 def load_matrix(path) -> tuple[np.ndarray, str]:
-    """Read back a matrix written by ``save_matrix``; returns (entries, space_tag)."""
+    """Read back a matrix written by ``save_matrix``; returns (entries,
+    space_tag).  A payload that is not exactly the N x N float64 entries
+    raises a ValueError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -549,6 +554,10 @@ def load_matrix(path) -> tuple[np.ndarray, str]:
         if version != _VERSION:
             raise ValueError(f"unsupported version {version}")
         (tag,) = struct.unpack("<B", fh.read(1))
-        data = np.frombuffer(fh.read(8 * N * N), dtype="<f8")
+        payload = fh.read()
+    if len(payload) != 8 * N * N:
+        raise ValueError(f"a {N}x{N} matrix needs {8 * N * N} payload bytes, "
+                         f"found {len(payload)}")
+    data = np.frombuffer(payload, dtype="<f8")
     entries = data.reshape((N, N), order="F").copy()
     return entries, "weighted" if tag else "unweighted"

@@ -9,8 +9,6 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
 
-from .discretize import OperatorMatrix
-
 GRAM_BOUND_MAX = 1e-12  # largest relative error accepted from the Gram route
 
 
@@ -18,43 +16,44 @@ def singular_values(A, count: int | None = None, p: float | None = None,
                     record: dict | None = None) -> np.ndarray:
     """Singular values, descending: the certified top ``count``, or all of them.
 
-    Without ``count`` every value comes from the dense SVD.  With ``count``
-    the top ``count`` come from the blocks of A's mirror split
-    (``OperatorMatrix.mirror_blocks``; a matrix with no split, or a plain
-    array, is one block): per block the Gram matrix G = B^T B, summed over
-    B's row blocks (``gram_lower``), and the largest min(``count``, size)
-    of all its eigenvalues.  ``eigh`` reduces G to tridiagonal form
-    (dsytrd) and takes every eigenvalue of that (dsterf), which costs less
-    than bisecting it for a subset; the values of every block are merged
-    and the top ``count`` kept.  So a produced ``OperatorMatrix`` builds its
-    dense entries only for the dense SVD.  The split is exact (the blocks'
-    values together are A's), and the head is returned only when two
-    certificates hold: the bound eps * mu_0^2 / mu_{count-1}^2 on the
-    relative error of the squares (the backward error of the reduction) is
-    at most ``GRAM_BOUND_MAX``, and the head carries the weak-``p``
-    quasinorm of the whole sequence (``tail_certificate``, with ``p`` the
-    problem's exponent: ``tail_bound <= head_sup``).  Otherwise every value
-    comes from the dense SVD.  With
-    ``record`` the solver that ran (``"gram"`` or ``"dense"``), ``count``
-    (the number of values returned), the error bound, the certificate's
-    ``head_sup`` and ``tail_bound``, and ``blocks`` (the number of blocks
-    solved; 1 for the dense SVD) are written into it; a key the solve never
-    reached (no Gram route, or mu_{count-1} = 0 and no bound) is None.
+    ``A`` is a matrix produced by rows (``discretize.ProducedMatrix``, or the
+    ``OperatorMatrix`` that ``assemble`` builds), and both routes solve the
+    blocks of its mirror split (``mirror_blocks``; a matrix with no split is
+    one block), whose values together are exactly A's, one block at a time.
+    With ``count`` the top ``count`` come from the Gram matrices: per block
+    B, G = B^T B, summed over B's row blocks (``gram_lower``), and the
+    largest min(``count``, size) of all its eigenvalues.  ``eigh`` reduces
+    G to tridiagonal form (dsytrd) and takes every eigenvalue of that
+    (dsterf), which costs less than bisecting it for a subset; the values
+    of every block are merged and the top ``count`` kept.  The head is
+    returned only when two certificates hold: the bound
+    eps * mu_0^2 / mu_{count-1}^2 on the relative error of the squares (the
+    backward error of the reduction) is at most ``GRAM_BOUND_MAX``, and the
+    head carries the weak-``p`` quasinorm of the whole sequence
+    (``tail_certificate``, with ``p`` the problem's exponent:
+    ``tail_bound <= head_sup``).  Without ``count``, or when a certificate
+    fails, every value comes from the dense SVD of each block, filled from
+    its rows into an array of its own that is freed before the next; a
+    block with more columns than rows adds cols - rows zeros.  Neither
+    route reads or builds A's ``entries``.  With ``record`` the solver that
+    ran (``"gram"`` or ``"dense"``), ``count`` (the number of values
+    returned), the error bound, the certificate's ``head_sup`` and
+    ``tail_bound``, and ``blocks`` (the number of blocks solved) are written
+    into it; a key the solve never reached (no Gram route, or
+    mu_{count-1} = 0 and no bound) is None.
     """
-    if not isinstance(A, OperatorMatrix):
-        A = np.asarray(A, dtype=float)
-    N = min(A.shape)
+    N = A.shape[1]
+    blocks = A.mirror_blocks()
     if record is None:
         record = {}
     record.update(solver="dense", count=N, error_bound=None, head_sup=None, tail_bound=None,
-                  blocks=1)
+                  blocks=len(blocks))
     if count is not None:
         if p is None:
             raise ValueError("a head of count values needs the exponent p to certify it")
         count = int(count)
         if not 0 < count <= N:
             raise ValueError(f"count {count} outside [1, {N}]")
-        blocks = A.mirror_blocks() if isinstance(A, OperatorMatrix) else (A,)
         frobenius_sq = 0.0
         values = []
         for block in blocks:
@@ -67,7 +66,7 @@ def singular_values(A, count: int | None = None, p: float | None = None,
                 gram, lower=True, driver="evd", eigvals_only=True, overwrite_a=True,
                 check_finite=False,
             )[cols - min(count, cols):])
-            del gram  # freed before the next block's G, or a dense fallback's entries
+            del gram  # freed before the next block's G, or a dense fallback's block
         lam = np.sort(np.concatenate(values))[::-1][:count]
         if lam[-1] > 0:
             bound = float(np.finfo(float).eps * lam[0] / lam[-1])
@@ -77,29 +76,33 @@ def singular_values(A, count: int | None = None, p: float | None = None,
                 head_sup, tail_bound = tail_certificate(head, frobenius_sq, N, p, bound)
                 record.update(head_sup=head_sup, tail_bound=tail_bound)
                 if tail_bound <= head_sup:
-                    record.update(solver="gram", count=count, blocks=len(blocks))
+                    record.update(solver="gram", count=count)
                     return head
-    entries = A.entries if isinstance(A, OperatorMatrix) else A
-    try:
-        s = np.linalg.svd(entries, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"SVD failed for a {entries.shape[0]}x{entries.shape[1]} matrix "
-            f"(fro={np.linalg.norm(entries):.3e}): {exc}"
-        ) from exc
-    return np.sort(s)[::-1]
+    values = []
+    for block in blocks:
+        rows, cols = block.shape
+        entries = np.empty(block.shape)
+        block.fill(0, entries)
+        try:
+            values.append(np.linalg.svd(entries, compute_uv=False))
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                f"SVD failed for a {rows}x{cols} matrix "
+                f"(fro={np.linalg.norm(entries):.3e}): {exc}"
+            ) from exc
+        del entries  # freed before the next block's
+        values.append(np.zeros(max(cols - rows, 0)))
+    return np.sort(np.concatenate(values))[::-1]
 
 
 def gram_lower(A) -> np.ndarray:
     """The lower triangle of G = A^T A in one Fortran-ordered array, the
-    upper triangle left 0.  dsyrk adds each of A's row blocks (``row_blocks``
-    of an ``OperatorMatrix`` or a ``ProducedMatrix``; a plain array is one
-    block) into it, so no other array of G's size is held, and ``eigh`` can
-    overwrite it in place (a C-ordered G would be copied first)."""
-    blocks = A.row_blocks() if hasattr(A, "row_blocks") else (np.asarray(A, dtype=float),)
+    upper triangle left 0.  dsyrk adds each of A's ``row_blocks`` into it,
+    so no other array of G's size is held, and ``eigh`` can overwrite it in
+    place (a C-ordered G would be copied first)."""
     cols = A.shape[1]
     gram = np.zeros((cols, cols), order="F")
-    for block in blocks:
+    for block in A.row_blocks():
         # a C-ordered (rows, cols) block is its Fortran-ordered transpose,
         # and dsyrk adds that transpose times its own transpose
         gram = scipy.linalg.blas.dsyrk(1.0, np.ascontiguousarray(block).T, beta=1.0, c=gram,

@@ -203,10 +203,8 @@ def test_spectrum_pipeline_artifacts(tmp_path):
     assert len(lines) == 1 + count
 
 
-def _dense_spectrum(cfg):
-    grid = cfg.grid()
-    A = cli.commutator(cfg.params, cfg.symbol, grid, cli.f_table(cfg.params, cfg.bounds))
-    return singular_values(A)
+def _commutator(cfg):
+    return cli.commutator(cfg.params, cfg.symbol, cfg.grid(), cli.f_table(cfg.params, cfg.bounds))
 
 
 @pytest.mark.parametrize("m", [24, 32])
@@ -214,7 +212,7 @@ def test_spectrum_head_matches_dense_reference(tmp_path, m):
     cfg = small_spectrum_config(box={"points_per_dim": [m, m]})
     report = run(cfg, out_dir=tmp_path)
     assert report.runtime["svd"]["solver"] == "gram"
-    s = _dense_spectrum(cfg)
+    s = np.linalg.svd(_commutator(cfg).entries, compute_uv=False)
     level = report.results["level0"]
     assert level["weak_quasinorm"] == pytest.approx(weak_quasinorm(s, 2.0), rel=1e-12, abs=0)
     assert level["top_singular_value"] == pytest.approx(s[0], rel=1e-12, abs=0)
@@ -235,10 +233,10 @@ def test_spectrum_certificate_failure_falls_back_to_dense(tmp_path, monkeypatch)
     cfg = small_spectrum_config()
     report = run(cfg, out_dir=tmp_path)
     solve = report.runtime["svd"]
-    assert solve["solver"] == "dense" and solve["count"] == 144
+    assert solve["solver"] == "dense" and solve["count"] == 144 and solve["blocks"] == 2
     assert solve["tail_bound"] == 2.0 * solve["head_sup"]
     mu = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)[:, 1]
-    assert np.array_equal(mu, _dense_spectrum(cfg))
+    assert np.array_equal(mu, singular_values(_commutator(cfg)))
     assert report.results["level0"]["weak_quasinorm"] == weak_quasinorm(mu, 2.0)
 
 
@@ -246,9 +244,10 @@ def test_spectrum_constant_symbol_all_zero(tmp_path):
     cfg = small_spectrum_config(symbol={"kind": "constant", "amplitude": 3.0})
     report = run(cfg, out_dir=tmp_path)
     assert report.passed
-    # the Gram head ends in 0, so it has no bound: every value is solved
+    # the Gram head ends in 0, so it has no bound: every value is solved,
+    # over both blocks of the mirror split
     assert report.runtime["svd"] == {"solver": "dense", "count": 144, "error_bound": None,
-                                     "head_sup": None, "tail_bound": None, "blocks": 1}
+                                     "head_sup": None, "tail_bound": None, "blocks": 2}
     rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
     assert len(rows) == 144
     mus = np.array([float(r.split(",")[1]) for r in rows])
@@ -684,4 +683,28 @@ def test_auxfn_refuses_lam_below_half(tmp_path, monkeypatch):
     assert load_config(cfg_path).params.lam == 0.3
     with pytest.raises(ConfigError, match=r"params\.lam >= 0\.5"):
         cli.main(["auxfn", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_refine_refused_before_any_grid(tmp_path, monkeypatch, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built for a negative refinement level")
+
+    monkeypatch.setattr(cli.ExperimentConfig, "grid", no_grid)
+    with pytest.raises(ConfigError, match="refine must be >= 0, got -1"):
+        run(small_spectrum_config(), out_dir=tmp_path, refine=-1)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["spectrum", "--refine", "-1", "--out", str(tmp_path / "o")])
+    assert exit_info.value.code == 2
+    assert "--refine must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_refused(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -2"):
+        parse_config({"pipeline": "kernel", "seed": -2})
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["kernel", "--seed", "-3", "--out", str(tmp_path / "o")])
+    assert exit_info.value.code == 2
+    assert "--seed must be >= 0, got -3" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

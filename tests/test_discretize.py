@@ -187,7 +187,7 @@ def test_schur_direction_symbol_norm_ratio_bounded_under_refinement():
         np.fill_diagonal(h1, 0.0)
         S = A.entries * h1
         s0 = singular_values(A)[0]
-        s1 = singular_values(S)[0]
+        s1 = np.linalg.svd(S, compute_uv=False)[0]
         ratios.append(s1 / s0)
     assert max(ratios) <= 2.0
     assert max(ratios) - min(ratios) <= 0.5
@@ -386,13 +386,15 @@ def test_certified_head_leaves_entries_unbuilt():
     singular_values(A, 20, 2.0, record)
     assert record["solver"] == "gram"
     assert A._entries is None
-    # a constant symbol's Gram head has no bound: the dense fallback builds
-    # the entries and returns every value
+    # a constant symbol's Gram head has no bound: the dense fallback solves
+    # each mirror block from its own rows and returns every value, and
+    # neither the whole matrix's entries nor a block's are kept
     C = commutator(g, sym=constant_symbol(2.5))
-    assert len(C.mirror_blocks()) == 2  # the split's blocks are all 0 as well
+    blocks = C.mirror_blocks()
+    assert len(blocks) == 2  # the split's blocks are all 0 as well
     s = singular_values(C, 20, 2.0, record)
-    assert record["solver"] == "dense" and record["count"] == 256 and record["blocks"] == 1
-    assert C._entries is not None
+    assert record["solver"] == "dense" and record["count"] == 256 and record["blocks"] == 2
+    assert C._entries is None and all(b._entries is None for b in blocks)
     assert s.shape == (256,) and np.all(s == 0.0)
 
 
@@ -428,8 +430,15 @@ def test_mirror_split_head_matches_dense(n, k, points, center, shapes):
     record = {}
     head = singular_values(A, count, float(n + 1), record)
     assert record["solver"] == "gram" and record["blocks"] == len(shapes)
-    np.testing.assert_allclose(head, singular_values(A)[:count], rtol=1e-12, atol=0)
-    assert A._entries is not None  # built by the dense reference only
+    # the dense route solves the same blocks: every value, a wide block's
+    # missing ones as zeros
+    values = singular_values(A, record=record)
+    assert record["solver"] == "dense" and record["blocks"] == len(shapes)
+    assert A._entries is None
+    dense = np.linalg.svd(A.entries, compute_uv=False)
+    np.testing.assert_allclose(head, dense[:count], rtol=1e-12, atol=0)
+    assert values.shape == dense.shape
+    assert np.max(np.abs(values - dense)) <= 1e-12 * dense[0]
 
 
 def test_mirror_split_needs_exact_mirror_values():
@@ -446,7 +455,8 @@ def test_mirror_split_needs_exact_mirror_values():
     record = {}
     head = singular_values(A, count, 2.0, record)
     assert record["solver"] == "gram" and record["blocks"] == 1
-    np.testing.assert_allclose(head, singular_values(A)[:count], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(head, np.linalg.svd(A.entries, compute_uv=False)[:count],
+                               rtol=1e-12, atol=0)
     # a push of 1e-13 is no rounding either: one block, and its Gram certifies
     g = gaussian_bump([0.5, 1.0], 0.15)
     far = Symbol(func=lambda x: g.func(x) + 1e-13 * (x[..., 0] - 0.5), gradient=g.gradient)
@@ -503,6 +513,18 @@ def test_matrix_roundtrip(tmp_path):
     save_matrix(assemble(smooth_kernel, g, 0.0, symbol=sym), path)
     assert load_matrix(path)[1] == "unweighted"
     assert "space_tag,unweighted" in (tmp_path / "matrix.bin.meta.csv").read_text()
+
+
+def test_load_matrix_checks_payload_length(tmp_path):
+    g = make_grid([(0.0, 1.0), (0.5, 1.5)], (8, 8), halfspace=True)
+    path = tmp_path / "matrix.bin"
+    save_matrix(assemble(smooth_kernel, g, 0.5, symbol=gaussian_bump([0.5, 1.0], 0.15)), path)
+    data = path.read_bytes()
+    # trailing bytes, or a file one value short, do not hold a 64 x 64 matrix
+    for payload, found in ((data + bytes(64), 32832), (data[:-8], 32760)):
+        path.write_bytes(payload)
+        with pytest.raises(ValueError, match=f"needs 32768 payload bytes, found {found}"):
+            load_matrix(path)
 
 
 def test_diagonal_bias_reported():

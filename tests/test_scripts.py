@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from besselriesz.cli import ConfigError
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 # what a script prints besides its headline: for the default experiment,
 # where the time went and which solver ran
@@ -29,6 +31,13 @@ def test_script_runs(script, args, line, tmp_path, monkeypatch, capsys):
     assert line in out
     for detail in DETAILS.get(script, ()):
         assert detail in out
+
+
+def test_refinement_study_refuses_negative_levels(tmp_path, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["refinement_study.py", "-1", str(tmp_path)])
+    with pytest.raises(ConfigError, match="refine must be >= 0, got -1"):
+        runpy.run_path(str(SCRIPTS / "refinement_study.py"), run_name="__main__")
+    assert not (tmp_path / "report.json").exists()
 
 
 GENERATOR = {"offsets_evaluated": 50, "offsets_total": 95, "signs": [1]}
@@ -79,6 +88,35 @@ def test_report_diff_prints_what_moved(tmp_path, monkeypatch, capsys):
     ]
     assert "['linalg', 'special'] -> ['integrate', 'linalg', 'special']" in lines[-2]
     assert "'signs': [1]} -> {" in lines[-1] and "'signs': [None]}" in lines[-1]
+
+
+def test_report_diff_prints_solver_and_quadrature_changes(tmp_path, monkeypatch, capsys):
+    old = _report(-0.5, 0.0125, 1.0, 100.0, ["linalg", "special"])
+    old["runtime"].update(
+        f_table={"nodes": 1720, "integrals": 3438, "max_order": 32},
+        svd_f={"solver": "gram", "count": 100, "error_bound": 1e-13, "head_sup": 0.4,
+               "tail_bound": 0.3, "blocks": 2},
+        svd_g={"solver": "gram", "count": 100, "error_bound": 2e-13, "head_sup": 0.3,
+               "tail_bound": 0.2, "blocks": 1})
+    new = json.loads(json.dumps(old))
+    # a head that failed its certificate, and a table whose integrals went deeper
+    new["runtime"]["svd_f"].update(solver="dense", count=2304, tail_bound=0.5)
+    new["runtime"]["f_table"]["max_order"] = 64
+    code, lines = _report_diff(tmp_path, monkeypatch, capsys, old, new)
+    assert code == 1
+    assert lines == [
+        "runtime.f_table: {'nodes': 1720, 'integrals': 3438, 'max_order': 32} -> "
+        "{'nodes': 1720, 'integrals': 3438, 'max_order': 64}",
+        "runtime.svd_f.solver: 'gram' -> 'dense'",
+        "runtime.svd_f.count: 100 -> 2304 (relative +2.204e+01)",
+    ]
+    # a solve only one report has prints every field
+    missing = json.loads(json.dumps(old))
+    del missing["runtime"]["svd_g"]
+    code, lines = _report_diff(tmp_path, monkeypatch, capsys, old, missing)
+    assert code == 1
+    assert lines == ["runtime.svd_g.solver: 'gram' -> None", "runtime.svd_g.count: 100 -> None",
+                     "runtime.svd_g.blocks: 1 -> None"]
 
 
 def _bench(wall, rss, attempted, failed, coverages=()):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besselriesz import cli
-from besselriesz.discretize import make_grid
+from besselriesz.discretize import ProducedMatrix, make_grid
 from besselriesz.special import ModelParams
 from besselriesz.spectra import (
     GRAM_BOUND_MAX,
@@ -18,9 +18,15 @@ from besselriesz.spectra import (
 from besselriesz.symbols import Symbol, gaussian_bump
 
 
+def produced(a):
+    """The array ``a`` as a ``ProducedMatrix`` that copies its rows out of ``a``."""
+    a = np.asarray(a, dtype=float)
+    return ProducedMatrix(a.shape, lambda lo, out: np.copyto(out, a[lo:lo + len(out)]), 1)
+
+
 def test_singular_values_diagonal():
     record = {}
-    s = singular_values(np.diag([3.0, 1.0, 2.0]), record=record)
+    s = singular_values(produced(np.diag([3.0, 1.0, 2.0])), record=record)
     assert np.allclose(s, [3.0, 2.0, 1.0])
     # no count: the dense SVD of every value, no Gram bound, no certificate
     assert record == {"solver": "dense", "count": 3, "error_bound": None,
@@ -30,7 +36,7 @@ def test_singular_values_diagonal():
 def test_singular_values_rank_one():
     u = np.array([1.0, 2.0, -1.0])
     v = np.array([0.5, 0.0, 2.0])
-    s = singular_values(np.outer(u, v))
+    s = singular_values(produced(np.outer(u, v)))
     assert s[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-13, abs=0)
     assert np.all(s[1:] <= 1e-14 * s[0])
 
@@ -50,13 +56,14 @@ def test_top_count_matches_dense_head(m):
         assert record["count"] == count
         assert record["error_bound"] <= GRAM_BOUND_MAX
         assert record["tail_bound"] <= record["head_sup"]
-        np.testing.assert_allclose(top, singular_values(A)[:count], rtol=1e-12, atol=0)
+        dense = np.linalg.svd(A.entries, compute_uv=False)
+        np.testing.assert_allclose(top, dense[:count], rtol=1e-12, atol=0)
 
 
 def test_top_count_falls_back_to_dense():
     # a range of 1e-8 squares to 1e-16: the Gram bound trips, the certificate
     # is never reached, and every value comes from the dense SVD
-    D = np.diag(np.logspace(0, -8, 40))
+    D = produced(np.diag(np.logspace(0, -8, 40)))
     record = {}
     s = singular_values(D, 20, 2.0, record)
     assert record["solver"] == "dense" and record["count"] == 40
@@ -69,7 +76,7 @@ def test_top_count_certificate_failure_falls_back_to_dense():
     # the identity's weighted sequence peaks at its last index: a head of 10
     # passes the Gram bound but cannot carry the weak-L2 quasinorm
     record = {}
-    s = singular_values(np.eye(40), 10, 2.0, record)
+    s = singular_values(produced(np.eye(40)), 10, 2.0, record)
     assert record["solver"] == "dense" and record["count"] == 40
     assert record["error_bound"] <= GRAM_BOUND_MAX
     assert not record["tail_bound"] <= record["head_sup"]
@@ -92,7 +99,7 @@ def test_top_count_gram_overwritten_in_place(monkeypatch):
     U, V = (np.linalg.qr(rng.normal(size=(30, 30)))[0] for _ in range(2))
     A = U @ np.diag((np.arange(30) + 1.0) ** -0.75) @ V.T
     record = {}
-    singular_values(A, 5, 2.0, record)
+    singular_values(produced(A), 5, 2.0, record)
     assert record["solver"] == "gram"
     assert orders == [True]
     # every eigenvalue of the tridiagonal form (dsterf), not a bisected subset
@@ -110,11 +117,12 @@ def test_split_head_past_a_block_size_matches_dense():
     record = {}
     top = singular_values(A, 48, 2.0, record)
     assert record["solver"] == "gram" and record["blocks"] == 2 and record["count"] == 48
-    np.testing.assert_allclose(top, singular_values(A)[:48], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(top, np.linalg.svd(A.entries, compute_uv=False)[:48],
+                               rtol=1e-12, atol=0)
 
 
 def test_top_count_validation():
-    A = np.eye(5)
+    A = produced(np.eye(5))
     for count in (0, -1, 6):
         with pytest.raises(ValueError, match="outside"):
             singular_values(A, count, 2.0)
