@@ -1,7 +1,9 @@
-"""The auxiliary kernel profiles F and G and their small-argument decomposition.
+"""The auxiliary kernel profiles F and G, their evaluators for the kernels,
+and their small-argument decomposition.
 
 F indexed by (k, l) maps the scale-invariant separation H = |x-y|/sqrt(x_b y_b)
-to the weight of each term of the Bessel-Riesz kernel.  The decomposition
+to the weight of each term of the Bessel-Riesz kernel, which reads the three
+``PROFILES`` through ``DirectF`` or ``TabulatedF``.  The decomposition
 splits F into a smooth far part, a regularized near part, and incomplete-Beta
 tails whose leading coefficients control the behaviour at 0 (including the
 log term present in even dimensions).
@@ -33,6 +35,14 @@ class AuxIndex:
             raise ValueError(f"(k, l) must be one of {sorted(VALID_INDEX)}, got {(self.k, self.l)}")
 
 
+IDX20 = AuxIndex(2, 0)
+IDX11 = AuxIndex(1, 1)
+IDX21 = AuxIndex(2, 1)
+# the profiles the Bessel-Riesz kernel reads; this order is auxfn.csv's
+# column order
+PROFILES = (IDX20, IDX11, IDX21)
+
+
 def F(idx: AuxIndex, p: ModelParams, x: float, fixed_order: int | None = None) -> float:
     """x^(n+k) * integral over (0,2) of (x^2+2t)^(-lam-n/2-1) (2t-t^2)^(lam-1) t^l dt.
 
@@ -53,6 +63,19 @@ def F(idx: AuxIndex, p: ModelParams, x: float, fixed_order: int | None = None) -
 
     integral = gegenbauer_integral(g, lam, peak_scale=min(x * x, 1.0), fixed_order=fixed_order)
     return x ** (p.n + idx.k) * integral
+
+
+class DirectF:
+    """Per-point quadrature evaluation of F; for test points and probes."""
+
+    def __init__(self, p: ModelParams):
+        self.params = p
+
+    def __call__(self, idx: AuxIndex, h):
+        h = np.asarray(h, dtype=float)
+        if h.ndim == 0:
+            return F(idx, self.params, float(h))
+        return np.array([F(idx, self.params, v) for v in h.ravel()]).reshape(h.shape)
 
 
 @lru_cache(maxsize=64)
@@ -423,46 +446,51 @@ def not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
-class FTable:
-    """Cubic-spline tabulation of F on [0, h_max] for vectorized kernel assembly.
+class TabulatedF:
+    """Cubic-spline tables of the three ``PROFILES`` on [0, h_max]; for
+    vectorized kernel assembly.
 
-    The node set is ``table_nodes(h_max)`` and the spline is the not-a-knot
-    cubic (``not_a_knot_coefficients``), evaluated as ``PPoly`` evaluates
-    it, in blocks of ``_EVAL_BLOCK`` points.  Accuracy is ~1e-9 relative
-    (checked in the test suite against direct quadrature), far below every
-    spectral tolerance that consumes it.  ``values`` is F at those nodes,
-    from a batched pass (``F_batch``).
+    The tables share one node set, ``table_nodes(h_max)``, filled by one
+    batched quadrature pass (``F_batch``: two integrals per node, each
+    distinct panel rule built once); ``record`` holds that pass's
+    ``nodes``, ``integrals`` and ``max_order``.  Each profile's spline is
+    the not-a-knot cubic (``not_a_knot_coefficients``), evaluated as
+    ``PPoly`` evaluates it, in blocks of ``_EVAL_BLOCK`` points.  Accuracy
+    is ~1e-9 relative (checked in the test suite against direct
+    quadrature), far below every spectral tolerance that consumes it.
     """
 
-    def __init__(self, idx: AuxIndex, p: ModelParams, h_max: float, values: np.ndarray):
+    def __init__(self, p: ModelParams, h_max: float):
         nodes = table_nodes(h_max)
-        self.idx = idx
-        self.params = p
         self.h_max = nodes[-1]
         self.nodes = nodes
-        self.coeffs = not_a_knot_coefficients(nodes, np.asarray(values, dtype=float))
+        self.record = {}
+        values = F_batch(p, nodes, PROFILES, self.record)
+        self.coeffs = {idx: not_a_knot_coefficients(nodes, values[idx]) for idx in PROFILES}
         first, last, count = _GEOMETRIC_RUN
         # fractional node index per unit of log(h / first), and per unit of h
         # past last
         self._geometric_rate = (count - 1) / np.log(last / first)
         self._uniform_rate = (_UNIFORM_RUN - 1) / (self.h_max - last)
 
-    def __call__(self, h):
+    def __call__(self, idx: AuxIndex, h):
         h = np.asarray(h, dtype=float)
         if not np.all(h <= self.h_max * (1 + 1e-12)):  # NaN as well
             raise ValueError(f"F table built for h <= {self.h_max}, got {h.max()}")
+        coeffs = self.coeffs[idx]
         flat = np.clip(h, 0.0, self.h_max).ravel()
         out = np.empty_like(flat)
         for lo in range(0, len(flat), _EVAL_BLOCK):
-            self._evaluate(flat[lo:lo + _EVAL_BLOCK], out[lo:lo + _EVAL_BLOCK])
+            self._evaluate(coeffs, flat[lo:lo + _EVAL_BLOCK], out[lo:lo + _EVAL_BLOCK])
         return out.reshape(h.shape)
 
-    def _evaluate(self, h: np.ndarray, v: np.ndarray) -> None:
-        """The spline at h in [0, h_max], into v: the piece x[i] <= h <
-        x[i+1] (the last piece closed), then c3 + c2 s + c1 s^2 + c0 s^3
-        summed in that order with s = h - x[i], as ``PPoly`` sums it."""
+    def _evaluate(self, coeffs: np.ndarray, h: np.ndarray, v: np.ndarray) -> None:
+        """The spline of ``coeffs`` at h in [0, h_max], into v: the piece
+        x[i] <= h < x[i+1] (the last piece closed), then c3 + c2 s + c1 s^2
+        + c0 s^3 summed in that order with s = h - x[i], as ``PPoly`` sums
+        it."""
         i = self._piece(h)
-        c0, c1, c2, c3 = self.coeffs
+        c0, c1, c2, c3 = coeffs
         s = np.take(self.nodes, i)
         np.subtract(h, s, out=s)
         term = np.take(c3, i)

@@ -27,10 +27,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .auxfn import AuxIndex, F, F_decomposed_batch, f_zero
+from .auxfn import PROFILES, F, F_decomposed_batch, TabulatedF, f_zero
 from .discretize import BoxGrid, OperatorMatrix, assemble, make_grid, save_matrix
 from .kernels import (
-    TabulatedF,
     commutator_kernel,  # noqa: F401 - kept in this module's namespace for callers that wrap it
     invsqrt_kernel_closed,
     invsqrt_kernel_subordination,
@@ -365,21 +364,21 @@ def _spectrum_for(cfg: ExperimentConfig, A: OperatorMatrix, timings: dict, runti
     return s, window
 
 
+def _level_grid(cfg: ExperimentConfig, i: int) -> BoxGrid:
+    """The grid of refinement level i: the configured points doubled i times."""
+    return cfg.grid(tuple(m * 2**i for m in cfg.points_per_dim))
+
+
 def _levels(cfg: ExperimentConfig, refine: int, timings: dict, runtime: dict):
-    """(index, tag, grid, F table) per level, the points doubled per level.
-    Every level's grid is built before the F table, so a level past the node
-    cap fails before any work; refinement keeps the box, so one F table
-    serves every level.  The table's quadrature record lands in
-    ``runtime["f_table"]``.  A negative ``refine`` is refused."""
-    if refine < 0:
-        raise ConfigError(f"refine must be >= 0, got {refine}")
-    grids = [cfg.grid(tuple(m * 2**i for m in cfg.points_per_dim)) for i in range(refine + 1)]
+    """(index, tag, grid, F table) per level, for the ``refine`` that ``run``
+    accepted.  Refinement keeps the box, so one F table serves every level.
+    The table's quadrature record lands in ``runtime["f_table"]``."""
     t0 = time.perf_counter()
     ftab = f_table(cfg.params, cfg.bounds)
     timings["table"] = time.perf_counter() - t0
     runtime["f_table"] = ftab.record
-    for i, grid in enumerate(grids):
-        yield i, "" if i == 0 else f"_L{i}", grid, ftab
+    for i in range(refine + 1):
+        yield i, "" if i == 0 else f"_L{i}", _level_grid(cfg, i), ftab
 
 
 def run_spectrum(cfg: ExperimentConfig, out: Path, refine: int = 0) -> RunReport:
@@ -470,13 +469,12 @@ def run_auxfn(cfg: ExperimentConfig, out: Path) -> RunReport:
     p = cfg.params
     t0 = time.perf_counter()
     xs = np.concatenate([np.geomspace(1e-3, 0.1, 7), np.linspace(0.15, 1.0, 18)])
-    indices = [AuxIndex(k, l) for k, l in ((2, 0), (1, 1), (2, 1))]
-    decomposed = F_decomposed_batch(p, xs, indices)
+    decomposed = F_decomposed_batch(p, xs, PROFILES)
     rows = []
     worst = 0.0
     for i, x in enumerate(xs):
         row = {"x": x}
-        for idx in indices:
+        for idx in PROFILES:
             # G's own expression, (F(x) - F(0)) / x, from the F value at hand
             fv = F(idx, p, float(x))
             row[f"F{idx.k}{idx.l}"] = fv
@@ -492,9 +490,7 @@ def run_auxfn(cfg: ExperimentConfig, out: Path) -> RunReport:
     results = {
         "rows": len(rows),
         "max_decomposition_residual": worst,
-        "zero_limits": {
-            f"F{k}{l}": f_zero(AuxIndex(k, l), p) for k, l in ((2, 0), (1, 1), (2, 1))
-        },
+        "zero_limits": {f"F{idx.k}{idx.l}": f_zero(idx, p) for idx in PROFILES},
     }
     assertions = [
         {
@@ -625,7 +621,16 @@ def run(
     seed: int | None = None,
     refine: int = 0,
 ) -> RunReport:
-    """Execute the configured pipeline and write its artifacts."""
+    """Execute the configured pipeline and write its artifacts.  A ``refine``
+    that is negative, not for ``spectrum`` or ``ratio``, or past the node
+    cap is refused before any work or output directory."""
+    if refine < 0:
+        raise ConfigError(f"refine must be >= 0, got {refine}")
+    if refine > 0:
+        if cfg.pipeline not in ("spectrum", "ratio"):
+            raise ConfigError(f"the {cfg.pipeline} pipeline has no grid levels; "
+                              f"refine must be 0, got {refine}")
+        _level_grid(cfg, refine)  # the finest grid: raises past the node cap
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seed if seed is None else seed

@@ -24,6 +24,8 @@ import numpy as np
 NODE_CAP = 2**14
 _MAGIC = b"BRSL"
 _VERSION = 1
+# save_matrix's header: magic, version, dimension, space tag
+_HEADER = struct.Struct("<4sIIB")
 
 
 @dataclass(frozen=True)
@@ -527,9 +529,7 @@ def save_matrix(A: OperatorMatrix, path) -> None:
     N = len(A.grid.nodes)
     weighted = A.measure_exponent > 0
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, N))
-        fh.write(struct.pack("<B", 1 if weighted else 0))
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, N, 1 if weighted else 0))
         fh.write(np.asfortranarray(A.entries).tobytes(order="F"))
     with open(path.with_suffix(path.suffix + ".meta.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -544,16 +544,17 @@ def save_matrix(A: OperatorMatrix, path) -> None:
 
 def load_matrix(path) -> tuple[np.ndarray, str]:
     """Read back a matrix written by ``save_matrix``; returns (entries,
-    space_tag).  A payload that is not exactly the N x N float64 entries
-    raises a ValueError."""
+    space_tag).  A truncated header, or a payload that is not exactly the
+    N x N float64 entries, raises a ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        version, N = struct.unpack("<II", fh.read(8))
+        header = fh.read(_HEADER.size)
+        if header[:4] != _MAGIC:
+            raise ValueError(f"bad magic {header[:4]!r}")
+        if len(header) < _HEADER.size:
+            raise ValueError(f"the header needs {_HEADER.size} bytes, found {len(header)}")
+        _, version, N, tag = _HEADER.unpack(header)
         if version != _VERSION:
             raise ValueError(f"unsupported version {version}")
-        (tag,) = struct.unpack("<B", fh.read(1))
         payload = fh.read()
     if len(payload) != 8 * N * N:
         raise ValueError(f"a {N}x{N} matrix needs {8 * N * N} payload bytes, "

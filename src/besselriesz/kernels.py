@@ -2,7 +2,8 @@
 
 All evaluators broadcast over leading axes; points are arrays whose last axis
 holds the n+1 coordinates (last coordinate positive).  Scalar calls on
-coincident points raise; batched assembly masks the diagonal instead.
+coincident points raise; batched assembly masks the diagonal instead.  The
+kernels built from the F profiles take an evaluator ``f_eval`` from ``auxfn``.
 """
 
 from __future__ import annotations
@@ -14,13 +15,9 @@ from scipy.special import cython_special as _cs
 from scipy.special import gamma as _gamma
 from scipy.special import ive
 
-from .auxfn import AuxIndex, F, F_batch, FTable, table_nodes
+from .auxfn import IDX11, IDX20, IDX21
 from .quadrature import QuadratureError, gegenbauer_integral
 from .special import ModelParams, model_constants, psi_bound, psi_lambda
-
-IDX20 = AuxIndex(2, 0)
-IDX11 = AuxIndex(1, 1)
-IDX21 = AuxIndex(2, 1)
 
 
 def _pts(x) -> np.ndarray:
@@ -67,43 +64,6 @@ def symbol_h(m: int, x, y):
 def _reject_coincident(r):
     if np.ndim(r) == 0 and r == 0.0:
         raise ValueError("coincident points")
-
-
-# ---------------------------------------------------------------------------
-# F evaluators shared by the kernel assemblies
-# ---------------------------------------------------------------------------
-
-
-class DirectF:
-    """Per-point quadrature evaluation of F; for test points and probes."""
-
-    def __init__(self, p: ModelParams):
-        self.params = p
-
-    def __call__(self, idx: AuxIndex, h):
-        h = np.asarray(h, dtype=float)
-        if h.ndim == 0:
-            return F(idx, self.params, float(h))
-        return np.array([F(idx, self.params, v) for v in h.ravel()]).reshape(h.shape)
-
-
-class TabulatedF:
-    """Spline tables of F for the three index pairs; for matrix assembly.
-
-    The three tables share one node set, filled by one batched quadrature
-    pass (``F_batch``: two integrals per node, each distinct panel rule
-    built once).  ``record`` holds that pass's ``nodes``, ``integrals`` and
-    ``max_order``."""
-
-    def __init__(self, p: ModelParams, h_max: float):
-        self.params = p
-        self.record = {}
-        indices = (IDX20, IDX11, IDX21)
-        values = F_batch(p, table_nodes(h_max), indices, self.record)
-        self.tables = {idx: FTable(idx, p, h_max, values[idx]) for idx in indices}
-
-    def __call__(self, idx: AuxIndex, h):
-        return self.tables[idx](h)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +228,7 @@ def riesz_kernel_classical(n: int, l: int, x, y):
     return riesz_constant(n) * (-d[..., l - 1]) / r ** (n + 2)
 
 
-def riesz_kernel_bessel(p: ModelParams, x, y, f_eval=None):
+def riesz_kernel_bessel(p: ModelParams, x, y, f_eval):
     """Kernel of the k-th weighted Riesz transform (gradient of the inverse
     square root), assembled from the symbol family and the F profiles:
 
@@ -280,8 +240,6 @@ def riesz_kernel_bessel(p: ModelParams, x, y, f_eval=None):
     computed once per call, and every expression keeps the order of the
     ``symbol_*`` functions, so the entries equal their composition bit for
     bit.  Scalar calls on coincident points raise."""
-    if f_eval is None:
-        f_eval = DirectF(p)
     x, y = _pts(x), _pts(y)
     c = model_constants(p)
     d, r = _sep(x, y)
@@ -308,15 +266,13 @@ def commutator_kernel(base, f, x, y):
     return base(x, y) * (f(y) - f(x))
 
 
-def prop35_rhs_kernel(p: ModelParams, f, x, y, f_eval=None):
+def prop35_rhs_kernel(p: ModelParams, f, x, y, f_eval):
     """Kernel of the Schur-symbol assembly over the classical commutator.
 
     This is the weighted-measure kernel: the conjugation weights and the
     measure change combine into (x_last y_last)^(-lam), so the result is
     directly comparable with ``commutator_kernel(riesz_kernel_bessel, f)``.
     """
-    if f_eval is None:
-        f_eval = DirectF(p)
     x, y = _pts(x), _pts(y)
     c = model_constants(p)
     H = symbol_H(x, y)

@@ -18,13 +18,19 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cli
-from .auxfn import AuxIndex, F, F_decomposed_batch, derivative_bound_probe, f_zero
-from .discretize import assemble, make_grid, nystrom_generator
-from .kernels import (
-    DirectF,
+from .auxfn import (
     IDX11,
     IDX20,
     IDX21,
+    PROFILES,
+    DirectF,
+    F,
+    F_decomposed_batch,
+    derivative_bound_probe,
+    f_zero,
+)
+from .discretize import assemble, make_grid, nystrom_generator
+from .kernels import (
     commutator_kernel,
     gaussian_profile_kernel,
     invsqrt_kernel_closed,
@@ -118,9 +124,8 @@ def check_decomposition() -> CheckResult:
         for lam in (0.5, 1.0, 1.5):
             p = ModelParams(n=n, lam=lam, k=1)
             xs = (0.1, 0.5, 1.0)
-            indices = [AuxIndex(*kl) for kl in ((2, 0), (1, 1), (2, 1))]
-            decomposed = F_decomposed_batch(p, xs, indices)
-            for idx in indices:
+            decomposed = F_decomposed_batch(p, xs, PROFILES)
+            for idx in PROFILES:
                 for x, dec in zip(xs, decomposed[idx]):
                     worst = max(worst, abs(F(idx, p, x) - dec))
     return _result(
@@ -138,9 +143,9 @@ def check_derivative_envelope() -> CheckResult:
     records = {}
     for lam in (0.5, 1.0):
         p = ModelParams(n=1, lam=lam, k=1)
-        for kl in ((2, 0), (1, 1), (2, 1)):
+        for idx in PROFILES:
             for j in (0, 1, 2):
-                rep = derivative_bound_probe(AuxIndex(*kl), p, j, xs)
+                rep = derivative_bound_probe(idx, p, j, xs)
                 sups = rep.decade_sups
                 finite = bool(np.all(np.isfinite(sups)))
                 # scanning decades from the largest x down, sups must not increase
@@ -148,7 +153,7 @@ def check_derivative_envelope() -> CheckResult:
                 monotone = bool(np.all(np.diff(downward) <= 1e-9 * downward[:-1]))
                 ok = finite and monotone and rep.bounded
                 all_ok = all_ok and ok
-                records[f"lam{lam}_F{kl[0]}{kl[1]}_j{j}"] = sups.tolist()
+                records[f"lam{lam}_F{idx.k}{idx.l}_j{j}"] = sups.tolist()
     return _result(
         "4 derivative envelope across decades", t0, all_ok,
         "per-decade sups of |F^(j)| x^(2+2lam+j-k) finite, non-increasing from the top decade",

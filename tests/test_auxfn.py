@@ -5,14 +5,18 @@ from scipy.integrate import quad
 from besselriesz import auxfn
 from besselriesz.auxfn import (
     _EVAL_BLOCK,
+    IDX11,
+    IDX20,
+    IDX21,
+    PROFILES,
     _B_integrals,
     AuxDecomposition,
     AuxIndex,
     F,
     F_batch,
     F_decomposed_batch,
-    FTable,
     G,
+    TabulatedF,
     _tail_integrals,
     _taylor_remainder,
     a_coeff,
@@ -25,7 +29,6 @@ from besselriesz.quadrature import geometric_breaks, panel_integral
 from besselriesz.special import ModelParams, gamma
 
 P11 = ModelParams(n=1, lam=1.0, k=1)
-IDX20, IDX11, IDX21 = AuxIndex(2, 0), AuxIndex(1, 1), AuxIndex(2, 1)
 
 
 def test_aux_index_validation():
@@ -265,38 +268,40 @@ def test_envelope_probe_mid_range_first_derivative():
 
 
 def test_f_table_accuracy():
-    table = FTable(IDX20, P11, 3.0, F_batch(P11, table_nodes(3.0), (IDX20,))[IDX20])
+    table = TabulatedF(P11, 3.0)
     rng = np.random.default_rng(0)
     hs = np.concatenate([rng.uniform(0, 0.2, 40), rng.uniform(0.2, 3.0, 40)])
     direct = np.array([F(IDX20, P11, h) for h in hs])
-    assert np.allclose(table(hs), direct, rtol=1e-9, atol=1e-12)
+    assert np.allclose(table(IDX20, hs), direct, rtol=1e-9, atol=1e-12)
 
 
 def test_f_table_rejects_out_of_range():
-    table = FTable(IDX20, P11, 1.0, F_batch(P11, table_nodes(1.0), (IDX20,))[IDX20])
+    table = TabulatedF(P11, 1.0)
     with pytest.raises(ValueError):
-        table(np.array([1.5]))
+        table(IDX20, np.array([1.5]))
 
 
 @pytest.mark.parametrize("h_max", [0.3, 1.0, 3.0])
 def test_f_table_equals_scipy_cubic_spline(h_max):
-    # the package's not-a-knot cubic is CubicSpline's, bit for bit: the same
-    # coefficients, and the same values at random points, at every node and
-    # at each node's 1-ulp neighbours inside the table
+    # the package's not-a-knot cubic is CubicSpline's, bit for bit, for each
+    # profile: the same coefficients, and the same values at random points,
+    # at every node and at each node's 1-ulp neighbours inside the table
     from scipy.interpolate import CubicSpline
 
     nodes = table_nodes(h_max)
-    values = F_batch(P11, nodes, (IDX20,))[IDX20]
-    table = FTable(IDX20, P11, h_max, values)
-    spline = CubicSpline(nodes, values)
-    assert np.array_equal(table.coeffs, spline.c)
+    values = F_batch(P11, nodes, PROFILES)
+    table = TabulatedF(P11, h_max)
+    assert np.array_equal(table.nodes, nodes)
     rng = np.random.default_rng(7)
     # longer than one evaluation block and not a multiple of it
     hs = rng.uniform(0.0, nodes[-1], 2 * _EVAL_BLOCK + 123)
-    assert np.array_equal(table(hs), spline(hs))
     ulp_below = np.nextafter(nodes[1:], -np.inf)
     ulp_above = np.nextafter(nodes[:-1], np.inf)
-    for pts in (nodes, ulp_below, ulp_above, hs[:600].reshape(20, 30)):
-        got = table(pts)
-        assert got.shape == pts.shape
-        assert np.array_equal(got, spline(pts))
+    for idx in PROFILES:
+        spline = CubicSpline(nodes, values[idx])
+        assert np.array_equal(table.coeffs[idx], spline.c)
+        assert np.array_equal(table(idx, hs), spline(hs))
+        for pts in (nodes, ulp_below, ulp_above, hs[:600].reshape(20, 30)):
+            got = table(idx, pts)
+            assert got.shape == pts.shape
+            assert np.array_equal(got, spline(pts))

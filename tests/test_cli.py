@@ -462,7 +462,7 @@ def test_refine_levels(tmp_path, monkeypatch):
 
     def counting_table(*args, **kwargs):
         built.append(args)
-        return kernels.TabulatedF(*args, **kwargs)
+        return auxfn.TabulatedF(*args, **kwargs)
 
     monkeypatch.setattr(cli, "TabulatedF", counting_table)
     cfg = small_spectrum_config()
@@ -505,7 +505,23 @@ def test_refine_past_node_cap_fails_before_any_work(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "TabulatedF", no_table)
     cfg = small_spectrum_config(box={"points_per_dim": [100, 100]})
     with pytest.raises(ConfigError, match="cap"):
-        run(cfg, out_dir=tmp_path, refine=1)
+        run(cfg, out_dir=tmp_path / "out", refine=1)
+    # refused before the output directory is made
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("pipeline", ["auxfn", "kernel", "sobolev", "verify"])
+def test_refine_refused_for_pipelines_without_levels(tmp_path, monkeypatch, pipeline):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"the {pipeline} pipeline ran with refine > 0")
+
+    monkeypatch.setattr(cli, f"run_{pipeline}", no_work)
+    match = f"the {pipeline} pipeline has no grid levels; refine must be 0, got 2"
+    with pytest.raises(ConfigError, match=match):
+        run(parse_config({"pipeline": pipeline}), out_dir=tmp_path / "out", refine=2)
+    with pytest.raises(ConfigError, match=match):
+        cli.main([pipeline, "--refine", "2", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def _benchmark_child():
@@ -692,7 +708,7 @@ def test_negative_refine_refused_before_any_grid(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli.ExperimentConfig, "grid", no_grid)
     with pytest.raises(ConfigError, match="refine must be >= 0, got -1"):
-        run(small_spectrum_config(), out_dir=tmp_path, refine=-1)
+        run(small_spectrum_config(), out_dir=tmp_path / "o", refine=-1)
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["spectrum", "--refine", "-1", "--out", str(tmp_path / "o")])
     assert exit_info.value.code == 2

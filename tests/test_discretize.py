@@ -527,6 +527,17 @@ def test_load_matrix_checks_payload_length(tmp_path):
             load_matrix(path)
 
 
+def test_load_matrix_rejects_truncated_header(tmp_path):
+    # a file cut inside the 13-byte header is malformed like any other
+    path = tmp_path / "matrix.bin"
+    for data, match in ((b"BRSL\x01\x00", "header needs 13 bytes, found 6"),
+                        (b"BRSL" + bytes(8), "header needs 13 bytes, found 12"),
+                        (b"BR", "bad magic")):
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=match):
+            load_matrix(path)
+
+
 def test_diagonal_bias_reported():
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (8, 8), halfspace=True)
     A = commutator(g)

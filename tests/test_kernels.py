@@ -6,14 +6,9 @@ import pytest
 from scipy.special import ive
 
 from besselriesz import auxfn, quadrature
-from besselriesz.auxfn import F, f_zero, table_nodes
+from besselriesz.auxfn import IDX11, IDX20, IDX21, DirectF, F, TabulatedF, f_zero, table_nodes
 from besselriesz.kernels import _heat_profile, _pts, _reject_coincident, _sep
 from besselriesz.kernels import (
-    IDX11,
-    IDX20,
-    IDX21,
-    DirectF,
-    TabulatedF,
     commutator_kernel,
     gaussian_profile_kernel,
     heat_kernel,
@@ -369,7 +364,7 @@ def test_riesz_kernel_bessel_matches_gradient_of_invsqrt():
         e = np.zeros(2)
         e[k - 1] = h
         fd = (invsqrt_kernel_closed(p, x + e, y) - invsqrt_kernel_closed(p, x - e, y)) / (2 * h)
-        assert riesz_kernel_bessel(p, x, y) == pytest.approx(fd, rel=1e-5, abs=0)
+        assert riesz_kernel_bessel(p, x, y, DirectF(p)) == pytest.approx(fd, rel=1e-5, abs=0)
 
 
 def test_riesz_kernel_bessel_lateral_antisymmetry():
@@ -378,8 +373,9 @@ def test_riesz_kernel_bessel_lateral_antisymmetry():
     y = np.array([0.9, 1.2])
     xs = np.array([0.9, 1.2])
     ys = np.array([0.3, 1.2])
-    v = riesz_kernel_bessel(P1, x, y)
-    assert riesz_kernel_bessel(P1, xs, ys) == pytest.approx(-v, rel=1e-10, abs=0)
+    f_eval = DirectF(P1)
+    v = riesz_kernel_bessel(P1, x, y, f_eval)
+    assert riesz_kernel_bessel(P1, xs, ys, f_eval) == pytest.approx(-v, rel=1e-10, abs=0)
 
 
 def test_riesz_kernel_bessel_k_le_n_single_term():
@@ -388,10 +384,8 @@ def test_riesz_kernel_bessel_k_le_n_single_term():
     x = np.array([0.2, 0.8])
     y = np.array([-0.5, 1.4])
     c = model_constants(P1)
-    from besselriesz.kernels import IDX20
-
     expected = -c.kappa2 * f_eval(IDX20, symbol_H(x, y)) * symbol_K(1, x, y, P1.lam)
-    assert riesz_kernel_bessel(P1, x, y) == pytest.approx(expected, rel=1e-14, abs=0)
+    assert riesz_kernel_bessel(P1, x, y, f_eval) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 def test_classical_riesz_kernel_examples():
@@ -463,7 +457,7 @@ def test_classical_riesz_gaussian_oracle():
 
 def test_commutator_kernel_basics():
     f = gaussian_bump([0.2, 1.3], 0.5)
-    base = lambda a, b: riesz_kernel_bessel(P2, a, b)
+    base = lambda a, b: riesz_kernel_bessel(P2, a, b, DirectF(P2))
     x = np.array([0.1, 1.1])
     y = np.array([0.6, 1.6])
     const = constant_symbol(3.3)
@@ -478,14 +472,15 @@ def test_commutator_lipschitz_bound():
     # crude Lipschitz constant of the bump: sup |grad| = amp/(w sqrt(e))
     lip = 1.0 / (0.5 * np.sqrt(np.e))
     rng = np.random.default_rng(6)
-    base = lambda a, b: riesz_kernel_bessel(P2, a, b)
+    f_eval = DirectF(P2)
+    base = lambda a, b: riesz_kernel_bessel(P2, a, b, f_eval)
     for _ in range(10):
         x = np.array([rng.uniform(-1, 1), rng.uniform(0.5, 2)])
         y = np.array([rng.uniform(-1, 1), rng.uniform(0.5, 2)])
         if np.linalg.norm(x - y) < 1e-3:
             continue
         v = commutator_kernel(base, f, x, y)
-        bound = lip * abs(riesz_kernel_bessel(P2, x, y)) * np.linalg.norm(x - y)
+        bound = lip * abs(base(x, y)) * np.linalg.norm(x - y)
         assert abs(v) <= bound * (1 + 1e-9)
 
 
@@ -510,7 +505,7 @@ def test_schur_assembly_constant_symbol_vanishes():
     const = constant_symbol(2.0)
     x = np.array([0.1, 1.1])
     y = np.array([0.6, 1.6])
-    assert prop35_rhs_kernel(P2, const, x, y) == 0.0
+    assert prop35_rhs_kernel(P2, const, x, y, DirectF(P2)) == 0.0
 
 
 @dataclass
