@@ -1,5 +1,5 @@
-"""The auxiliary kernel profiles F and G, their evaluators for the kernels,
-and their small-argument decomposition.
+"""The auxiliary kernel profiles F, their evaluators for the kernels, and
+their small-argument decomposition.
 
 F indexed by (k, l) maps the scale-invariant separation H = |x-y|/sqrt(x_b y_b)
 to the weight of each term of the Bessel-Riesz kernel, which reads the three
@@ -12,11 +12,10 @@ log term present in even dimensions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from scipy.linalg import solve_banded
 
 from .quadrature import gegenbauer_integral, geometric_breaks, panel_integral
@@ -66,16 +65,19 @@ def F(idx: AuxIndex, p: ModelParams, x: float, fixed_order: int | None = None) -
 
 
 class DirectF:
-    """Per-point quadrature evaluation of F; for test points and probes."""
+    """Per-point quadrature evaluation of F; for test points and probes.
+    Called with a tuple of profiles and the points h, it returns one value
+    (a float for scalar h) or array per profile."""
 
     def __init__(self, p: ModelParams):
         self.params = p
 
-    def __call__(self, idx: AuxIndex, h):
+    def __call__(self, profiles: tuple, h):
         h = np.asarray(h, dtype=float)
         if h.ndim == 0:
-            return F(idx, self.params, float(h))
-        return np.array([F(idx, self.params, v) for v in h.ravel()]).reshape(h.shape)
+            return tuple(F(idx, self.params, float(h)) for idx in profiles)
+        return tuple(np.array([F(idx, self.params, v) for v in h.ravel()]).reshape(h.shape)
+                     for idx in profiles)
 
 
 @lru_cache(maxsize=64)
@@ -95,13 +97,6 @@ def _f_zero_cached(k: int, l: int, n: int, lam: float) -> float:
 def f_zero(idx: AuxIndex, p: ModelParams) -> float:
     """Right limit of F at 0: Richardson-extrapolated from x in {1e-4, 1e-5, 1e-6}."""
     return _f_zero_cached(idx.k, idx.l, p.n, p.lam)
-
-
-def G(idx: AuxIndex, p: ModelParams, x: float) -> float:
-    """Difference quotient (F(x) - F(0)) / x for x > 0."""
-    if not x > 0:
-        raise ValueError("G requires x > 0")
-    return (F(idx, p, x) - f_zero(idx, p)) / x
 
 
 # ---------------------------------------------------------------------------
@@ -206,38 +201,9 @@ def _tail_integrals(p: ModelParams, xs: np.ndarray, ls, js) -> np.ndarray:
     return np.array([xs ** (2 * j) for j in js]) * total.reshape(len(ls), len(js), len(xs))
 
 
-def a_coeff(l: int, j: int, p: ModelParams) -> float:
-    """Log-term coefficient 2 * binom(-lam-n/2-1, j+l-n/2-1), nonzero only when
-    n is even and j+l-n/2-1 is a positive integer."""
-    if p.n % 2 == 1:
-        return 0.0
-    m = j + l - p.n // 2 - 1
-    if m < 1:
-        return 0.0
-    return 2.0 * gen_binomial(-p.lam - p.n / 2 - 1.0, m)
-
-
 def c_coeff(p: ModelParams, l: int, j: int) -> float:
     """Tail combination coefficient (-1)^j 2^-(l+2j+1) binom(lam-1, j)."""
     return (-1.0) ** j * 2.0 ** (-(l + 2 * j + 1)) * gen_binomial(p.lam - 1.0, j)
-
-
-@dataclass
-class AuxDecomposition:
-    idx: AuxIndex
-    params: ModelParams
-    C_coeffs: list = field(init=False)
-    a_coeffs: list = field(init=False)
-    P_log: Polynomial = field(init=False)
-
-    def __post_init__(self):
-        p, l, k = self.params, self.idx.l, self.idx.k
-        self.C_coeffs = [(j, c_coeff(p, l, j)) for j in range(p.n + 3)]
-        self.a_coeffs = [a_coeff(l, j, p) for j in range(p.n + 3)]
-        coeffs = np.zeros((k + 2 * l - 2) + 2 * (p.n + 2) + 1)
-        for j, cj in self.C_coeffs:
-            coeffs[(k + 2 * l - 2) + 2 * j] += cj * self.a_coeffs[j]
-        self.P_log = Polynomial(coeffs)
 
 
 def F_decomposed_batch(p: ModelParams, xs, indices) -> dict:
@@ -473,23 +439,27 @@ class TabulatedF:
         self._geometric_rate = (count - 1) / np.log(last / first)
         self._uniform_rate = (_UNIFORM_RUN - 1) / (self.h_max - last)
 
-    def __call__(self, idx: AuxIndex, h):
+    def __call__(self, profiles: tuple, h):
+        """Each profile of ``profiles`` at the points h, as a tuple of
+        arrays of h's shape; each point's spline piece is found once for
+        all of them."""
         h = np.asarray(h, dtype=float)
         if not np.all(h <= self.h_max * (1 + 1e-12)):  # NaN as well
             raise ValueError(f"F table built for h <= {self.h_max}, got {h.max()}")
-        coeffs = self.coeffs[idx]
         flat = np.clip(h, 0.0, self.h_max).ravel()
-        out = np.empty_like(flat)
+        outs = tuple(np.empty_like(flat) for _ in profiles)
         for lo in range(0, len(flat), _EVAL_BLOCK):
-            self._evaluate(coeffs, flat[lo:lo + _EVAL_BLOCK], out[lo:lo + _EVAL_BLOCK])
-        return out.reshape(h.shape)
+            block = flat[lo:lo + _EVAL_BLOCK]
+            i = self._piece(block)
+            for idx, out in zip(profiles, outs):
+                self._evaluate(self.coeffs[idx], block, i, out[lo:lo + _EVAL_BLOCK])
+        return tuple(out.reshape(h.shape) for out in outs)
 
-    def _evaluate(self, coeffs: np.ndarray, h: np.ndarray, v: np.ndarray) -> None:
-        """The spline of ``coeffs`` at h in [0, h_max], into v: the piece
-        x[i] <= h < x[i+1] (the last piece closed), then c3 + c2 s + c1 s^2
-        + c0 s^3 summed in that order with s = h - x[i], as ``PPoly`` sums
-        it."""
-        i = self._piece(h)
+    def _evaluate(self, coeffs: np.ndarray, h: np.ndarray, i: np.ndarray, v: np.ndarray) -> None:
+        """The spline of ``coeffs`` at h in [0, h_max], into v, given the
+        piece x[i] <= h < x[i+1] of each point (the last piece closed,
+        ``_piece``): c3 + c2 s + c1 s^2 + c0 s^3 summed in that order with
+        s = h - x[i], as ``PPoly`` sums it."""
         c0, c1, c2, c3 = coeffs
         s = np.take(self.nodes, i)
         np.subtract(h, s, out=s)

@@ -34,6 +34,7 @@ from .kernels import (
     invsqrt_kernel_closed,
     invsqrt_kernel_subordination,
     riesz_kernel_bessel,
+    riesz_signs,
     spectral_kernel_inverse_radial,
 )
 from .sobolev import directional_seminorm, sobolev_seminorm, sphere_rule
@@ -341,9 +342,11 @@ def riesz_base(params: ModelParams, f_eval):
 
 def commutator(params: ModelParams, symbol, grid: BoxGrid, ftab: TabulatedF):
     """[R_k, M_symbol] on ``grid`` in L2(x_last^(2 lam) dx), from the lateral
-    block-Toeplitz generator of the tabulated Riesz kernel; for a tuple of
-    symbols, the tuple of their commutators, which share one generator."""
-    return assemble(riesz_base(params, ftab), grid, params.lam, symbol=symbol)
+    block-Toeplitz generator of the tabulated Riesz kernel, whose lateral
+    parity is ``riesz_signs``; for a tuple of symbols, the tuple of their
+    commutators, which share one generator."""
+    return assemble(riesz_base(params, ftab), grid, params.lam, symbol=symbol,
+                    signs=riesz_signs(params))
 
 
 def _spectrum_for(cfg: ExperimentConfig, A: OperatorMatrix, timings: dict, runtime: dict,

@@ -156,7 +156,7 @@ class OperatorMatrix(ProducedMatrix):
 _BLOCK_LATERAL_ROWS = 8
 
 
-def assemble(kernel, grid: BoxGrid, lam: float, symbol):
+def assemble(kernel, grid: BoxGrid, lam: float, symbol, signs):
     """The commutator matrix
     A_ij = kernel(x_i, x_j) (f(x_j) - f(x_i)) sqrt(w_i mu_i w_j mu_j) of the
     symbol f on L2(x_last^(2 lam) dx), with mu_i = x_last^(2 lam) at node i;
@@ -164,22 +164,21 @@ def assemble(kernel, grid: BoxGrid, lam: float, symbol):
 
     ``kernel`` must broadcast over point arrays of shape (..., dim) and
     depend on the lateral coordinates (all but the last) only through
-    x' - y'.  Along each lateral axis its parity under x'_l - y'_l ->
-    -(x'_l - y'_l) must hold at every offset or at none: the generator reads
-    the parity off the offsets +-1 and +-(m_l - 1) only and fills every
-    negative offset from it (``_toeplitz_generator``), so a kernel that is
-    even or odd at those offsets alone gets a wrong matrix, unchecked.  It
-    is evaluated only on its lateral block-Toeplitz generator, with the
-    Nystrom weights folded in (``nystrom_generator``).  The matrix keeps
-    that generator and the symbol values and produces its rows from them
-    one lateral row block at a time; the dense entries are built only when
+    x' - y', and ``signs`` states its parity along each lateral axis:
+    sign_l = +1 (even) or -1 (odd) under x'_l - y'_l -> -(x'_l - y'_l), at
+    every offset (``kernels.riesz_signs`` for the Riesz kernel).  It is
+    evaluated only on its lateral block-Toeplitz generator, with the
+    Nystrom weights folded in (``nystrom_generator``), whose build checks
+    the declared parity at its probes and raises a ValueError naming the
+    axis where it fails (``_toeplitz_generator``).  The matrix keeps that
+    generator and the symbol values and produces its rows from them one
+    lateral row block at a time; the dense entries are built only when
     read, and its ``generator`` attribute holds the generator's record.
-    Where the generator has a parity under the lateral mirror of an axis and
-    the symbol values equal their mirror image exactly (``_mirror_symmetry``),
-    the matrix also carries its split into half-size blocks
-    (``_mirror_split``), built with it.  With a
-    tuple of symbols the result is the tuple of their commutator matrices,
-    which share one generator.
+    Along each lateral axis where the symbol values equal their mirror
+    image exactly (``_mirror_symmetry``), the matrix also carries its split
+    into half-size blocks (``_mirror_split``), built with it.  With a tuple
+    of symbols the result is the tuple of their commutator matrices, which
+    share one generator.
 
     The diagonal, where f(x_j) - f(x_i) = 0 and a singular kernel has no
     value, is zeroed.  Zeroing is not unbiased: the Riesz kernel and
@@ -201,37 +200,37 @@ def assemble(kernel, grid: BoxGrid, lam: float, symbol):
             bad = int(np.argmax(~np.isfinite(fv)))
             raise FloatingPointError(f"symbol not finite at node {bad}: x={nodes[bad]}")
         values.append(fv)
-    gen, generator, norm = nystrom_generator(kernel, grid, lam)
+    gen, generator, norm = nystrom_generator(kernel, grid, lam, signs)
     matrices = []
     for sym, fv in zip(symbols, values):
-        signs = _mirror_symmetry(gen, generator["signs"], fv, grid)
+        split = _mirror_symmetry(generator["signs"], fv, grid)
 
         def probe(x, y, sym=sym):
             return kernel(x, y) * (sym(y) - sym(x))
 
         matrices.append(OperatorMatrix(_toeplitz_rows(gen, fv, grid).fill, grid, 2.0 * lam,
                                        _diagonal_bias(probe, grid, norm), generator,
-                                       _mirror_split(gen, fv, grid, signs)))
+                                       _mirror_split(gen, fv, grid, split)))
     return tuple(matrices) if isinstance(symbol, tuple) else matrices[0]
 
 
-def nystrom_generator(kernel, grid: BoxGrid, lam: float) -> tuple:
+def nystrom_generator(kernel, grid: BoxGrid, lam: float, signs) -> tuple:
     """The lateral Toeplitz generator of the Nystrom matrix
     kernel(x_i, x_j) norm_i norm_j, with norm_i = sqrt(w_i mu_i) and
     mu_i = x_last^(2 lam) at node i; returns (G, record, norm).
 
     G and record are ``_toeplitz_generator``'s, so ``kernel`` must depend on
-    the lateral coordinates only through x' - y', with a parity along each
-    lateral axis that holds at every offset or at none.  The cells are uniform
-    laterally, so norm_i depends on the vertical index a only, and
-    norm_a norm_b is folded into every block of G once, in place:
-    G[I - J + m - 1][a, b] is the matrix entry at node pair (i, j) with
-    lateral indices I, J and vertical indices a, b.  Every entry must be
-    finite except the zero offset's diagonal a = b, where a singular kernel
-    has no value (``_first_nonfinite_pair``)."""
+    the lateral coordinates only through x' - y', with the parity ``signs``
+    along the lateral axes.  The cells are uniform laterally, so norm_i
+    depends on the vertical index a only, and norm_a norm_b is folded into
+    every block of G once, in place: G[I - J + m - 1][a, b] is the matrix
+    entry at node pair (i, j) with lateral indices I, J and vertical
+    indices a, b.  Every entry must be finite except the zero offset's
+    diagonal a = b, where a singular kernel has no value
+    (``_first_nonfinite_pair``)."""
     nodes = grid.nodes
     norm = np.sqrt(grid.cell_weights * nodes[:, -1] ** (2.0 * lam))
-    gen, record = _toeplitz_generator(kernel, grid)
+    gen, record = _toeplitz_generator(kernel, grid, signs)
     pair = _first_nonfinite_pair(gen, grid)
     if pair is not None:
         i, j = (int(k) for k in pair)
@@ -271,9 +270,9 @@ def _diagonal_bias(probe, grid: BoxGrid, norm: np.ndarray) -> float:
 _GENERATOR_CHUNK = 2**15
 
 
-def _toeplitz_generator(kernel, grid: BoxGrid) -> tuple:
+def _toeplitz_generator(kernel, grid: BoxGrid, signs) -> tuple:
     """Kernel blocks of a laterally translation-invariant kernel, one per
-    offset, and the record of how they were found; returns (G, record).
+    offset, and the record of their build; returns (G, record).
 
     G has shape (2 m_1 - 1, ..., 2 m_n - 1, m_v, m_v), with
     G[d + m - 1][a, b] = kernel(x, y) for any node pair whose lateral
@@ -281,36 +280,37 @@ def _toeplitz_generator(kernel, grid: BoxGrid) -> tuple:
     evaluated at the node pair with lateral indices (max(d, 0), max(-d, 0)),
     so the lateral difference at -d is exactly the negation of that at d.
 
-    Only the prod(m_l) offsets with every lateral component >= 0 are
-    evaluated first.  Along each lateral axis l with m_l >= 2 the kernel's
-    parity sign_l is then read off the mirrored offsets -1 and -(m_l - 1)
-    (the parity probes): sign_l = +1 when their finite entries equal those
-    at +1 and +(m_l - 1) bit for bit, -1 when they equal their negation, and
-    None otherwise.  For the Riesz kernel sign_l is -1 for k = l and +1
-    else, exactly: reversing d_l flips the sign of (x - y)_l and nothing
-    else.  The parity is taken to hold along the axis at every offset, not
-    checked: the kernel must have it at every offset or at none, since one
-    that has it at the probes alone gets every negative offset filled
-    wrongly.  An axis without one has its negative offsets evaluated.
-    Every other negative half is filled as sign_l times the reversed
+    ``signs`` declares the kernel's parity sign_l = +1 or -1 along each
+    lateral axis l: reversing d_l multiplies every entry by sign_l.  For
+    the Riesz kernel sign_l is -1 for l = k - 1 and +1 else, exactly
+    (``kernels.riesz_signs``): reversing d_l flips the sign of (x - y)_l and
+    nothing else.  Only the prod(m_l) offsets with every lateral component
+    >= 0 are evaluated, and along each axis with m_l >= 2 the mirrored
+    offsets -1 and -(m_l - 1) (the parity probes).  A ValueError naming the
+    axis is raised when a probe's finite entries are not sign_l times those
+    at +1 and +(m_l - 1), or when an axis declared odd has a nonzero finite
+    entry at its zero offset, which the reversal maps to itself.  The
+    probes are a check, not a proof: the declaration must hold at every
+    offset.  Each negative half is then filled as sign_l times the reversed
     non-negative half.
 
     ``record`` is {"offsets_evaluated", "offsets_total", "signs"}: the
     offsets the kernel was evaluated at (probes included), the generator's
     prod(2 m_l - 1) offsets, and sign_l per lateral axis."""
     *lateral, mv = grid.points_per_dim
+    signs = list(signs)
+    if len(signs) != len(lateral) or any(s not in (1, -1) for s in signs):
+        raise ValueError(f"signs must hold +1 or -1 for each of the {len(lateral)} lateral "
+                         f"axes, got {signs}")
     dim = grid.dim
     coords = [np.unique(grid.nodes[:, l]) for l in range(dim)]
     shape = tuple(2 * m - 1 for m in lateral)
     centre = np.array(lateral, dtype=int) - 1
     gen = np.empty((*shape, mv, mv))
     blocks = gen.reshape(-1, mv, mv)  # a view: writes land in gen
-    evaluated = np.zeros(shape, dtype=bool)
 
-    def evaluate(region):
-        """Evaluate the offsets in the boolean ``region`` not yet evaluated."""
-        where = np.argwhere(region & ~evaluated)
-        evaluated[region] = True
+    def evaluate(where):
+        """Evaluate the generator offsets at the index rows ``where``."""
         offsets = where - centre
         D = len(offsets)
         x = np.empty((D, mv, 1, dim))
@@ -325,52 +325,41 @@ def _toeplitz_generator(kernel, grid: BoxGrid) -> tuple:
         for lo in range(0, D, step):
             with np.errstate(divide="ignore", invalid="ignore"):
                 blocks[flat[lo:lo + step]] = kernel(x[lo:lo + step], y[lo:lo + step])
+        return D
 
     def along(l, index):
         """Offset index ``index`` along axis l, the zero offset elsewhere."""
         return tuple(index if j == l else c for j, c in enumerate(centre))
 
-    nonnegative = np.zeros(shape, dtype=bool)
-    nonnegative[tuple(slice(c, None) for c in centre)] = True
-    evaluate(nonnegative)
-
-    signs = []
-    for l, m in enumerate(lateral):
-        sign = None
+    evaluated = evaluate(np.argwhere(np.ones(lateral, dtype=bool)) + centre)
+    for l, (m, sign) in enumerate(zip(lateral, signs)):
+        parity = "odd" if sign < 0 else "even"
         if m >= 2:
             ds = np.array(sorted({1, m - 1}))
-            probes = np.zeros(shape, dtype=bool)
-            probes[along(l, m - 1 - ds)] = True
-            evaluate(probes)
+            probes = np.tile(centre, (len(ds), 1))
+            probes[:, l] -= ds
+            evaluated += evaluate(probes)
             mirrored, direct = gen[along(l, m - 1 - ds)], gen[along(l, m - 1 + ds)]
             finite = np.isfinite(mirrored) & np.isfinite(direct)
-            if np.array_equal(mirrored[finite], direct[finite]):
-                sign = 1
-            elif np.array_equal(mirrored[finite], -direct[finite]):
-                sign = -1
-        signs.append(sign)
-
-    # the axes without a parity have their negative offsets evaluated
-    rest = np.ones(shape, dtype=bool)
-    for l, c in enumerate(centre):
-        if signs[l] is not None:
-            rest[(slice(None),) * l + (slice(None, c),)] = False
-    evaluate(rest)
+            if not np.array_equal(mirrored[finite], sign * direct[finite]):
+                raise ValueError(f"kernel not {parity} along lateral axis {l} as declared: "
+                                 f"its entries at offsets -d are not {sign:+d} times those "
+                                 f"at +d, d in {ds.tolist()}")
+        zero = gen[tuple(c if j == l else slice(c, None) for j, c in enumerate(centre))]
+        if sign < 0 and np.any(zero[np.isfinite(zero)] != 0.0):
+            raise ValueError(f"kernel not odd along lateral axis {l} as declared: it is "
+                             f"nonzero at that axis's zero offset")
 
     for l, (c, sign) in enumerate(zip(centre, signs)):
-        if sign is None:
-            continue
-        # the axes after l hold their non-negative half so far, or every
-        # offset where they have no parity
-        later = tuple(slice(cj, None) if sj is not None else slice(None)
-                      for cj, sj in zip(centre[l + 1:], signs[l + 1:]))
+        # the axes after l hold their non-negative half so far
+        later = tuple(slice(cj, None) for cj in centre[l + 1:])
         source = np.flip(gen[(slice(None),) * l + (slice(c + 1, None),) + later], l)
         target = gen[(slice(None),) * l + (slice(None, c),) + later]
         if sign > 0:
             target[...] = source
         else:
             np.negative(source, out=target)
-    record = {"offsets_evaluated": int(evaluated.sum()), "offsets_total": int(np.prod(shape)),
+    record = {"offsets_evaluated": evaluated, "offsets_total": int(np.prod(shape)),
               "signs": signs}
     return gen, record
 
@@ -479,31 +468,20 @@ def _toeplitz_rows(gen: np.ndarray, fv: np.ndarray, grid: BoxGrid,
     return ProducedMatrix((len(row_nodes), len(col_nodes)), fill, mv)
 
 
-def _mirror_symmetry(gen: np.ndarray, parity: list, fv: np.ndarray, grid: BoxGrid) -> dict:
+def _mirror_symmetry(signs: list, fv: np.ndarray, grid: BoxGrid) -> dict:
     """The lateral axes along which the commutator splits, as {axis: sign}.
 
-    The mirror J_l reverses lateral index l.  ``parity`` holds the
-    generator's sign_l per axis from its build (``_toeplitz_generator``),
-    which fills the negative offsets along l as sign_l times the reversed
-    non-negative ones.  Axis l splits when sign_l is +-1, the symbol values
-    reversed along l equal them exactly, and, for sign_l = -1, the zero
-    offset along l, which the reversal maps to itself, is 0 away from its
-    non-finite entries (the zero offset's diagonal).  ``make_grid`` builds
-    the lateral nodes as mirror pairs, so a symbol centred on the mirror
-    passes bit for bit; values an ulp off it do not split, and their whole
-    Gram matrix is solved instead."""
+    The mirror J_l reverses lateral index l, and the generator is sign_l
+    times its own reversal along l (``signs``, checked in its build by
+    ``_toeplitz_generator``).  Axis l of m_l >= 2 points splits when the
+    symbol values reversed along l equal them exactly.  ``make_grid``
+    builds the lateral nodes as mirror pairs, so a symbol centred on the
+    mirror passes bit for bit; values an ulp off it do not split, and their
+    whole Gram matrix is solved instead."""
     *lateral, mv = grid.points_per_dim
     values = fv.reshape(*lateral, mv)
-    signs = {}
-    for l, (m, sign) in enumerate(zip(lateral, parity)):
-        if m < 2 or sign is None or not np.array_equal(np.flip(values, l), values):
-            continue
-        if sign < 0:
-            zero = gen[(slice(None),) * l + (m - 1,)]
-            if np.any(zero[np.isfinite(zero)] != 0.0):
-                continue
-        signs[l] = sign
-    return signs
+    return {l: sign for l, (m, sign) in enumerate(zip(lateral, signs))
+            if m >= 2 and np.array_equal(np.flip(values, l), values)}
 
 
 def _mirror_split(gen: np.ndarray, fv: np.ndarray, grid: BoxGrid, signs: dict) -> tuple:

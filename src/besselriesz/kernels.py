@@ -3,7 +3,8 @@
 All evaluators broadcast over leading axes; points are arrays whose last axis
 holds the n+1 coordinates (last coordinate positive).  Scalar calls on
 coincident points raise; batched assembly masks the diagonal instead.  The
-kernels built from the F profiles take an evaluator ``f_eval`` from ``auxfn``.
+kernels built from the F profiles take an evaluator ``f_eval`` from ``auxfn``,
+which returns one array per profile asked for.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from scipy.special import cython_special as _cs
 from scipy.special import gamma as _gamma
 from scipy.special import ive
 
-from .auxfn import IDX11, IDX20, IDX21
+from .auxfn import IDX20, PROFILES
 from .quadrature import QuadratureError, gegenbauer_integral
 from .special import ModelParams, model_constants, psi_bound, psi_lambda
 
@@ -195,8 +196,9 @@ def gaussian_profile_kernel(p: ModelParams, x, y):
 
     Obtained by factorizing the Gaussian over the lateral/vertical variables;
     validated against the test suite's ``spectral_kernel``.  It depends on
-    the lateral coordinates only through x' - y', so criterion 8 evaluates it
-    on the lateral Toeplitz generator of a Nystrom grid.
+    the lateral coordinates only through x' - y', and evenly, so criterion 8
+    evaluates it on the lateral Toeplitz generator of a Nystrom grid with
+    ``signs`` (1,).
     """
     if p.n != 1:
         raise NotImplementedError("closed form implemented for n = 1")
@@ -237,9 +239,10 @@ def riesz_kernel_bessel(p: ModelParams, x, y, f_eval):
     the bracket's second term for k = n + 1 only, with H, a, b, h_l and
     K_l = (x - y)_l / (|x - y|^(n+2) (x_last y_last)^lam) the pointwise
     symbols.  The separation x - y, |x - y| and the denominator of K_l are
-    computed once per call, and every expression keeps the order of the
-    ``symbol_*`` functions, so the entries equal their composition bit for
-    bit.  Scalar calls on coincident points raise."""
+    computed once per call, the profiles are asked for in one ``f_eval``
+    call, and every expression keeps the order of the ``symbol_*``
+    functions, so the entries equal their composition bit for bit.  Scalar
+    calls on coincident points raise."""
     x, y = _pts(x), _pts(y)
     c = model_constants(p)
     d, r = _sep(x, y)
@@ -248,16 +251,26 @@ def riesz_kernel_bessel(p: ModelParams, x, y, f_eval):
     xy = xl * yl
     H = r / np.sqrt(xy)
     den = r ** (p.n + 2) * xy ** p.lam
-    out = f_eval(IDX20, H) * (d[..., p.k - 1] / den)
+    f20, *f11_f21 = f_eval(PROFILES if p.k == p.n + 1 else (IDX20,), H)
+    out = f20 * (d[..., p.k - 1] / den)
     if p.k == p.n + 1:
+        f11, f21 = f11_f21
         s = 0.0
         for l in range(p.n + 1):
             s = s + (d[..., l] / r) * (d[..., l] / den)
         a = np.sqrt(np.minimum(xl, yl) / np.maximum(xl, yl))
         b = (xl < yl).astype(float)
         hn1 = d[..., p.n] / r
-        out = out + a * f_eval(IDX11, H) * s - b * hn1 * f_eval(IDX21, H) * s
+        out = out + a * f11 * s - b * hn1 * f21 * s
     return -c.kappa2 * out
+
+
+def riesz_signs(p: ModelParams) -> tuple:
+    """The Riesz kernel's parity along each lateral axis l (``assemble``'s
+    ``signs``): reversing (x - y)_l flips the sign of K_k for l = k - 1 and
+    leaves it unchanged otherwise, so -1 at axis k - 1 and +1 elsewhere;
+    +1 everywhere for k = n + 1."""
+    return tuple(-1 if l == p.k - 1 else 1 for l in range(p.n))
 
 
 def commutator_kernel(base, f, x, y):
@@ -279,13 +292,13 @@ def prop35_rhs_kernel(p: ModelParams, f, x, y, f_eval):
     df = f(y) - f(x)
     w = (x[..., -1] * y[..., -1]) ** (-p.lam)
 
-    out = f_eval(IDX20, H) * riesz_kernel_classical(p.n, p.k, x, y) * df * w
+    f20, *f11_f21 = f_eval(PROFILES if p.k == p.n + 1 else (IDX20,), H)
+    out = f20 * riesz_kernel_classical(p.n, p.k, x, y) * df * w
     if p.k == p.n + 1:
+        f11, f21 = f11_f21
         a = symbol_a(x, y)
         b = symbol_b(x, y)
         hn1 = symbol_h(p.n + 1, x, y)
-        f11 = f_eval(IDX11, H)
-        f21 = f_eval(IDX21, H)
         for l in range(1, p.n + 2):
             hl = symbol_h(l, x, y)
             cl = riesz_kernel_classical(p.n, l, x, y) * df * w

@@ -37,6 +37,7 @@ from .kernels import (
     invsqrt_kernel_subordination,
     prop35_rhs_kernel,
     ratio_bound_check,
+    riesz_signs,
     spectral_kernel_inverse_radial,
 )
 from .quadrature import gauss_legendre_box
@@ -227,16 +228,16 @@ def check_schur_identity() -> CheckResult:
     )
 
 
-def multiplier_frobenius_sq(kernel, symbol, grid, lam: float) -> float:
+def multiplier_frobenius_sq(kernel, symbol, grid, lam: float, signs) -> float:
     """|M_f K|_F^2 for the Nystrom matrix f(x_i) kernel(x_i, x_j) norm_i norm_j
-    of a laterally translation-invariant ``kernel``, read from its generator
-    G (``nystrom_generator``, which folds in norm_a norm_b) without forming
-    the matrix: the sum over nodes i = (I, a) of f(x_i)^2 times
+    of a laterally translation-invariant ``kernel`` of lateral parity
+    ``signs``, read from its generator G (``nystrom_generator``, which folds
+    in norm_a norm_b) without forming the matrix: the sum over nodes i = (I, a) of f(x_i)^2 times
     sum_{J, b} G[I - J][a, b]^2.  Along each lateral axis row I reads the
     m consecutive offsets I - J, so that inner sum is a sum of the squared
     generator rows over a window of m offsets, taken one axis at a time.
     A diagonal the kernel cannot evaluate makes the sum NaN."""
-    gen, _, _ = nystrom_generator(kernel, grid, lam)
+    gen, _, _ = nystrom_generator(kernel, grid, lam, signs)
     *lateral, _ = grid.points_per_dim
     rows = np.sum(gen**2, axis=-1)  # (2 m_1 - 1, ..., 2 m_n - 1, m_v)
     for axis, m in enumerate(lateral):
@@ -269,7 +270,7 @@ def check_hilbert_schmidt_identity() -> CheckResult:
     errs = []
     for m in (32, 64):
         grid = make_grid([(-7.0, 7.0), (0.1, 11.0)], (m, m), halfspace=True)
-        fro2 = multiplier_frobenius_sq(kern, f, grid, p.lam)
+        fro2 = multiplier_frobenius_sq(kern, f, grid, p.lam, (1,))
         errs.append(abs(fro2 - trace) / trace)
     passed = errs[0] <= 0.02 and errs[1] < errs[0]
     return _result(
@@ -345,9 +346,10 @@ def check_measure_change() -> CheckResult:
 
     Multiplication by x_last^lam maps L2(x_last^(2 lam) dx) unitarily onto
     L2(dx) and turns K(x, y) into (x_last y_last)^lam K(x, y).  The second
-    matrix is assembled from that conjugated kernel with ``lam=0``; in exact
-    arithmetic the two matrices agree entry by entry, so the criterion fails
-    when ``assemble``'s measure density is wrong."""
+    matrix is assembled from that conjugated kernel, which keeps the Riesz
+    kernel's lateral parity, with ``lam=0``; in exact arithmetic the two
+    matrices agree entry by entry, so the criterion fails when
+    ``assemble``'s measure density is wrong."""
     t0 = time.perf_counter()
     # a bump too wide for the support check at 24^2, so the commutator is
     # assembled directly rather than through a config
@@ -362,7 +364,8 @@ def check_measure_change() -> CheckResult:
         return (x[..., -1] * y[..., -1]) ** p.lam * base(x, y)
 
     s_weighted = singular_values(cli.commutator(p, f, grid, ftab))
-    s_lebesgue = singular_values(assemble(conjugated, grid, 0.0, symbol=f))
+    s_lebesgue = singular_values(assemble(conjugated, grid, 0.0, symbol=f,
+                                          signs=riesz_signs(p)))
     gap = float(np.max(np.abs(s_weighted - s_lebesgue)))
     top = float(s_weighted[0])
     return _result(

@@ -1,5 +1,8 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
 from besselriesz import auxfn
@@ -10,25 +13,61 @@ from besselriesz.auxfn import (
     IDX21,
     PROFILES,
     _B_integrals,
-    AuxDecomposition,
     AuxIndex,
     F,
     F_batch,
     F_decomposed_batch,
-    G,
     TabulatedF,
     _tail_integrals,
     _taylor_remainder,
-    a_coeff,
     c_coeff,
     derivative_bound_probe,
     f_zero,
     table_nodes,
 )
 from besselriesz.quadrature import geometric_breaks, panel_integral
-from besselriesz.special import ModelParams, gamma
+from besselriesz.special import ModelParams, gamma, gen_binomial
 
 P11 = ModelParams(n=1, lam=1.0, k=1)
+
+
+def G(idx: AuxIndex, p: ModelParams, x: float) -> float:
+    """Difference quotient (F(x) - F(0)) / x for x > 0."""
+    if not x > 0:
+        raise ValueError("G requires x > 0")
+    return (F(idx, p, x) - f_zero(idx, p)) / x
+
+
+def a_coeff(l: int, j: int, p: ModelParams) -> float:
+    """Log-term coefficient 2 * binom(-lam-n/2-1, j+l-n/2-1), nonzero only when
+    n is even and j+l-n/2-1 is a positive integer."""
+    if p.n % 2 == 1:
+        return 0.0
+    m = j + l - p.n // 2 - 1
+    if m < 1:
+        return 0.0
+    return 2.0 * gen_binomial(-p.lam - p.n / 2 - 1.0, m)
+
+
+@dataclass
+class AuxDecomposition:
+    """The even-n log term of the small-argument decomposition:
+    ``P_log`` is the polynomial of the tails' log-term coefficients."""
+
+    idx: AuxIndex
+    params: ModelParams
+    C_coeffs: list = field(init=False)
+    a_coeffs: list = field(init=False)
+    P_log: Polynomial = field(init=False)
+
+    def __post_init__(self):
+        p, l, k = self.params, self.idx.l, self.idx.k
+        self.C_coeffs = [(j, c_coeff(p, l, j)) for j in range(p.n + 3)]
+        self.a_coeffs = [a_coeff(l, j, p) for j in range(p.n + 3)]
+        coeffs = np.zeros((k + 2 * l - 2) + 2 * (p.n + 2) + 1)
+        for j, cj in self.C_coeffs:
+            coeffs[(k + 2 * l - 2) + 2 * j] += cj * self.a_coeffs[j]
+        self.P_log = Polynomial(coeffs)
 
 
 def test_aux_index_validation():
@@ -272,13 +311,13 @@ def test_f_table_accuracy():
     rng = np.random.default_rng(0)
     hs = np.concatenate([rng.uniform(0, 0.2, 40), rng.uniform(0.2, 3.0, 40)])
     direct = np.array([F(IDX20, P11, h) for h in hs])
-    assert np.allclose(table(IDX20, hs), direct, rtol=1e-9, atol=1e-12)
+    assert np.allclose(table((IDX20,), hs)[0], direct, rtol=1e-9, atol=1e-12)
 
 
 def test_f_table_rejects_out_of_range():
     table = TabulatedF(P11, 1.0)
     with pytest.raises(ValueError):
-        table(IDX20, np.array([1.5]))
+        table((IDX20,), np.array([1.5]))
 
 
 @pytest.mark.parametrize("h_max", [0.3, 1.0, 3.0])
@@ -297,11 +336,28 @@ def test_f_table_equals_scipy_cubic_spline(h_max):
     hs = rng.uniform(0.0, nodes[-1], 2 * _EVAL_BLOCK + 123)
     ulp_below = np.nextafter(nodes[1:], -np.inf)
     ulp_above = np.nextafter(nodes[:-1], np.inf)
-    for idx in PROFILES:
-        spline = CubicSpline(nodes, values[idx])
+    splines = {idx: CubicSpline(nodes, values[idx]) for idx in PROFILES}
+    for idx, spline in splines.items():
         assert np.array_equal(table.coeffs[idx], spline.c)
-        assert np.array_equal(table(idx, hs), spline(hs))
-        for pts in (nodes, ulp_below, ulp_above, hs[:600].reshape(20, 30)):
-            got = table(idx, pts)
+    for pts in (hs, nodes, ulp_below, ulp_above, hs[:600].reshape(20, 30)):
+        for idx, got in zip(PROFILES, table(PROFILES, pts)):
+            spline = splines[idx]
             assert got.shape == pts.shape
             assert np.array_equal(got, spline(pts))
+            # one profile alone reads the same bits as with the others
+            assert np.array_equal(table((idx,), pts)[0], got)
+
+
+def test_f_table_finds_each_piece_once_for_every_profile(monkeypatch):
+    table = TabulatedF(P11, 3.0)
+    hs = np.random.default_rng(3).uniform(0.0, 3.0, 2 * _EVAL_BLOCK + 5)
+    searched = []
+    piece = table._piece
+
+    def counting_piece(h):
+        searched.append(len(h))
+        return piece(h)
+
+    monkeypatch.setattr(table, "_piece", counting_piece)
+    assert len(table(PROFILES, hs)) == 3
+    assert searched == [_EVAL_BLOCK, _EVAL_BLOCK, 5]

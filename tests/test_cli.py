@@ -480,9 +480,9 @@ def test_ratio_builds_one_generator_per_level(tmp_path, monkeypatch):
     built = []
     generator = discretize._toeplitz_generator
 
-    def counting_generator(kernel, grid):
+    def counting_generator(kernel, grid, signs):
         built.append(grid.points_per_dim)
-        return generator(kernel, grid)
+        return generator(kernel, grid, signs)
 
     monkeypatch.setattr(discretize, "_toeplitz_generator", counting_generator)
     data = {
@@ -557,16 +557,20 @@ def test_benchmark_tracer_counters(tmp_path, monkeypatch):
 
 def test_spectrum_holds_one_square_array(tmp_path):
     # the Gram route sums A^T A over A's row blocks, so the run's peak of
-    # traced allocations is one N x N float64 array and change, not two
+    # traced allocations is one N x N float64 array and change, not two; a
+    # bump off the lateral mirror does not split, so the whole Gram is solved
     import tracemalloc
 
-    cfg = parse_config({"box": {"points_per_dim": [32, 32]}})
+    cfg = parse_config({"box": {"points_per_dim": [32, 32]},
+                        "symbol": {"kind": "cosine-bump", "center": [0.45, 1.0],
+                                   "width": [0.35, 0.35]}})
     tracemalloc.start()
     try:
-        run(cfg, out_dir=tmp_path)
+        report = run(cfg, out_dir=tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert report.runtime["svd"]["blocks"] == 1
     assert peak <= 1.5 * 8 * 1024**2
 
 

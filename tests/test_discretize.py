@@ -14,6 +14,7 @@ from besselriesz.discretize import (
 from besselriesz.kernels import (
     commutator_kernel,
     gaussian_profile_kernel,
+    riesz_signs,
     symbol_h,
 )
 from besselriesz.quadrature import gauss_legendre_box
@@ -26,13 +27,29 @@ P2 = ModelParams(n=1, lam=1.0, k=2)
 
 
 def smooth_kernel(x, y):
+    # even in x' - y'
     d2 = np.sum((x - y) ** 2, axis=-1)
     return np.exp(-d2) * (1.0 + x[..., -1] * y[..., -1])
+
+
+def odd_smooth_kernel(x, y):
+    # odd in x_0 - y_0, even in every other lateral difference
+    return (x[..., 0] - y[..., 0]) * smooth_kernel(x, y)
+
+
+def even_odd_smooth_kernel(x, y):
+    # even in x_0 - y_0, odd in x_1 - y_1
+    return (x[..., 1] - y[..., 1]) * smooth_kernel(x, y)
 
 
 def riesz_base(grid, p=P2):
     """The CLI's Riesz kernel with the F table for ``grid``'s box."""
     return cli.riesz_base(p, cli.f_table(p, grid.bounds))
+
+
+def assemble_even(kernel, grid, lam, sym):
+    """The commutator of a kernel even in every lateral difference."""
+    return assemble(kernel, grid, lam, symbol=sym, signs=(1,) * (grid.dim - 1))
 
 
 def commutator(grid, sym=None):
@@ -125,8 +142,8 @@ def test_grid_validation():
 
 def test_assemble_zero_kernel():
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (6, 6), halfspace=True)
-    A = assemble(lambda x, y: np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])),
-                 g, 1.0, symbol=gaussian_bump([0.5, 1.0], 0.15))
+    A = assemble_even(lambda x, y: np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])),
+                      g, 1.0, gaussian_bump([0.5, 1.0], 0.15))
     assert np.all(A.entries == 0.0)
     assert A.diagonal_bias == 0.0
 
@@ -152,7 +169,7 @@ def test_hilbert_schmidt_consistency_smooth_kernel():
     errs = []
     for m in (16, 32):
         g = make_grid(bounds, (m, m), halfspace=True)
-        fro2 = multiplier_frobenius_sq(smooth_kernel, constant_symbol(1.0), g, lam)
+        fro2 = multiplier_frobenius_sq(smooth_kernel, constant_symbol(1.0), g, lam, (1,))
         errs.append(abs(fro2 - ref) / ref)
     assert errs[1] <= 0.02
     assert errs[1] < errs[0]
@@ -164,9 +181,9 @@ def test_conjugation_preserves_singular_values():
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (10, 10), halfspace=True)
     sym = gaussian_bump([0.5, 1.0], 0.15)
     base = riesz_base(g)
-    A = assemble(base, g, P2.lam, symbol=sym)
+    A = assemble(base, g, P2.lam, symbol=sym, signs=riesz_signs(P2))
     B = assemble(lambda x, y: (x[..., -1] * y[..., -1]) ** P2.lam * base(x, y), g, 0.0,
-                 symbol=sym)
+                 symbol=sym, signs=riesz_signs(P2))
     assert B.measure_exponent == 0.0
     assert np.max(np.abs(A.entries - B.entries)) <= 1e-14 * np.max(np.abs(A.entries))
     s1, s2 = singular_values(A), singular_values(B)
@@ -199,8 +216,8 @@ def test_frobenius_domination():
     sym = gaussian_bump([0.5, 1.0], 0.15)
     K1 = lambda x, y: smooth_kernel(x, y) + 0.1
     K2 = lambda x, y: K1(x, y) * np.sin(3 * (x[..., 0] - y[..., 0]) * y[..., -1])
-    A1 = assemble(K1, g, 0.7, symbol=sym)
-    A2 = assemble(K2, g, 0.7, symbol=sym)
+    A1 = assemble(K1, g, 0.7, symbol=sym, signs=(1,))
+    A2 = assemble(K2, g, 0.7, symbol=sym, signs=(-1,))
     assert 0.0 < np.linalg.norm(A2.entries) <= np.linalg.norm(A1.entries)
 
 
@@ -223,7 +240,7 @@ def toeplitz_commutator(n, k, points):
     g = make_grid([(0.0, 1.0)] * n + [(0.5, 1.5)], points, halfspace=True)
     base = riesz_base(g, p)
     sym = gaussian_bump([0.5] * n + [1.0], 0.15)
-    return g, base, sym, assemble(base, g, p.lam, symbol=sym)
+    return g, base, sym, assemble(base, g, p.lam, symbol=sym, signs=riesz_signs(p))
 
 
 @TOEPLITZ_GRIDS
@@ -259,9 +276,8 @@ def parity_probes(lateral) -> int:
 
 @TOEPLITZ_GRIDS
 def test_toeplitz_generator_evaluates_nonnegative_offsets(n, k, points):
-    # the Riesz kernel has an exact parity along every lateral axis, so only
-    # the offsets with every lateral component >= 0 and the parity probes
-    # are evaluated; the diagonal-bias probes add 4 entries per node
+    # only the offsets with every lateral component >= 0 and the parity
+    # probes are evaluated; the diagonal-bias probes add 4 entries per node
     p = ModelParams(n=n, lam=1.0, k=k)
     g = make_grid([(0.0, 1.0)] * n + [(0.5, 1.5)], points, halfspace=True)
     base = riesz_base(g, p)
@@ -271,7 +287,8 @@ def test_toeplitz_generator_evaluates_nonnegative_offsets(n, k, points):
         shapes.append(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1]))
         return base(x, y)
 
-    A = assemble(counting, g, p.lam, symbol=gaussian_bump([0.5] * n + [1.0], 0.15))
+    A = assemble(counting, g, p.lam, symbol=gaussian_bump([0.5] * n + [1.0], 0.15),
+                 signs=riesz_signs(p))
     *lateral, mv = points
     offsets = int(np.prod(lateral)) + parity_probes(lateral)
     assert sum(int(np.prod(shape)) for shape in shapes) == offsets * mv**2 + 4 * len(g.nodes)
@@ -301,7 +318,7 @@ def full_generator(kernel, grid):
 
 
 def no_lateral_parity(x, y):
-    # translation-invariant laterally, with no parity: the fallback
+    # translation-invariant laterally, with no parity
     return np.exp(0.3 * (x[..., 0] - y[..., 0])) / (1.0 + x[..., -1] * y[..., -1])
 
 
@@ -318,65 +335,114 @@ def even_then_no_parity(x, y):
         (2, 1, (6, 5, 7), None, [-1, 1]),
         (2, 3, (6, 5, 7), None, [1, 1]),
         (2, 1, (9, 2, 4), None, [-1, 1]),
-        (1, 2, (7, 6), no_lateral_parity, [None]),
-        (2, 3, (5, 6, 4), even_then_no_parity, [1, None]),
+        (1, 2, (7, 6), odd_smooth_kernel, [-1]),
+        (2, 3, (5, 6, 4), even_odd_smooth_kernel, [1, -1]),
     ],
 )
 def test_toeplitz_generator_matches_full_evaluation(n, k, points, kernel, signs):
-    # the filled negative halves equal a direct evaluation bit for bit, and
-    # an axis without a parity has its negative offsets evaluated
+    # declared with its parity (the Riesz kernel's is ``riesz_signs``), the
+    # filled negative halves equal a direct evaluation bit for bit
     p = ModelParams(n=n, lam=1.0, k=k)
     g = make_grid([(0.0, 1.0)] * n + [(0.5, 1.5)], points, halfspace=True)
-    kernel = kernel or riesz_base(g, p)
-    gen, record = discretize._toeplitz_generator(kernel, g)
+    if kernel is None:
+        kernel = riesz_base(g, p)
+        assert list(riesz_signs(p)) == signs
+    gen, record = discretize._toeplitz_generator(kernel, g, signs)
     assert gen.tobytes() == full_generator(kernel, g).tobytes()
     *lateral, _ = points
     assert record["signs"] == signs
-    evaluated = 1
-    for m, sign in zip(lateral, signs):
-        evaluated *= m if sign is not None else 2 * m - 1
-    # the probes along an axis without a parity are among its evaluated offsets
-    probes = parity_probes([m for m, sign in zip(lateral, signs) if sign is not None])
-    assert record["offsets_evaluated"] == evaluated + probes
+    assert record["offsets_evaluated"] == int(np.prod(lateral)) + parity_probes(lateral)
     assert record["offsets_total"] == int(np.prod([2 * m - 1 for m in lateral]))
 
 
+@pytest.mark.parametrize("n, k, points, flipped, axis", [
+    (1, 1, (7, 7), [1], 0),
+    (1, 2, (16, 16), [-1], 0),
+    (2, 1, (6, 5, 7), [1, 1], 0),
+    (2, 1, (6, 5, 7), [-1, -1], 1),
+    (2, 3, (6, 5, 7), [1, -1], 1),
+])
+def test_flipped_riesz_declaration_raises(n, k, points, flipped, axis):
+    # the probes catch a declared sign that is the Riesz kernel's negation,
+    # and name the axis
+    p = ModelParams(n=n, lam=1.0, k=k)
+    g = make_grid([(0.0, 1.0)] * n + [(0.5, 1.5)], points, halfspace=True)
+    with pytest.raises(ValueError, match=f"lateral axis {axis} as declared"):
+        assemble(riesz_base(g, p), g, p.lam, symbol=gaussian_bump([0.5] * n + [1.0], 0.15),
+                 signs=flipped)
+
+
+@pytest.mark.parametrize("kernel, points", [(no_lateral_parity, (7, 6)),
+                                            (even_then_no_parity, (5, 6, 4))])
+def test_kernel_without_parity_raises_under_every_declaration(kernel, points):
+    g = make_grid([(0.0, 1.0)] * (len(points) - 1) + [(0.5, 1.5)], points, halfspace=True)
+    for signs in itertools.product((1, -1), repeat=len(points) - 1):
+        with pytest.raises(ValueError, match="as declared"):
+            discretize._toeplitz_generator(kernel, g, signs)
+
+
+def test_parity_odd_at_the_probes_only_raises_declared_even():
+    # odd except for a 0.1 d^2 term on 2.5h < |d| < 12.5h, which no probe
+    # (|d| = h or 15h) sees: declared even, the probes fail; declared odd
+    # they pass, and every negative offset in the window would be filled
+    # wrongly (top singular value 0.0790 against 0.0760 by brute force), so
+    # the parity is the kernel's statement, not the probes' finding
+    g = make_grid([(0.0, 1.0), (0.5, 1.5)], (16, 8), halfspace=True)
+    h = 1.0 / 16
+
+    def base(x, y):
+        d = x[..., 0] - y[..., 0]
+        bump = 0.1 * d * d * ((np.abs(d) > 2.5 * h) & (np.abs(d) < 12.5 * h))
+        return (d + bump) * x[..., -1] * y[..., -1]
+
+    with pytest.raises(ValueError, match="not even along lateral axis 0 as declared"):
+        assemble(base, g, 1.0, symbol=gaussian_bump([0.5, 1.0], 0.15), signs=(1,))
+
+
+def test_signs_must_hold_plus_or_minus_one_per_lateral_axis():
+    g = make_grid([(0.0, 1.0), (0.0, 1.0), (0.5, 1.5)], (4, 4, 4), halfspace=True)
+    for signs in ((1,), (1, 1, 1), (1, None), (1, 0), (1, 0.5)):
+        with pytest.raises(ValueError, match="signs must hold"):
+            discretize._toeplitz_generator(smooth_kernel, g, signs)
+
+
 @pytest.mark.parametrize(
-    "kernel, bounds, points, lam, center, width",
+    "kernel, signs, bounds, points, lam, center, width",
     [
-        (smooth_kernel, [(0.0, 1.0), (0.5, 1.5)], (16, 16), 0.8, [0.5, 1.0], 0.15),
-        (smooth_kernel, [(0.0, 1.0), (0.5, 1.5)], (15, 16), 0.8, [0.5, 1.0], 0.15),
-        (no_lateral_parity, [(0.0, 1.0), (0.5, 1.5)], (15, 16), 0.8, [0.4, 1.0], 0.15),
-        (smooth_kernel, [(0.0, 1.0), (0.0, 1.0), (0.5, 1.5)], (5, 6, 4), 0.8,
+        (smooth_kernel, (1,), [(0.0, 1.0), (0.5, 1.5)], (16, 16), 0.8, [0.5, 1.0], 0.15),
+        (smooth_kernel, (1,), [(0.0, 1.0), (0.5, 1.5)], (15, 16), 0.8, [0.5, 1.0], 0.15),
+        (odd_smooth_kernel, (-1,), [(0.0, 1.0), (0.5, 1.5)], (15, 16), 0.8, [0.4, 1.0], 0.15),
+        (smooth_kernel, (1, 1), [(0.0, 1.0), (0.0, 1.0), (0.5, 1.5)], (5, 6, 4), 0.8,
          [0.5, 0.4, 1.0], 0.2),
         # criterion 8's kernel, symbol and box
-        (partial(gaussian_profile_kernel, ModelParams(n=1, lam=1.0, k=1)),
+        (partial(gaussian_profile_kernel, ModelParams(n=1, lam=1.0, k=1)), (1,),
          [(-7.0, 7.0), (0.1, 11.0)], (32, 32), 1.0, [0.0, 4.5], 0.5),
     ],
-    ids=["16x16", "15x16", "15x16-no-parity", "5x6x4", "criterion-8-32x32"],
+    ids=["16x16", "15x16", "15x16-odd", "5x6x4", "criterion-8-32x32"],
 )
-def test_multiplier_frobenius_matches_brute_force(kernel, bounds, points, lam, center, width):
+def test_multiplier_frobenius_matches_brute_force(kernel, signs, bounds, points, lam, center,
+                                                  width):
     # the generator's windowed sum of squares against the dense matrix
     g = make_grid(bounds, points, halfspace=True)
     f = gaussian_bump(center, width)
     brute = float(np.sum((f(g.nodes)[:, None] * dense_reference(kernel, g, lam)) ** 2))
-    fro2 = multiplier_frobenius_sq(kernel, f, g, lam)
+    fro2 = multiplier_frobenius_sq(kernel, f, g, lam, signs)
     assert fro2 == pytest.approx(brute, rel=1e-13, abs=0)
 
 
 def test_odd_parity_needs_a_zero_offset_of_zeros():
-    # odd at every nonzero lateral offset but 1 at the zero offset: the
-    # probes give sign -1, and the mirror does not anticommute with the
-    # operator, so the commutator does not split
+    # odd at every nonzero lateral offset but 1 at the zero offset: declared
+    # odd, the zero offset fails the check; declared even, the probes do
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (8, 6), halfspace=True)
 
     def base(x, y):
         d = x[..., 0] - y[..., 0]
         return np.where(d == 0.0, 1.0, d) * x[..., -1] * y[..., -1]
 
-    A = assemble(base, g, 1.0, symbol=gaussian_bump([0.5, 1.0], 0.15))
-    assert A.generator["signs"] == [-1]
-    assert A.mirror_blocks() == (A,)
+    for signs, match in (((-1,), "nonzero at that axis's zero offset"),
+                         ((1,), "not even along lateral axis 0")):
+        with pytest.raises(ValueError, match=match):
+            assemble(base, g, 1.0, symbol=gaussian_bump([0.5, 1.0], 0.15), signs=signs)
 
 
 def test_certified_head_leaves_entries_unbuilt():
@@ -485,11 +551,11 @@ def test_toeplitz_assembly_reports_nonfinite_pair():
         return 1.0 / (np.abs(x[..., -1] - y[..., -1]) - 0.5)
 
     with pytest.raises(FloatingPointError, match=r"node pair \(0, 2\)"):
-        assemble(base, g, 1.0, symbol=gaussian_bump([0.5, 1.0], 0.15))
+        assemble_even(base, g, 1.0, gaussian_bump([0.5, 1.0], 0.15))
     # a symbol value that is not finite spoils a whole row and column
     sym = Symbol(func=lambda x: np.where(x[..., 0] > 0.5, np.nan, 0.0), gradient=np.zeros_like)
     with pytest.raises(FloatingPointError, match="symbol not finite at node 8"):
-        assemble(smooth_kernel, g, 1.0, symbol=sym)
+        assemble_even(smooth_kernel, g, 1.0, sym)
 
 
 def test_weighted_assembly_requires_lambda():
@@ -501,7 +567,7 @@ def test_weighted_assembly_requires_lambda():
 def test_matrix_roundtrip(tmp_path):
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (6, 6), halfspace=True)
     sym = gaussian_bump([0.5, 1.0], 0.15)
-    A = assemble(smooth_kernel, g, 0.5, symbol=sym)
+    A = assemble_even(smooth_kernel, g, 0.5, sym)
     path = tmp_path / "matrix.bin"
     save_matrix(A, path)
     entries, tag = load_matrix(path)
@@ -510,7 +576,7 @@ def test_matrix_roundtrip(tmp_path):
     meta = (tmp_path / "matrix.bin.meta.csv").read_text()
     assert "space_tag,weighted" in meta
     # lam = 0 is Lebesgue measure: tag byte 0 and the "unweighted" meta row
-    save_matrix(assemble(smooth_kernel, g, 0.0, symbol=sym), path)
+    save_matrix(assemble_even(smooth_kernel, g, 0.0, sym), path)
     assert load_matrix(path)[1] == "unweighted"
     assert "space_tag,unweighted" in (tmp_path / "matrix.bin.meta.csv").read_text()
 
@@ -518,7 +584,7 @@ def test_matrix_roundtrip(tmp_path):
 def test_load_matrix_checks_payload_length(tmp_path):
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (8, 8), halfspace=True)
     path = tmp_path / "matrix.bin"
-    save_matrix(assemble(smooth_kernel, g, 0.5, symbol=gaussian_bump([0.5, 1.0], 0.15)), path)
+    save_matrix(assemble_even(smooth_kernel, g, 0.5, gaussian_bump([0.5, 1.0], 0.15)), path)
     data = path.read_bytes()
     # trailing bytes, or a file one value short, do not hold a 64 x 64 matrix
     for payload, found in ((data + bytes(64), 32832), (data[:-8], 32760)):
@@ -549,7 +615,7 @@ def test_diagonal_bias_subsamples_past_1024_nodes():
     # node, and the largest over every node would be another value
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (48, 48), halfspace=True)
     sym = gaussian_bump([0.5, 1.0], 0.15)
-    A = assemble(smooth_kernel, g, 0.8, symbol=sym)
+    A = assemble_even(smooth_kernel, g, 0.8, sym)
     brute = brute_force_commutator(smooth_kernel, sym)
     assert A.diagonal_bias == reference_diagonal_bias(brute, g, 0.8, stride=2)
     assert A.diagonal_bias != reference_diagonal_bias(brute, g, 0.8)

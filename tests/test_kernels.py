@@ -6,7 +6,17 @@ import pytest
 from scipy.special import ive
 
 from besselriesz import auxfn, quadrature
-from besselriesz.auxfn import IDX11, IDX20, IDX21, DirectF, F, TabulatedF, f_zero, table_nodes
+from besselriesz.auxfn import (
+    IDX11,
+    IDX20,
+    IDX21,
+    PROFILES,
+    DirectF,
+    F,
+    TabulatedF,
+    f_zero,
+    table_nodes,
+)
 from besselriesz.kernels import _heat_profile, _pts, _reject_coincident, _sep
 from besselriesz.kernels import (
     commutator_kernel,
@@ -47,21 +57,23 @@ def riesz_kernel_composed(p: ModelParams, x, y, f_eval):
     """The Bessel Riesz kernel as the composition of the pointwise symbols,
     one ``symbol_*`` call per factor."""
     H = symbol_H(x, y)
-    out = f_eval(IDX20, H) * symbol_K(p.k, x, y, p.lam)
+    (f20,) = f_eval((IDX20,), H)
+    out = f20 * symbol_K(p.k, x, y, p.lam)
     if p.k == p.n + 1:
+        f11, f21 = f_eval((IDX11, IDX21), H)
         s = 0.0
         for l in range(1, p.n + 2):
             s = s + symbol_h(l, x, y) * symbol_K(l, x, y, p.lam)
         a = symbol_a(x, y)
         b = symbol_b(x, y)
         hn1 = symbol_h(p.n + 1, x, y)
-        out = out + a * f_eval(IDX11, H) * s - b * hn1 * f_eval(IDX21, H) * s
+        out = out + a * f11 * s - b * hn1 * f21 * s
     return -model_constants(p).kappa2 * out
 
 
-def synthetic_f(idx, h):
+def synthetic_f(profiles, h):
     """A cheap stand-in for the F profiles, distinct per index pair."""
-    return np.exp(-(idx.k + idx.l) * h) * np.cos(h + idx.l)
+    return tuple(np.exp(-(idx.k + idx.l) * h) * np.cos(h + idx.l) for idx in profiles)
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 1), (2, 3)])
@@ -384,7 +396,7 @@ def test_riesz_kernel_bessel_k_le_n_single_term():
     x = np.array([0.2, 0.8])
     y = np.array([-0.5, 1.4])
     c = model_constants(P1)
-    expected = -c.kappa2 * f_eval(IDX20, symbol_H(x, y)) * symbol_K(1, x, y, P1.lam)
+    expected = -c.kappa2 * f_eval((IDX20,), symbol_H(x, y))[0] * symbol_K(1, x, y, P1.lam)
     assert riesz_kernel_bessel(P1, x, y, f_eval) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
@@ -598,9 +610,9 @@ def test_tabulated_f_batch_matches_pointwise_f(n, lam):
     p = ModelParams(n=n, lam=lam, k=n + 1)
     tab = TabulatedF(p, 3.0)
     nodes = table_nodes(3.0)
-    for idx in (IDX20, IDX11, IDX21):
+    for idx, values in zip(PROFILES, tab(PROFILES, nodes)):
         direct = np.array([F(idx, p, float(x)) for x in nodes])
-        np.testing.assert_allclose(tab(idx, nodes), direct, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(values, direct, rtol=1e-14, atol=0)
     assert tab.record == {"nodes": len(nodes), "integrals": 2 * (len(nodes) - 1),
                           "max_order": 32}
 

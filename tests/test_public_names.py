@@ -7,8 +7,6 @@ ROOT = Path(__file__).resolve().parents[1]
 KEEP = {
     "load_matrix": "the reader of save_matrix's binary format",
     "heat_kernel": "the public heat-semigroup kernel the README documents",
-    "G": "the difference quotient (F(x) - F(0)) / x of the profile family",
-    "AuxDecomposition": "the even-n log term of the small-argument decomposition",
 }
 
 

@@ -7,19 +7,12 @@ import pytest
 from besselriesz.cli import ConfigError
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-# what a script prints besides its headline: for the default experiment,
-# where the time went and which solver ran
-DETAILS = {
-    "run_default_experiment.py": ("seconds: table ", ", assemble ", ", svd ",
-                                  "; solver gram over 2 block(s)"),
-}
 
 
 @pytest.mark.parametrize(
     "script, args, line",
     [
         ("refinement_study.py", ["0"], "[32, 32]: quasinorm"),
-        ("run_default_experiment.py", [], "grid [48, 48]: exponent"),
     ],
 )
 def test_script_runs(script, args, line, tmp_path, monkeypatch, capsys):
@@ -29,8 +22,6 @@ def test_script_runs(script, args, line, tmp_path, monkeypatch, capsys):
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
     assert line in out
-    for detail in DETAILS.get(script, ()):
-        assert detail in out
 
 
 def test_refinement_study_refuses_negative_levels(tmp_path, monkeypatch):
