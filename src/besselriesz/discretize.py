@@ -92,16 +92,22 @@ def make_grid(bounds, points_per_dim, halfspace: bool = False) -> BoxGrid:
 
 
 class ProducedMatrix:
-    """A (rows, cols) matrix held as its row producer: ``fill(lo, out)``
-    writes its rows lo, lo + 1, ... into the C-ordered ``out``, with ``lo``
-    and ``len(out)`` multiples of ``mv``.  ``entries``, the dense matrix, is
-    built when first read and kept."""
+    """A (rows, cols) matrix held as its row producer.  ``make_fill()``
+    returns a function ``fill(lo, out)`` that writes rows lo, lo + 1, ...
+    into the C-ordered ``out``, with ``lo`` and ``len(out)`` multiples of
+    ``mv``; one such function serves a whole pass over the rows and holds
+    that pass's work arrays.  ``entries``, the dense matrix, is built when
+    first read and kept."""
 
-    def __init__(self, shape: tuple, fill, mv: int):
+    def __init__(self, shape: tuple, make_fill, mv: int):
         self.shape = shape
-        self.fill = fill
+        self.make_fill = make_fill
         self._mv = mv
         self._entries = None
+
+    def fill(self, lo: int, out: np.ndarray) -> None:
+        """Write rows lo, lo + 1, ... into ``out`` in one pass."""
+        self.make_fill()(lo, out)
 
     @property
     def entries(self) -> np.ndarray:
@@ -111,17 +117,15 @@ class ProducedMatrix:
         return self._entries
 
     def row_blocks(self):
-        """The rows in order, as C-ordered blocks of up to
-        ``_BLOCK_LATERAL_ROWS`` lateral row blocks (``mv`` rows each) and up
-        to an eighth of the rows, filled into one reused buffer, so each
-        block must be read before the next is asked for."""
+        """The rows in order, one lateral row block (``mv`` rows) at a time,
+        each filled into one reused C-ordered buffer by one pass's fill, so
+        each block must be read before the next is asked for."""
         nrows, ncols = self.shape
-        step = self._mv * max(1, min(_BLOCK_LATERAL_ROWS, nrows // self._mv // 8))
-        buf = np.empty((step, ncols))
-        for lo in range(0, nrows, step):
-            block = buf[: min(step, nrows - lo)]
-            self.fill(lo, block)
-            yield block
+        fill = self.make_fill()
+        buf = np.empty((self._mv, ncols))
+        for lo in range(0, nrows, self._mv):
+            fill(lo, buf)
+            yield buf
 
     def mirror_blocks(self) -> tuple:
         """Matrices whose singular values together are exactly this
@@ -136,9 +140,9 @@ class OperatorMatrix(ProducedMatrix):
     it has none.  ``generator`` is the record of the generator it is
     produced from (``_toeplitz_generator``)."""
 
-    def __init__(self, fill, grid: BoxGrid, measure_exponent: float, diagonal_bias: float,
+    def __init__(self, make_fill, grid: BoxGrid, measure_exponent: float, diagonal_bias: float,
                  generator: dict, mirror: tuple = ()):
-        super().__init__((len(grid.nodes),) * 2, fill, grid.points_per_dim[-1])
+        super().__init__((len(grid.nodes),) * 2, make_fill, grid.points_per_dim[-1])
         self.grid = grid
         self.measure_exponent = measure_exponent  # 2*lam: the measure is x_last^(2 lam) dx
         self.diagonal_bias = diagonal_bias
@@ -149,11 +153,6 @@ class OperatorMatrix(ProducedMatrix):
         """The blocks of the mirror split, or the matrix itself when it has
         none."""
         return self.mirror or super().mirror_blocks()
-
-
-# lateral row blocks (m_v rows each) per block of ``row_blocks``: bounds the
-# buffer that stands in for the dense matrix
-_BLOCK_LATERAL_ROWS = 8
 
 
 def assemble(kernel, grid: BoxGrid, lam: float, symbol, signs):
@@ -208,7 +207,7 @@ def assemble(kernel, grid: BoxGrid, lam: float, symbol, signs):
         def probe(x, y, sym=sym):
             return kernel(x, y) * (sym(y) - sym(x))
 
-        matrices.append(OperatorMatrix(_toeplitz_rows(gen, fv, grid).fill, grid, 2.0 * lam,
+        matrices.append(OperatorMatrix(_toeplitz_rows(gen, fv, grid).make_fill, grid, 2.0 * lam,
                                        _diagonal_bias(probe, grid, norm), generator,
                                        _mirror_split(gen, fv, grid, split)))
     return tuple(matrices) if isinstance(symbol, tuple) else matrices[0]
@@ -430,10 +429,7 @@ def _toeplitz_rows(gen: np.ndarray, fv: np.ndarray, grid: BoxGrid,
     diag = np.arange(mv)
     half = np.sqrt(0.5)
 
-    def fill(lo: int, out: np.ndarray) -> None:
-        # one buffer for the symbol differences of every row block: a fresh
-        # temporary per block would map and fault in new pages each time
-        diff = np.empty((mv, len(col_nodes)))
+    def fill(lo: int, out: np.ndarray, diff: np.ndarray) -> None:
         for r in range(len(out) // mv):
             row = lo // mv + r
             I = np.unravel_index(row, row_lat)
@@ -465,7 +461,14 @@ def _toeplitz_rows(gen: np.ndarray, fv: np.ndarray, grid: BoxGrid,
             for l in col_mid:
                 view[(slice(None),) * (l + 1) + (-1,)] *= half
 
-    return ProducedMatrix((len(row_nodes), len(col_nodes)), fill, mv)
+    def make_fill():
+        # one buffer for the symbol differences of a whole pass over the
+        # rows: a fresh temporary per lateral row block would map and fault
+        # in new pages each time
+        diff = np.empty((mv, len(col_nodes)))
+        return lambda lo, out: fill(lo, out, diff)
+
+    return ProducedMatrix((len(row_nodes), len(col_nodes)), make_fill, mv)
 
 
 def _mirror_symmetry(signs: list, fv: np.ndarray, grid: BoxGrid) -> dict:
@@ -508,7 +511,7 @@ def save_matrix(A: OperatorMatrix, path) -> None:
     weighted = A.measure_exponent > 0
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, N, 1 if weighted else 0))
-        fh.write(np.asfortranarray(A.entries).tobytes(order="F"))
+        fh.write(np.ascontiguousarray(A.entries.T))
     with open(path.with_suffix(path.suffix + ".meta.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["key", "value"])

@@ -21,7 +21,8 @@ def singular_values(A, count: int | None = None, p: float | None = None,
     blocks of its mirror split (``mirror_blocks``; a matrix with no split is
     one block), whose values together are exactly A's, one block at a time.
     With ``count`` the top ``count`` come from the Gram matrices: per block
-    B, G = B^T B, summed over B's row blocks (``gram_lower``), and the
+    B, G = B^T B, summed one lateral row block (m_v rows) at a time
+    (``gram_lower``), so G is the only large array the solve holds, and the
     largest min(``count``, size) of all its eigenvalues.  ``eigh`` reduces
     G to tridiagonal form (dsytrd) and takes every eigenvalue of that
     (dsterf), which costs less than bisecting it for a subset; the values
@@ -97,9 +98,11 @@ def singular_values(A, count: int | None = None, p: float | None = None,
 
 def gram_lower(A) -> np.ndarray:
     """The lower triangle of G = A^T A in one Fortran-ordered array, the
-    upper triangle left 0.  dsyrk adds each of A's ``row_blocks`` into it,
-    so no other array of G's size is held, and ``eigh`` can overwrite it in
-    place (a C-ordered G would be copied first)."""
+    upper triangle left 0.  Each of A's ``row_blocks`` (one lateral row
+    block, m_v rows) is added into it by one rank-m_v dsyrk update, so
+    besides G only that block and BLAS's packing of it are held, and
+    ``eigh`` can overwrite G in place (a C-ordered G would be copied
+    first)."""
     cols = A.shape[1]
     gram = np.zeros((cols, cols), order="F")
     for block in A.row_blocks():

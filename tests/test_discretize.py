@@ -257,10 +257,16 @@ def test_toeplitz_commutator_matches_brute_force(n, k, points):
 
 @TOEPLITZ_GRIDS
 def test_gram_from_row_blocks_matches_dense(n, k, points):
-    # the row blocks cover the matrix in several groups, the last one short
+    # the row blocks are the lateral row blocks, m_v rows each, in order and
+    # all in one reused buffer
     g, _, _, A = toeplitz_commutator(n, k, points)
-    sizes = [block.shape[0] for block in A.row_blocks()]
-    assert len(sizes) > 1 and sum(sizes) == len(g.nodes)
+    mv = points[-1]
+    blocks = [(block.shape, block.__array_interface__["data"][0], block.copy())
+              for block in A.row_blocks()]
+    assert len(blocks) == len(g.nodes) // mv
+    assert all(shape == (mv, len(g.nodes)) for shape, _, _ in blocks)
+    assert len({address for _, address, _ in blocks}) == 1
+    assert np.array_equal(np.concatenate([rows for _, _, rows in blocks]), A.entries)
     gram = gram_lower(A)
     assert gram.flags.f_contiguous
     dense = A.entries.T @ A.entries
@@ -579,6 +585,24 @@ def test_matrix_roundtrip(tmp_path):
     save_matrix(assemble_even(smooth_kernel, g, 0.0, sym), path)
     assert load_matrix(path)[1] == "unweighted"
     assert "space_tag,unweighted" in (tmp_path / "matrix.bin.meta.csv").read_text()
+
+
+def test_save_matrix_copies_the_entries_once(tmp_path):
+    # the column-major payload is one transposed copy of the built entries
+    import tracemalloc
+
+    g = make_grid([(0.0, 1.0), (0.5, 1.5)], (32, 32), halfspace=True)
+    A = assemble_even(smooth_kernel, g, 0.5, gaussian_bump([0.5, 1.0], 0.15))
+    N = len(g.nodes)
+    assert A.entries.shape == (N, N)
+    tracemalloc.start()
+    try:
+        save_matrix(A, tmp_path / "matrix.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * N**2
+    assert np.array_equal(load_matrix(tmp_path / "matrix.bin")[0], A.entries)
 
 
 def test_load_matrix_checks_payload_length(tmp_path):

@@ -21,7 +21,11 @@ from besselriesz.symbols import Symbol, gaussian_bump
 def produced(a):
     """The array ``a`` as a ``ProducedMatrix`` that copies its rows out of ``a``."""
     a = np.asarray(a, dtype=float)
-    return ProducedMatrix(a.shape, lambda lo, out: np.copyto(out, a[lo:lo + len(out)]), 1)
+
+    def fill(lo, out):
+        np.copyto(out, a[lo:lo + len(out)])
+
+    return ProducedMatrix(a.shape, lambda: fill, 1)
 
 
 def test_singular_values_diagonal():
