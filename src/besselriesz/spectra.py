@@ -108,8 +108,7 @@ def gram_lower(A) -> np.ndarray:
     for block in A.row_blocks():
         # a C-ordered (rows, cols) block is its Fortran-ordered transpose,
         # and dsyrk adds that transpose times its own transpose
-        gram = scipy.linalg.blas.dsyrk(1.0, np.ascontiguousarray(block).T, beta=1.0, c=gram,
-                                       lower=1, overwrite_c=1)
+        gram = scipy.linalg.blas.dsyrk(1.0, block.T, beta=1.0, c=gram, lower=1, overwrite_c=1)
     return gram
 
 

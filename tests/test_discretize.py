@@ -588,7 +588,8 @@ def test_matrix_roundtrip(tmp_path):
 
 
 def test_save_matrix_copies_the_entries_once(tmp_path):
-    # the column-major payload is one transposed copy of the built entries
+    # the column-major payload is one transposed copy of the entries, which
+    # are built before tracing starts
     import tracemalloc
 
     g = make_grid([(0.0, 1.0), (0.5, 1.5)], (32, 32), halfspace=True)
